@@ -19,7 +19,7 @@ nevertheless a nonzero obstruction.
 import time
 
 from .degrees import zero
-from .errors import ContractViolationError, InconclusiveError
+from .errors import ContractViolationError
 from .ideals import (
     enumerate_sat_her,
     is_cofinal,
@@ -28,7 +28,7 @@ from .ideals import (
     quotient,
     vertex_set_to_json,
 )
-from .infinite import EventuallyPeriodicPath, ep_compose, ep_equal, ep_samples, ep_segment, ep_shift
+from .infinite import ep_compose, ep_equal, ep_samples, ep_segment, ep_shift
 from .periodicity import default_bound, scan_aperiodicity
 
 
@@ -122,7 +122,7 @@ class SimplicityVerdict:
     """Outcome of the simplicity test at a bound."""
 
     def __init__(self, status, bound, reason=None, not_cofinal=None, periodic=None, scan=None):
-        self.status = status  # "simple" | "not_simple" | "inconclusive"
+        self.status = status  # "simple" | "not_simple"
         self.bound = bound
         self.reason = reason  # None | "not_cofinal" | "locally_periodic"
         self.not_cofinal = not_cofinal  # NotCofinal certificate set
@@ -132,8 +132,6 @@ class SimplicityVerdict:
     def text(self):
         if self.status == "simple":
             return f"Simple (up to bound {self.bound})"
-        if self.status == "inconclusive":
-            return f"Inconclusive at bound {self.bound}"
         if self.reason == "not_cofinal":
             return f"Not simple: not cofinal, obstruction {sorted(self.not_cofinal)}"
         hit = self.periodic
@@ -164,25 +162,27 @@ def _check_not_cofinal_certificate(g, h):
         raise ContractViolationError("cofinality certificate failed re-validation")
 
 
-def is_simple(g, bound=None, jobs=None):
-    """Cofinality first, then the bounded periodicity scan."""
-    if bound is None:
-        bound = default_bound(g)
-    cof = is_cofinal(g)
+def _simplicity_verdict(g, bound, cof, scan):
+    """Simple = cofinal + no periodic hit; scan is unused when not cofinal."""
     if not cof.cofinal:
         _check_not_cofinal_certificate(g, cof.certificate)
         return SimplicityVerdict(
             "not_simple", bound, reason="not_cofinal", not_cofinal=cof.certificate
         )
-    try:
-        scan = scan_aperiodicity(g, bound, jobs=jobs)
-    except InconclusiveError:
-        return SimplicityVerdict("inconclusive", bound)
     if scan.periodic:
         return SimplicityVerdict(
             "not_simple", bound, reason="locally_periodic", periodic=scan
         )
     return SimplicityVerdict("simple", bound, scan=scan)
+
+
+def is_simple(g, bound=None):
+    """Cofinality first, then the bounded periodicity scan."""
+    if bound is None:
+        bound = default_bound(g)
+    cof = is_cofinal(g)
+    scan = scan_aperiodicity(g, bound) if cof.cofinal else None
+    return _simplicity_verdict(g, bound, cof, scan)
 
 
 class GaugeInvarianceReport:
@@ -228,7 +228,7 @@ class GaugeInvarianceReport:
         return out
 
 
-def all_ideals_gauge_invariant(g, bound=None, jobs=None):
+def all_ideals_gauge_invariant(g, bound=None):
     """Scan the quotient by every proper saturated hereditary set.
 
     The empty set is included (the quotient is the graph itself); the
@@ -243,7 +243,7 @@ def all_ideals_gauge_invariant(g, bound=None, jobs=None):
         if set(h) == set(g.vertices):
             continue
         sub = quotient(g, h) if h else g
-        scan = scan_aperiodicity(sub, bound, jobs=jobs)
+        scan = scan_aperiodicity(sub, bound)
         rows.append((h, scan))
         if scan.periodic and offender is None:
             offender = (h, scan)
@@ -274,25 +274,15 @@ class AnalysisReport:
         }
 
 
-def analyze(g, bound=None, source=None, jobs=None):
+def analyze(g, bound=None, source=None):
     """Run every decision at one bound and bundle the certificates."""
     start = time.monotonic()
     if bound is None:
         bound = default_bound(g)
     cof = is_cofinal(g)
-    if not cof.cofinal:
-        _check_not_cofinal_certificate(g, cof.certificate)
-    scan = scan_aperiodicity(g, bound, jobs=jobs)
-    if not cof.cofinal:
-        verdict = SimplicityVerdict(
-            "not_simple", bound, reason="not_cofinal", not_cofinal=cof.certificate
-        )
-    elif scan.periodic:
-        verdict = SimplicityVerdict(
-            "not_simple", bound, reason="locally_periodic", periodic=scan
-        )
-    else:
-        verdict = SimplicityVerdict("simple", bound, scan=scan)
-    gauge = all_ideals_gauge_invariant(g, bound, jobs=jobs)
+    gauge = all_ideals_gauge_invariant(g, bound)
+    # Row 0 is H = {}, whose quotient is g itself: that scan is g's scan.
+    _, scan = gauge.rows[0]
+    verdict = _simplicity_verdict(g, bound, cof, scan)
     seconds = time.monotonic() - start
     return AnalysisReport(source, bound, cof, scan, verdict, gauge, seconds)

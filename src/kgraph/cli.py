@@ -2,9 +2,9 @@
 
 Exit codes are uniform across commands: 0 the property holds (or the
 command simply succeeded), 1 it fails and the report carries the
-certificate, 2 the scan was inconclusive at its bound, 3 the input could
-not be used (unreadable file, malformed JSON, structural validation
-failure outside `validate` itself, bad flags).
+certificate, 3 the input could not be used (unreadable file, malformed
+JSON, structural validation failure outside `validate` itself, bad
+flags).  No command exits 2.
 
 Reports are JSON on standard output with sorted keys; --text renders the
 same object line for line as indented `key: value` text.
@@ -21,13 +21,7 @@ from .documents import (
     graph_from_json,
     load_graph_document,
 )
-from .errors import (
-    ContractViolationError,
-    DocumentError,
-    InconclusiveError,
-    LimitExceededError,
-    ValidationError,
-)
+from .errors import ContractViolationError, DocumentError, LimitExceededError, ValidationError
 from .factorization import KGraph, validate_cubes, validate_squares
 from .fixtures import FIXTURE_NAMES, fixture_parts
 from .ideals import enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
@@ -35,7 +29,7 @@ from .periodicity import scan_aperiodicity
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; 2 means "inconclusive" here, so remap.
+    # argparse exits 2 on usage errors; bad flags are unusable input here, so 3.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
@@ -130,12 +124,9 @@ def cmd_aperiodic(args):
     if not isinstance(g, KGraph):
         return g
     try:
-        scan = scan_aperiodicity(g, args.bound, jobs=args.jobs)
+        scan = scan_aperiodicity(g, args.bound)
     except ContractViolationError as exc:
         return _fail([str(exc)])
-    except InconclusiveError as exc:
-        _emit({"verdict": "inconclusive", "bound": args.bound, "detail": str(exc)}, args.text)
-        return 2
     _emit(scan.to_json(), args.text)
     return 0 if not scan.periodic else 1
 
@@ -154,13 +145,11 @@ def cmd_simple(args):
     if not isinstance(g, KGraph):
         return g
     try:
-        verdict = is_simple(g, args.bound, jobs=args.jobs)
+        verdict = is_simple(g, args.bound)
     except ContractViolationError as exc:
         return _fail([str(exc)])
     _emit(verdict.to_json(), args.text)
-    if verdict.status == "simple":
-        return 0
-    return 2 if verdict.status == "inconclusive" else 1
+    return 0 if verdict.status == "simple" else 1
 
 
 def cmd_ideals(args):
@@ -198,12 +187,10 @@ def cmd_fixture(args):
     return 0
 
 
-def _add_common(sub, bound=False, jobs=False):
+def _add_common(sub, bound=False):
     sub.add_argument("file", help="graph JSON file, or - for standard input")
     if bound:
         sub.add_argument("--bound", type=int, default=None, help="scan bound (default: derived)")
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=None, help="parallel scan workers")
     sub.add_argument("--text", action="store_true", help="plaintext summary instead of JSON")
 
 
@@ -216,7 +203,7 @@ def build_parser():
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("aperiodic", help="scan for local periodicity up to a bound")
-    _add_common(p, bound=True, jobs=True)
+    _add_common(p, bound=True)
     p.set_defaults(func=cmd_aperiodic)
 
     p = subs.add_parser("cofinal", help="decide cofinality")
@@ -224,7 +211,7 @@ def build_parser():
     p.set_defaults(func=cmd_cofinal)
 
     p = subs.add_parser("simple", help="cofinality plus bounded aperiodicity")
-    _add_common(p, bound=True, jobs=True)
+    _add_common(p, bound=True)
     p.set_defaults(func=cmd_simple)
 
     p = subs.add_parser("ideals", help="enumerate saturated hereditary vertex sets")

@@ -24,8 +24,6 @@ range end first: edges[0] has range r(lambda) and edges[-1] has source
 s(lambda), and compose(mu, nu) requires s(mu) = r(nu).
 """
 
-from itertools import product as _iproduct
-
 from .degrees import Degree, add, leq, subtract, unit, zero
 from .errors import CompositionError, ContractViolationError, DegreeError, ValidationError
 from .skeleton import ValidationReport
@@ -122,11 +120,14 @@ def validate_squares(skeleton, table):
     return ValidationReport("squares", problems)
 
 
-def _swap_ids(forward, backward, colors, a, b):
+def _swap(table, colors, a, b):
     """Apply the square to adjacent edge ids (a, b); colors must differ."""
-    if colors[a] < colors[b]:
-        return forward[(a, b)]
-    return backward[(a, b)]
+    ca, cb = colors[a], colors[b]
+    if ca == cb:
+        raise ContractViolationError("cannot swap edges of equal color")
+    if ca < cb:
+        return table.forward[(a, b)]
+    return table.backward[(a, b)]
 
 
 def validate_cubes(skeleton, table):
@@ -144,7 +145,7 @@ def validate_cubes(skeleton, table):
     colors = {eid: e.color for eid, e in skeleton.edges.items()}
 
     def swap(a, b):
-        return _swap_ids(table.forward, table.backward, colors, a, b)
+        return _swap(table, colors, a, b)
 
     for e1 in sorted(skeleton.edges):
         color1 = colors[e1]
@@ -226,7 +227,6 @@ class KGraph:
         self.k = skeleton.k
         self._colors = {eid: e.color for eid, e in skeleton.edges.items()}
         self._paths_from = {}
-        self._paths_into = {}
 
     _build_token = object()
 
@@ -267,12 +267,7 @@ class KGraph:
         return Path(self, e.range, e.source, unit(self.k, e.color), (eid,))
 
     def _swap(self, a, b):
-        ca, cb = self._colors[a], self._colors[b]
-        if ca == cb:
-            raise ContractViolationError("cannot swap edges of equal color")
-        if ca < cb:
-            return self.squares.forward[(a, b)]
-        return self.squares.backward[(a, b)]
+        return _swap(self.squares, self._colors, a, b)
 
     def _normalize(self, seq):
         """Sort a composable edge sequence into ascending color blocks."""
@@ -339,30 +334,6 @@ class KGraph:
         self._paths_from[key] = out
         return out
 
-    def paths_into(self, v, n):
-        """All of Lambda^n v: canonical paths with source v and degree n."""
-        self.require_vertex(v)
-        self.require_rank(n)
-        key = (v, n)
-        hit = self._paths_into.get(key)
-        if hit is not None:
-            return hit
-        if n.is_zero():
-            out = (self.vertex_path(v),)
-        else:
-            color = next(self.k - i for i, c in enumerate(reversed(n.coords)) if c > 0)
-            rest = subtract(n, unit(self.k, color))
-            out = []
-            for eid in self.skeleton.in_edges(v, color):
-                e = self.edge(eid)
-                for head in self.paths_into(e.range, rest):
-                    out.append(
-                        Path(self, head.range_vertex, v, n, head.edges + (eid,))
-                    )
-            out = tuple(sorted(out, key=lambda p: p.edges))
-        self._paths_into[key] = out
-        return out
-
 
 def _same_graph(*paths):
     g = paths[0].graph
@@ -417,48 +388,3 @@ def segment(lam, m, n):
     head, _ = factor(lam, n)
     _, mid = factor(head, m)
     return mid
-
-
-def extend_by_edge(lam, eid):
-    """Append one edge at the source end."""
-    return compose(lam, lam.graph.edge_path(eid))
-
-
-def paths_from(g, v, n):
-    return g.paths_from(v, n)
-
-
-def paths_into(g, v, n):
-    return g.paths_into(v, n)
-
-
-def normalize_by_schedule(g, edge_ids, schedule):
-    """Normalize with an explicit swap order; for cross-checking only.
-
-    `schedule` picks which out-of-order adjacent position to swap next,
-    given the list of current positions; normalization must not care.
-    """
-    arr = list(edge_ids)
-    colors = g._colors
-    while True:
-        spots = [i for i in range(len(arr) - 1) if colors[arr[i]] > colors[arr[i + 1]]]
-        if not spots:
-            break
-        i = schedule(spots)
-        arr[i], arr[i + 1] = g._swap(arr[i], arr[i + 1])
-    return tuple(arr)
-
-
-def degrees_up_to(max_degree):
-    """All degrees <= max_degree, sorted by total size then coordinates."""
-    spans = [range(c + 1) for c in max_degree.coords]
-    return sorted((Degree(t) for t in _iproduct(*spans)), key=lambda d: (d.size, d.coords))
-
-
-def all_paths_up_to(g, max_degree):
-    """Every path of every degree <= max_degree, in a deterministic order."""
-    out = []
-    for n in degrees_up_to(max_degree):
-        for v in g.vertices:
-            out.extend(g.paths_from(v, n))
-    return out

@@ -17,14 +17,11 @@ assumed correct.
 """
 
 import os
-from itertools import product as _iproduct
 
 import numpy as np
 
-from .degrees import Degree
 from .errors import ContractViolationError, LimitExceededError
-from .factorization import KGraph, SquareTable, segment
-from .infinite import ep_samples, ep_segment
+from .factorization import KGraph, SquareTable
 from .skeleton import Skeleton
 
 # A VertexSet is a frozenset of vertex ids; serialized as a sorted list.
@@ -163,55 +160,6 @@ def is_cofinal(g):
         return Cofinal()
     least = min(obstructions, key=lambda h: (len(h), sorted(h)))
     return NotCofinal(least)
-
-
-def _reachable_from(g, v):
-    """Vertices reachable from v walking edges range -> source."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        cur = stack.pop()
-        for color in range(1, g.k + 1):
-            for eid in g.skeleton.out_edges(cur, color):
-                nxt = g.edge(eid).source
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return seen
-
-
-def cofinality_oracle(g, depth):
-    """Sampled cross-check: every vertex meets every sampled path.
-
-    For each eventually periodic x (prefix/loop entries <= depth, from
-    every start vertex) and each vertex v, look for n <= depth*(1,..,1)
-    with x(n) reachable from v.  Test-side helper.
-
-    The verdict for x depends only on the box segment x(0, depth*1):
-    every position searched lies inside it.  Samples sharing that
-    segment are checked once.  A vertex whose forward reach is the
-    whole graph meets any sample (hits contain the start vertex), so
-    when every vertex has full reach the loop cannot fail at all.
-    """
-    reach = {v: _reachable_from(g, v) for v in g.vertices}
-    need = [v for v in g.vertices if len(reach[v]) < len(g.vertices)]
-    if not need:
-        return True
-    zero = Degree((0,) * g.k)
-    top = Degree((depth,) * g.k)
-    boxes = [Degree(t) for t in _iproduct(range(depth + 1), repeat=g.k)]
-    for start in g.vertices:
-        seen = set()
-        for x in ep_samples(g, start, depth, depth):
-            lam = ep_segment(x, zero, top)
-            if lam in seen:
-                continue
-            seen.add(lam)
-            hits = {segment(lam, n, n).range_vertex for n in boxes}
-            for v in need:
-                if not (hits & reach[v]):
-                    return False
-    return True
 
 
 def quotient(g, h):

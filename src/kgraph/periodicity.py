@@ -29,13 +29,11 @@ assumes that periods found at one scale generate anything at another.
 """
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product as _iproduct
 
-from .degrees import Degree, add, join, leq, ones, positive_part, subtract
+from .degrees import add, join, leq, ones, positive_part, subtract
 from .errors import ContractViolationError, InconclusiveError
 from .factorization import compose, factor, segment
-from .infinite import ep_compose, ep_equal, ep_samples
 
 
 class PairState:
@@ -284,45 +282,27 @@ def signed_vectors(k, bound):
             yield p
 
 
-def scan_aperiodicity(g, bound=None, jobs=None):
+def scan_aperiodicity(g, bound=None):
     """Test every vertex against every difference vector up to the bound.
 
     Each signed p is reduced to its minimal pair (m, n) = positive_part(p);
     testing minimal pairs at every vertex is equivalent to testing all
     pairs (docs/minimal-pairs.md).  Returns the first periodic hit in
     (vertex, p) lexicographic order, or an AperiodicReport carrying one
-    witness per (vertex, p).  `jobs` only parallelizes; output is
-    identical by construction.
+    witness per (vertex, p).
     """
     if bound is None:
         bound = default_bound(g)
     if bound < 1:
         raise ContractViolationError("scan bound must be >= 1")
-    tasks = [
-        (v, p)
-        for v in g.vertices
-        for p in signed_vectors(g.k, bound)
-    ]
-
-    def run(task):
-        v, p = task
-        m, n = positive_part(p)
-        return local_periodicity_at(g, v, m, n)
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = None
-
     entries = []
-    for i, (v, p) in enumerate(tasks):
-        res = results[i] if results is not None else run((v, p))
-        if res.periodic:
+    for v in g.vertices:
+        for p in signed_vectors(g.k, bound):
             m, n = positive_part(p)
-            tup = periodicity_tuple(g, v, m, n)
-            return PeriodicReport(bound, v, p, m, n, tup)
-        entries.append((v, p, res.witness))
+            res = local_periodicity_at(g, v, m, n)
+            if res.periodic:
+                return PeriodicReport(bound, v, p, m, n, _least_tuple(g, v, m, n))
+            entries.append((v, p, res.witness))
     return AperiodicReport(bound, entries)
 
 
@@ -333,6 +313,11 @@ def periodicity_tuple(g, v, m, n):
         raise ContractViolationError(
             f"triple ({v!r}, {m!r}, {n!r}) is aperiodic; no tuple exists"
         )
+    return _least_tuple(g, v, m, n)
+
+
+def _least_tuple(g, v, m, n):
+    # The least mu and alpha; the caller has decided that (v, m, n) is periodic.
     j = join(m, n)
     mu = g.paths_from(v, m)[0]
     alpha = g.paths_from(mu.source_vertex, subtract(j, m))[0]
@@ -358,31 +343,3 @@ def aperiodic_prefix(g, v, pairs, depth_limit=None):
                 f"chained prefix degree {eta.degree!r} exceeds depth limit {depth_limit}"
             )
     return eta
-
-
-def condition_b_oracle(g, v, depth):
-    """Brute-force check: does some sampled x separate all bounded pairs?
-
-    Samples eventually periodic x from v (prefix/loop entries <= depth)
-    and returns True when one of them satisfies mu.x != nu.x for every
-    distinct mu, nu with source v and |d| <= depth.  Test-side helper;
-    exponential and proud of it.
-    """
-    g.require_vertex(v)
-    into = []
-    for n in _iproduct(range(depth + 1), repeat=g.k):
-        if sum(n) <= depth:
-            into.extend(g.paths_into(v, Degree(n)))
-    cache = {}
-    for x in ep_samples(g, v, depth, depth):
-        ok = True
-        for i, mu in enumerate(into):
-            for nu in into[i + 1 :]:
-                if ep_equal(ep_compose(mu, x), ep_compose(nu, x), cache):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False

@@ -10,7 +10,18 @@ caches so a bug there cannot mask itself.
 
 from itertools import product
 
-from kgraph import Degree, Path, add, join, segment, subtract
+from kgraph import (
+    Degree,
+    Path,
+    add,
+    ep_compose,
+    ep_equal,
+    ep_samples,
+    ep_segment,
+    join,
+    segment,
+    subtract,
+)
 
 
 def _chains(g, v, color, length):
@@ -39,32 +50,51 @@ def iter_paths(g, v, n):
         yield Path(g, v, source, n, edge_ids)
 
 
+def degrees_up_to(max_degree):
+    """All degrees <= max_degree, sorted by total size then coordinates."""
+    spans = [range(c + 1) for c in max_degree.coords]
+    return sorted((Degree(t) for t in product(*spans)), key=lambda d: (d.size, d.coords))
+
+
+def _separating_path(g, v, m, n, total):
+    """First lambda in vLambda^total whose m- and n-segments differ, or None."""
+    ext = subtract(total, join(m, n))
+    for lam in iter_paths(g, v, total):
+        if segment(lam, m, add(m, ext)) != segment(lam, n, add(n, ext)):
+            return lam
+    return None
+
+
 def brute_force_witness(g, v, m, n, depth):
     """First path whose m- and n-segments differ, or None at this depth.
 
-    Scans lambda in vLambda^(j+q) for every q with entries <= depth,
-    smallest |q| first, where j = m v n.
+    Scans lambda in vLambda^(j+q) for the top of the box only,
+    q = depth*(1,...,1), where j = m v n.  That finds a witness exactly
+    when some q <= depth*(1,...,1) has one (brute_force_witness_full_box),
+    because validation gives every vertex an out-edge of every color: a
+    separating lambda of degree j+q extends at its source to some lambda'
+    of degree j+depth*(1,...,1), and lambda'(m, m+depth*1) factors at q
+    with head lambda'(m, m+q) = lambda(m, m+q), likewise for n.  Unique
+    factorization then makes the longer segments differ whenever the
+    shorter ones do.
     """
+    return _separating_path(g, v, m, n, add(join(m, n), Degree((depth,) * g.k)))
+
+
+def brute_force_witness_full_box(g, v, m, n, depth):
+    """Reference search: every q with entries <= depth, smallest |q| first."""
     j = join(m, n)
-    boxes = sorted(
-        (Degree(q) for q in product(range(depth + 1), repeat=g.k)),
-        key=lambda q: (sum(q), tuple(q)),
-    )
-    for q in boxes:
-        total = add(j, q)
-        for lam in iter_paths(g, v, total):
-            ext = subtract(lam.degree, j)
-            if segment(lam, m, add(m, ext)) != segment(lam, n, add(n, ext)):
-                return lam
+    for q in degrees_up_to(Degree((depth,) * g.k)):
+        lam = _separating_path(g, v, m, n, add(j, q))
+        if lam is not None:
+            return lam
     return None
 
 
 def pairs_up_to(k, entry_bound):
-    """Unordered {m, n} pairs with entries <= entry_bound, m != n."""
+    """Unordered {m, n} pairs with entries <= entry_bound, m != n, as a list."""
     degrees = [Degree(t) for t in product(range(entry_bound + 1), repeat=k)]
-    for i, m in enumerate(degrees):
-        for n in degrees[i + 1 :]:
-            yield m, n
+    return [(m, n) for i, m in enumerate(degrees) for n in degrees[i + 1 :]]
 
 
 def brute_force_sat_her_sets(g):
@@ -78,3 +108,98 @@ def brute_force_sat_her_sets(g):
         if is_hereditary(g, h) and is_saturated(g, h):
             out.append(h)
     return sorted(out, key=lambda h: (len(h), sorted(h)))
+
+
+def normalize_by_schedule(g, edge_ids, schedule):
+    """Normalize with an explicit swap order; for cross-checking only.
+
+    `schedule` picks which out-of-order adjacent position to swap next,
+    given the list of current positions; normalization must not care.
+    """
+    arr = list(edge_ids)
+    colors = g._colors
+    while True:
+        spots = [i for i in range(len(arr) - 1) if colors[arr[i]] > colors[arr[i + 1]]]
+        if not spots:
+            break
+        i = schedule(spots)
+        arr[i], arr[i + 1] = g._swap(arr[i], arr[i + 1])
+    return tuple(arr)
+
+
+def condition_b_oracle(g, v, depth):
+    """Brute-force check: does some sampled x separate all bounded pairs?
+
+    Samples eventually periodic x from v (prefix/loop entries <= depth)
+    and returns True when one of them satisfies mu.x != nu.x for every
+    distinct mu, nu with source v and |d| <= depth.  Exponential and
+    proud of it.
+    """
+    g.require_vertex(v)
+    into = []
+    for n in product(range(depth + 1), repeat=g.k):
+        if sum(n) <= depth:
+            for u in g.vertices:
+                into.extend(p for p in iter_paths(g, u, Degree(n)) if p.source_vertex == v)
+    cache = {}
+    for x in ep_samples(g, v, depth, depth):
+        ok = True
+        for i, mu in enumerate(into):
+            for nu in into[i + 1 :]:
+                if ep_equal(ep_compose(mu, x), ep_compose(nu, x), cache):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+def _reachable_from(g, v):
+    """Vertices reachable from v walking edges range -> source."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        cur = stack.pop()
+        for color in range(1, g.k + 1):
+            for eid in g.skeleton.out_edges(cur, color):
+                nxt = g.edge(eid).source
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return seen
+
+
+def cofinality_oracle(g, depth):
+    """Sampled cross-check: every vertex meets every sampled path.
+
+    For each eventually periodic x (prefix/loop entries <= depth, from
+    every start vertex) and each vertex v, look for n <= depth*(1,..,1)
+    with x(n) reachable from v.
+
+    The verdict for x depends only on the box segment x(0, depth*1):
+    every position searched lies inside it.  Samples sharing that
+    segment are checked once.  A vertex whose forward reach is the
+    whole graph meets any sample (hits contain the start vertex), so
+    when every vertex has full reach the loop cannot fail at all.
+    """
+    reach = {v: _reachable_from(g, v) for v in g.vertices}
+    need = [v for v in g.vertices if len(reach[v]) < len(g.vertices)]
+    if not need:
+        return True
+    zero = Degree((0,) * g.k)
+    top = Degree((depth,) * g.k)
+    boxes = [Degree(t) for t in product(range(depth + 1), repeat=g.k)]
+    for start in g.vertices:
+        seen = set()
+        for x in ep_samples(g, start, depth, depth):
+            lam = ep_segment(x, zero, top)
+            if lam in seen:
+                continue
+            seen.add(lam)
+            hits = {segment(lam, n, n).range_vertex for n in boxes}
+            for v in need:
+                if not (hits & reach[v]):
+                    return False
+    return True

@@ -17,6 +17,7 @@ from kgraph import (
     rep_apply,
     rep_apply_adjoint,
     sample_family,
+    scan_aperiodicity,
     verify_annihilation,
 )
 from kgraph.infinite import EventuallyPeriodicPath
@@ -206,9 +207,16 @@ class TestAnalyze:
         assert data["simplicity"]["verdict"] == "not_simple"
         assert data["aperiodicity"]["verdict"] == "periodic"
 
-    def test_jobs_do_not_change_output(self, f):
-        a = analyze(f, bound=1).to_json()
-        b = analyze(f, bound=1, jobs=2).to_json()
-        a.pop("timing")
-        b.pop("timing")
-        assert a == b
+    def test_graph_scanned_once(self, d2, monkeypatch):
+        import kgraph.analysis as analysis
+
+        calls = []
+
+        def counted(g, *args, **kwargs):
+            calls.append(g)
+            return scan_aperiodicity(g, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "scan_aperiodicity", counted)
+        report = analyze(d2, bound=1)
+        assert len(calls) == len(report.gauge.rows)
+        assert report.scan is report.gauge.rows[0][1]

@@ -197,6 +197,13 @@ class TestUsageErrors:
             main(["simple", "x.json", "--frobnicate"])
         assert info.value.code == 3
 
+    @pytest.mark.parametrize("command", ["aperiodic", "simple"])
+    def test_jobs_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, fixture_path("F"), "--jobs", "2"])
+        assert info.value.code == 3
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
     def test_non_integer_bound(self):
         with pytest.raises(SystemExit) as info:
             main(["simple", "x.json", "--bound", "soon"])

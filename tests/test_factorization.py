@@ -9,16 +9,13 @@ from kgraph import (
     factor,
     fixture,
     fixture_parts,
-    paths_from,
-    paths_into,
     segment,
     zero,
 )
 from kgraph.errors import CompositionError, ValidationError
-from kgraph.factorization import degrees_up_to, normalize_by_schedule
 
 from generators import corpus
-from oracles import iter_paths
+from oracles import degrees_up_to, iter_paths, normalize_by_schedule
 
 
 def test_build_refuses_invalid_squares():
@@ -86,17 +83,9 @@ def test_segment_t2(t2):
 
 
 def test_paths_from_t2_unique(t2):
-    found = paths_from(t2, "v", Degree((1, 1)))
+    found = t2.paths_from("v", Degree((1, 1)))
     assert len(found) == 1
     assert found[0].edges == ("b", "r")
-
-
-def test_paths_into_matches_brute_force(f):
-    for n in degrees_up_to(Degree((2, 2))):
-        into = paths_into(f, "v", n)
-        assert sorted(p.edges for p in into) == sorted(
-            p.edges for p in iter_paths(f, "v", n) if p.source_vertex == "v"
-        )
 
 
 def _graph_corpus():
@@ -149,7 +138,7 @@ def test_counting_identity_matrices_vs_enumeration():
                 prod_matrix = p if prod_matrix is None else prod_matrix @ p
             for v in g.vertices:
                 expected = sum(prod_matrix[index[v]])
-                assert len(paths_from(g, v, n)) == expected
+                assert len(g.paths_from(v, n)) == expected
 
 
 def _descending_form(g, lam):

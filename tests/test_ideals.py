@@ -6,7 +6,6 @@ from kgraph import (
     ContractViolationError,
     Degree,
     LimitExceededError,
-    cofinality_oracle,
     core_dimensions,
     enumerate_sat_her,
     is_cofinal,
@@ -16,7 +15,7 @@ from kgraph import (
     sat_her_closure,
 )
 from generators import corpus
-from oracles import brute_force_sat_her_sets
+from oracles import brute_force_sat_her_sets, cofinality_oracle
 
 
 def fs(*vs):

@@ -19,10 +19,16 @@ from kgraph import (
     scan_aperiodicity,
     segment,
 )
-from kgraph.periodicity import condition_b_oracle, default_bound, signed_vectors
+from kgraph.periodicity import default_bound, signed_vectors
 from kgraph.skeleton import Edge
 
-from oracles import brute_force_witness, pairs_up_to
+from generators import corpus
+from oracles import (
+    brute_force_witness,
+    brute_force_witness_full_box,
+    condition_b_oracle,
+    pairs_up_to,
+)
 
 
 def deg(*coords):
@@ -161,9 +167,19 @@ class TestScan:
         assert data["bound"] == 2
         assert len(data["witnesses"]) == 24
 
-    def test_jobs_do_not_change_output(self, t2, f):
-        assert scan_aperiodicity(t2, 1, jobs=3).to_json() == scan_aperiodicity(t2, 1).to_json()
-        assert scan_aperiodicity(f, 1, jobs=3).to_json() == scan_aperiodicity(f, 1).to_json()
+    def test_periodic_hit_decided_once(self, t2, monkeypatch):
+        import kgraph.periodicity as periodicity
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return local_periodicity_at(*args)
+
+        monkeypatch.setattr(periodicity, "local_periodicity_at", counted)
+        rep = scan_aperiodicity(t2, 1)
+        assert rep.periodic
+        assert len(calls) == 1
 
     def test_zero_bound_rejected(self, t2):
         with pytest.raises(ContractViolationError):
@@ -221,6 +237,20 @@ class TestOracleAgreement:
                 assert not res.periodic
             if res.periodic:
                 assert lam is None
+
+    def test_top_box_search_matches_full_box(self, t2, f, d, d2):
+        sample = corpus(11)
+        graphs = [t2, f, d, d2] + [sample[i] for i in (0, 2, 8, 10)]
+        assert {g.k for g in graphs} == {1, 2, 3}
+        outcomes = set()
+        for g in graphs:
+            for v in g.vertices:
+                for m, n in pairs_up_to(g.k, 1):
+                    top = brute_force_witness(g, v, m, n, depth=2)
+                    full = brute_force_witness_full_box(g, v, m, n, depth=2)
+                    assert (top is None) == (full is None), (g.k, v, m, n)
+                    outcomes.add(top is None)
+        assert outcomes == {True, False}
 
     def test_pairs_up_to_shape(self):
         pairs = pairs_up_to(2, 1)
