@@ -8,10 +8,7 @@ lattice, and bounded-scan analyses with re-validating certificates.
 
 from .analysis import (
     ZERO,
-    AnalysisReport,
-    GaugeInvarianceReport,
     RepElement,
-    SimplicityVerdict,
     all_ideals_gauge_invariant,
     analyze,
     annihilates,
@@ -36,25 +33,12 @@ from .errors import (
     DegreeError,
     DocumentError,
     InconclusiveError,
-    KGraphError,
     LimitExceededError,
-    RankMismatchError,
     ValidationError,
 )
-from .factorization import (
-    KGraph,
-    Path,
-    SquareTable,
-    compose,
-    factor,
-    segment,
-    validate_cubes,
-    validate_squares,
-)
-from .fixtures import FIXTURE_NAMES, fixture, fixture_parts
+from .factorization import KGraph, Path, SquareTable, compose, factor, segment
+from .fixtures import fixture, fixture_parts
 from .ideals import (
-    Cofinal,
-    NotCofinal,
     core_dimensions,
     enumerate_sat_her,
     is_cofinal,
@@ -75,26 +59,20 @@ from .infinite import (
 from .periodicity import (
     Aperiodic,
     AperiodicityWitness,
-    AperiodicReport,
     Periodic,
     PeriodicityTuple,
-    PeriodicReport,
     aperiodic_prefix,
-    default_bound,
     local_periodicity_at,
     periodicity_tuple,
     scan_aperiodicity,
 )
-from .skeleton import Edge, Skeleton, ValidationReport
+from .skeleton import Edge, Skeleton
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "Aperiodic",
-    "AperiodicReport",
     "AperiodicityWitness",
-    "Cofinal",
     "CompositionError",
     "ContractViolationError",
     "Degree",
@@ -102,24 +80,16 @@ __all__ = [
     "DocumentError",
     "Edge",
     "EventuallyPeriodicPath",
-    "FIXTURE_NAMES",
-    "GaugeInvarianceReport",
     "InconclusiveError",
     "KGraph",
-    "KGraphError",
     "LimitExceededError",
-    "NotCofinal",
     "Path",
     "Periodic",
-    "PeriodicReport",
     "PeriodicityTuple",
-    "RankMismatchError",
     "RepElement",
-    "SimplicityVerdict",
     "Skeleton",
     "SquareTable",
     "ValidationError",
-    "ValidationReport",
     "ZERO",
     "add",
     "all_ideals_gauge_invariant",
@@ -129,7 +99,6 @@ __all__ = [
     "canonical_json",
     "compose",
     "core_dimensions",
-    "default_bound",
     "dump_graph_document",
     "enumerate_sat_her",
     "ep_compose",
@@ -165,8 +134,6 @@ __all__ = [
     "segment",
     "subtract",
     "unit",
-    "validate_cubes",
-    "validate_squares",
     "verify_annihilation",
     "zero",
 ]

@@ -1,11 +1,16 @@
 """Degree vectors and their lattice.
 
-A degree is a vector of k nonnegative integers under the coordinatewise
-partial order.  Paths in a rank-k graph are graded by degrees, so all of
-the bookkeeping about "how far" a path extends in each color lives here.
-Entries are capped below 2**31 and addition is overflow-checked; the cap
-is far beyond anything the decision procedures produce, it just keeps
-serialized certificates inside plain 32-bit range.
+A degree is a plain tuple of k nonnegative integers under the
+coordinatewise partial order.  Paths in a rank-k graph are graded by
+degrees, so all of the bookkeeping about "how far" a path extends in each
+color lives here.  Compare degrees with `leq`, never with `<=`: tuple
+order is lexicographic, not the lattice order.
+
+`Degree(coords)` is the one validating constructor, for coordinates that
+come from outside; the operations below trust their operands apart from
+a rank check.  Entries are capped below 2**31 and addition is
+overflow-checked; the cap is far beyond anything the decision procedures
+produce, it just keeps serialized certificates inside plain 32-bit range.
 """
 
 from .errors import DegreeError, RankMismatchError
@@ -13,83 +18,38 @@ from .errors import DegreeError, RankMismatchError
 MAX_ENTRY = 2**31 - 1
 
 
-class Degree:
-    """Immutable vector of k nonnegative integers."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(int(c) for c in coords)
-        if not coords:
-            raise DegreeError("degree needs at least one coordinate")
-        for c in coords:
-            if c < 0:
-                raise DegreeError(f"negative degree entry {c}")
-            if c > MAX_ENTRY:
-                raise DegreeError(f"degree entry {c} exceeds {MAX_ENTRY}")
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Degree is immutable")
-
-    @property
-    def rank(self):
-        return len(self.coords)
-
-    @property
-    def size(self):
-        """Total number of edges in any path of this degree."""
-        return sum(self.coords)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Degree) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __le__(self, other):
-        return leq(self, other)
-
-    def __repr__(self):
-        return f"Degree({list(self.coords)!r})"
-
-    def to_json(self):
-        return list(self.coords)
+def Degree(coords):
+    """Validated degree tuple: nonempty, entries in 0..MAX_ENTRY."""
+    coords = tuple(int(c) for c in coords)
+    if not coords:
+        raise DegreeError("degree needs at least one coordinate")
+    for c in coords:
+        if c < 0:
+            raise DegreeError(f"negative degree entry {c}")
+        if c > MAX_ENTRY:
+            raise DegreeError(f"degree entry {c} exceeds {MAX_ENTRY}")
+    return coords
 
 
 def zero(k):
-    return Degree((0,) * k)
+    return (0,) * k
 
 
 def ones(k):
-    return Degree((1,) * k)
+    return (1,) * k
 
 
 def unit(k, color):
     """Standard basis vector for a 1-based color index."""
     if not 1 <= color <= k:
         raise DegreeError(f"color {color} outside 1..{k}")
-    return Degree(tuple(1 if i == color - 1 else 0 for i in range(k)))
+    return tuple(1 if i == color - 1 else 0 for i in range(k))
 
 
 def _paired(m, n):
-    if not isinstance(m, Degree) or not isinstance(n, Degree):
-        raise DegreeError("expected Degree operands")
-    if m.rank != n.rank:
-        raise RankMismatchError(f"rank {m.rank} vs {n.rank}")
-    return zip(m.coords, n.coords)
+    if len(m) != len(n):
+        raise RankMismatchError(f"rank {len(m)} vs {len(n)}")
+    return zip(m, n)
 
 
 def leq(m, n):
@@ -98,25 +58,25 @@ def leq(m, n):
 
 
 def join(m, n):
-    return Degree(tuple(max(a, b) for a, b in _paired(m, n)))
+    return tuple(max(a, b) for a, b in _paired(m, n))
 
 
 def meet(m, n):
-    return Degree(tuple(min(a, b) for a, b in _paired(m, n)))
+    return tuple(min(a, b) for a, b in _paired(m, n))
 
 
 def add(m, n):
     out = tuple(a + b for a, b in _paired(m, n))
     if any(c > MAX_ENTRY for c in out):
         raise DegreeError(f"degree addition overflow: {out}")
-    return Degree(out)
+    return out
 
 
 def subtract(m, n):
     """m - n, defined only when n <= m."""
     if not leq(n, m):
         raise DegreeError(f"cannot subtract {n!r} from {m!r}: not below it")
-    return Degree(tuple(a - b for a, b in _paired(m, n)))
+    return tuple(a - b for a, b in _paired(m, n))
 
 
 def positive_part(p):
@@ -133,6 +93,6 @@ def positive_part(p):
         raise DegreeError("positive_part of the zero vector is undefined")
     if any(abs(c) > MAX_ENTRY for c in p):
         raise DegreeError("signed entry out of range")
-    minus = Degree(tuple(-c if c < 0 else 0 for c in p))
-    plus = Degree(tuple(c if c > 0 else 0 for c in p))
+    minus = tuple(-c if c < 0 else 0 for c in p)
+    plus = tuple(c if c > 0 else 0 for c in p)
     return minus, plus

@@ -24,7 +24,7 @@ range end first: edges[0] has range r(lambda) and edges[-1] has source
 s(lambda), and compose(mu, nu) requires s(mu) = r(nu).
 """
 
-from .degrees import Degree, add, leq, subtract, unit, zero
+from .degrees import add, leq, subtract, unit, zero
 from .errors import CompositionError, ContractViolationError, DegreeError, ValidationError
 from .skeleton import ValidationReport
 
@@ -52,10 +52,6 @@ class SquareTable:
                 self.duplicate_images.append(image)
             else:
                 self.backward[image] = pair
-
-    @classmethod
-    def from_json(cls, data):
-        return cls((tuple(row["pair"]), tuple(row["image"])) for row in data["squares"])
 
     def to_json(self):
         rows = sorted(self.entries)
@@ -255,8 +251,11 @@ class KGraph:
             raise ContractViolationError(f"unknown vertex {v!r}")
 
     def require_rank(self, n):
-        if n.rank != self.k:
-            raise DegreeError(f"degree rank {n.rank} does not match graph rank {self.k}")
+        """Guard a degree tuple from a caller: rank k, nonnegative int entries."""
+        if len(n) != self.k:
+            raise DegreeError(f"degree rank {len(n)} does not match graph rank {self.k}")
+        if any(type(c) is not int or c < 0 for c in n):
+            raise DegreeError(f"degree {n!r} needs nonnegative int entries; see Degree()")
 
     def vertex_path(self, v):
         self.require_vertex(v)
@@ -287,7 +286,7 @@ class KGraph:
         counts = [0] * self.k
         for eid in edge_ids:
             counts[self._colors[eid] - 1] += 1
-        return Degree(counts)
+        return tuple(counts)
 
     def path(self, range_vertex, edge_ids):
         """Build a path from an arbitrary composable edge sequence."""
@@ -311,28 +310,39 @@ class KGraph:
 
         Enumeration order is lexicographic on the canonical edge-id
         sequence; downstream "canonically least" choices rely on it.
+        Each (vertex, degree) key is cached.  A miss walks down n one
+        edge of the least remaining color at a time, collecting the
+        uncached keys of each level, then fills them from the deepest
+        level up, so no call recurses.
         """
         self.require_vertex(v)
         self.require_rank(n)
+        cache = self._paths_from
         key = (v, n)
-        hit = self._paths_from.get(key)
+        hit = cache.get(key)
         if hit is not None:
             return hit
-        if n.is_zero():
-            out = (self.vertex_path(v),)
-        else:
-            color = next(i + 1 for i, c in enumerate(n) if c > 0)
-            rest = subtract(n, unit(self.k, color))
-            out = []
-            for eid in self.skeleton.out_edges(v, color):
-                e = self.edge(eid)
-                for tail in self.paths_from(e.source, rest):
-                    out.append(
-                        Path(self, v, tail.source_vertex, n, (eid,) + tail.edges)
-                    )
-            out = tuple(out)
-        self._paths_from[key] = out
-        return out
+        levels = []  # (degree, color, rest, vertices to fill), top level first
+        deg, todo = n, [v]
+        while todo and any(deg):
+            color = next(i + 1 for i, c in enumerate(deg) if c > 0)
+            rest = subtract(deg, unit(self.k, color))
+            levels.append((deg, color, rest, todo))
+            sources = dict.fromkeys(
+                self.edge(eid).source for u in todo for eid in self.skeleton.out_edges(u, color)
+            )
+            deg = rest
+            todo = [w for w in sources if (w, deg) not in cache]
+        for w in todo:  # deg is zero here
+            cache[(w, deg)] = (self.vertex_path(w),)
+        for level, color, rest, verts in reversed(levels):
+            for u in verts:
+                cache[(u, level)] = tuple(
+                    Path(self, u, tail.source_vertex, level, (eid,) + tail.edges)
+                    for eid in self.skeleton.out_edges(u, color)
+                    for tail in cache[(self.edge(eid).source, rest)]
+                )
+        return cache[key]
 
 
 def _same_graph(*paths):

@@ -24,9 +24,6 @@ from .errors import ContractViolationError, LimitExceededError
 from .factorization import KGraph, SquareTable
 from .skeleton import Skeleton
 
-# A VertexSet is a frozenset of vertex ids; serialized as a sorted list.
-VertexSet = frozenset
-
 DEFAULT_ENUM_LIMIT = 20
 ENUM_LIMIT_ENV = "KGRAPH_MAX_VERTICES"
 
@@ -194,7 +191,7 @@ def core_dimensions(g, n):
     mats = g.skeleton.vertex_matrices()
     size = len(g.vertices)
     acc = np.identity(size, dtype=object)
-    for color, power in enumerate(n.coords):
+    for color, power in enumerate(n):
         for _ in range(power):
             acc = acc @ mats[color]
     return {v: int(sum(acc[:, i])) for i, v in enumerate(g.vertices)}

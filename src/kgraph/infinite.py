@@ -18,7 +18,7 @@ can never produce a difference.
 
 from itertools import product as _iproduct
 
-from .degrees import Degree, add, join, leq, subtract, zero
+from .degrees import add, join, leq, subtract, zero
 from .errors import CompositionError, DegreeError
 from .factorization import compose, factor, segment
 
@@ -109,7 +109,7 @@ def ep_equal(x, y, cycle_cache=None):
     if x.range_vertex != y.range_vertex:
         return False
     cut = join(x.prefix.degree, y.prefix.degree)
-    if ep_segment(x, zero(cut.rank), cut) != ep_segment(y, zero(cut.rank), cut):
+    if ep_segment(x, zero(len(cut)), cut) != ep_segment(y, zero(len(cut)), cut):
         return False
     cx = ep_segment(x, cut, add(cut, x.loop.degree))
     cy = ep_segment(y, cut, add(cut, y.loop.degree))
@@ -130,7 +130,7 @@ def _cycles_equal(cx, cy, cache=None):
         xa = EventuallyPeriodicPath(a.graph.vertex_path(a.range_vertex), a)
         xb = EventuallyPeriodicPath(b.graph.vertex_path(b.range_vertex), b)
         block = add(a.degree, b.degree)
-        if ep_segment(xa, zero(block.rank), block) != ep_segment(xb, zero(block.rank), block):
+        if ep_segment(xa, zero(len(block)), block) != ep_segment(xb, zero(len(block)), block):
             verdict = False
             break
         state = (
@@ -156,10 +156,10 @@ def ep_samples(g, v, prefix_bound, loop_bound):
     g.require_vertex(v)
     k = g.k
     for pdeg in _iproduct(range(prefix_bound + 1), repeat=k):
-        for rho in g.paths_from(v, Degree(pdeg)):
+        for rho in g.paths_from(v, pdeg):
             w = rho.source_vertex
             for ldeg in _iproduct(range(1, loop_bound + 1), repeat=k):
-                for gam in g.paths_from(w, Degree(ldeg)):
+                for gam in g.paths_from(w, ldeg):
                     if gam.source_vertex == w:
                         yield EventuallyPeriodicPath(rho, gam)
 

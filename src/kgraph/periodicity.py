@@ -36,33 +36,6 @@ from .errors import ContractViolationError, InconclusiveError
 from .factorization import compose, factor, segment
 
 
-class PairState:
-    """One node of the propagation graph: the two pending tails."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    @property
-    def source(self):
-        return self.left.source_vertex
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PairState)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
-    def __repr__(self):
-        return f"PairState({self.left!r}, {self.right!r})"
-
-
 class AperiodicityWitness:
     """A finite path separating sigma^m from sigma^n at its range vertex.
 
@@ -90,8 +63,8 @@ class AperiodicityWitness:
     def to_json(self):
         return {
             "vertex": self.vertex,
-            "m": self.m.to_json(),
-            "n": self.n.to_json(),
+            "m": list(self.m),
+            "n": list(self.n),
             "lambda": self.lam.to_json(),
             "segment_m": self.segment_m.to_json(),
             "segment_n": self.segment_n.to_json(),
@@ -131,8 +104,8 @@ class PeriodicityTuple:
     def to_json(self):
         return {
             "vertex": self.vertex,
-            "m": self.m.to_json(),
-            "n": self.n.to_json(),
+            "m": list(self.m),
+            "n": list(self.n),
             "mu": self.mu.to_json(),
             "alpha": self.alpha.to_json(),
             "nu": self.nu.to_json(),
@@ -179,26 +152,28 @@ def local_periodicity_at(g, v, m, n):
     parents = {}
     queue = deque()
     for lam in g.paths_from(v, j):
-        left = segment(lam, m, j)
-        right = segment(lam, n, j)
+        # j = d(lam), so lam(m, j) is the tail of lam after degree m.
+        _, left = factor(lam, m)
+        _, right = factor(lam, n)
         if left.range_vertex != right.range_vertex:
             return Aperiodic(AperiodicityWitness(v, m, n, lam))
-        state = PairState(left, right)
+        state = (left, right)
         if state not in parents:
             parents[state] = (None, lam)
             queue.append(state)
     while queue:
         state = queue.popleft()
-        for kappa in g.paths_from(state.source, block):
-            lk = compose(state.left, kappa)
-            rk = compose(state.right, kappa)
+        left, right = state
+        for kappa in g.paths_from(left.source_vertex, block):
+            lk = compose(left, kappa)
+            rk = compose(right, kappa)
             lk_head, lk_tail = factor(lk, block)
             rk_head, rk_tail = factor(rk, block)
             if lk_head != rk_head:
                 lam = _assemble(parents, state)
                 lam = compose(lam, kappa)
                 return Aperiodic(AperiodicityWitness(v, m, n, lam))
-            succ = PairState(lk_tail, rk_tail)
+            succ = (lk_tail, rk_tail)
             if succ not in parents:
                 parents[succ] = (state, kappa)
                 queue.append(succ)
@@ -261,8 +236,8 @@ class PeriodicReport:
             "bound": self.bound,
             "vertex": self.vertex,
             "p": list(self.p),
-            "m": self.m.to_json(),
-            "n": self.n.to_json(),
+            "m": list(self.m),
+            "n": list(self.n),
             "tuple": self.tuple.to_json(),
         }
 
@@ -338,7 +313,7 @@ def aperiodic_prefix(g, v, pairs, depth_limit=None):
                 f"pair #{idx} {(m, n)!r} is periodic at {eta.source_vertex!r}"
             )
         eta = compose(eta, res.witness.lam)
-        if depth_limit is not None and eta.degree.size > depth_limit:
+        if depth_limit is not None and sum(eta.degree) > depth_limit:
             raise InconclusiveError(
                 f"chained prefix degree {eta.degree!r} exceeds depth limit {depth_limit}"
             )

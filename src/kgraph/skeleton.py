@@ -51,7 +51,7 @@ class ValidationReport:
 
 
 class Skeleton:
-    """k-colored multigraph with (vertex, color) indexes on both endpoints."""
+    """k-colored multigraph with a (range vertex, color) edge index."""
 
     def __init__(self, k, vertices, edges):
         self.k = int(k)
@@ -63,15 +63,12 @@ class Skeleton:
                 raise ValueError(f"duplicate edge id {e.id!r}")
             by_id[e.id] = e
         self.edges = by_id
-        # Indexes tolerate invalid colors/endpoints; validate() reports them.
+        # The index tolerates invalid colors/endpoints; validate() reports them.
         self.by_range = {}
-        self.by_source = {}
         for eid in sorted(by_id):
             e = by_id[eid]
             self.by_range.setdefault((e.range, e.color), []).append(eid)
-            self.by_source.setdefault((e.source, e.color), []).append(eid)
         self.by_range = {key: tuple(v) for key, v in self.by_range.items()}
-        self.by_source = {key: tuple(v) for key, v in self.by_source.items()}
         self._validated = False
 
     def edge(self, eid):
@@ -83,10 +80,6 @@ class Skeleton:
     def out_edges(self, v, color):
         """Edge ids with range v and the given color, sorted."""
         return self.by_range.get((v, color), ())
-
-    def in_edges(self, v, color):
-        """Edge ids with source v and the given color, sorted."""
-        return self.by_source.get((v, color), ())
 
     def validate(self):
         """Report dangling endpoints, bad colors, and missing out-colors."""

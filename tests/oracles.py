@@ -52,8 +52,8 @@ def iter_paths(g, v, n):
 
 def degrees_up_to(max_degree):
     """All degrees <= max_degree, sorted by total size then coordinates."""
-    spans = [range(c + 1) for c in max_degree.coords]
-    return sorted((Degree(t) for t in product(*spans)), key=lambda d: (d.size, d.coords))
+    spans = [range(c + 1) for c in max_degree]
+    return sorted((Degree(t) for t in product(*spans)), key=lambda d: (sum(d), d))
 
 
 def _separating_path(g, v, m, n, total):

@@ -96,6 +96,12 @@ class TestScans:
         assert data["verdict"] == "aperiodic"
         assert data["bound"] == 1
 
+    def test_deep_bound_decides_without_recursion_error(self, capsys):
+        code, data, _ = run_json(capsys, "aperiodic", fixture_path("T2"), "--bound", "520")
+        assert code == 1
+        assert data["verdict"] == "periodic"
+        assert data["p"] == [-520, -520]
+
     def test_default_bound_is_reported(self, capsys):
         code, data, _ = run_json(capsys, "aperiodic", fixture_path("T2"))
         assert code == 1

@@ -9,10 +9,11 @@ from kgraph import (
     factor,
     fixture,
     fixture_parts,
+    leq,
     segment,
     zero,
 )
-from kgraph.errors import CompositionError, ValidationError
+from kgraph.errors import CompositionError, DegreeError, ValidationError
 
 from generators import corpus
 from oracles import degrees_up_to, iter_paths, normalize_by_schedule
@@ -112,7 +113,7 @@ def test_three_segment_identity(f, d2):
             for lam in iter_paths(g, v, l):
                 for m in degrees_up_to(l):
                     for n in degrees_up_to(l):
-                        if not (m <= n):
+                        if not leq(m, n):
                             continue
                         first = segment(lam, zero(g.k), m)
                         mid = segment(lam, m, n)
@@ -180,3 +181,16 @@ def test_unique_factorization_exhaustive(f):
             assert key not in seen, "two factorizations hit the same path"
             seen[key] = (head, tail)
     assert len(seen) == len(list(iter_paths(f, "v", l)))
+
+
+def test_plain_tuple_degrees_checked_at_entry(f):
+    assert f.paths_from("v", (1, 1)) == f.paths_from("v", Degree((1, 1)))
+    lam = f.paths_from("v", (1, 1))[0]
+    with pytest.raises(DegreeError):
+        f.paths_from("v", (0, -1))
+    with pytest.raises(DegreeError):
+        factor(lam, (-1, 1))
+    with pytest.raises(DegreeError):
+        f.paths_from("v", (1,))
+    with pytest.raises(DegreeError):
+        f.paths_from("v", (1.0, 0))  # would leak 1.0 into the JSON of its paths

@@ -66,7 +66,6 @@ def test_indexes_sorted_and_consistent():
         [Edge("z", 1, "v", "v"), Edge("a", 1, "v", "v")],
     )
     assert skel.out_edges("v", 1) == ("a", "z")
-    assert skel.in_edges("v", 1) == ("a", "z")
     assert skel.out_edges("v", 9) == ()
 
 
