@@ -19,11 +19,13 @@ MAX_ENTRY = 2**31 - 1
 
 
 def Degree(coords):
-    """Validated degree tuple: nonempty, entries in 0..MAX_ENTRY."""
-    coords = tuple(int(c) for c in coords)
+    """Validated degree tuple: nonempty, plain int entries in 0..MAX_ENTRY."""
+    coords = tuple(coords)
     if not coords:
         raise DegreeError("degree needs at least one coordinate")
     for c in coords:
+        if type(c) is not int:
+            raise DegreeError(f"degree entry {c!r} is not an int")
         if c < 0:
             raise DegreeError(f"negative degree entry {c}")
         if c > MAX_ENTRY:

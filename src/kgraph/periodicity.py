@@ -18,6 +18,25 @@ witnessing aperiodicity (assembled by back-tracing and re-validated on
 construction), and if no refutation is reachable every revisited state
 is consistent, which is exactly periodicity.
 
+The search is refute-first.  Seeds lam are taken one at a time in
+canonical order; each gets the range check as it is built and, if its
+state is new, a breadth-first propagation from that state at once, so
+the first refutation ends the triple.  All seeds share one `parents`
+map.  The witness is therefore canonical: lam.kappa_1...kappa_t, where
+lam is the first seed in canonical order from which a refutation is
+reachable, and kappa_1...kappa_t is the first refutation of the
+breadth-first search from lam's state alone (states expanded in
+discovery order, each state's extensions kappa in canonical order).
+Sharing `parents` does not change that choice.  When seed lam_i is
+reached, the visited states are exactly the closure C of the earlier
+seeds' states, and C holds no refutation, or the search would have
+stopped.  A successor of a state in C is in C, so the search from
+lam_i's state alone never discovers a state outside C through one in
+C.  Skipping C therefore drops only states that refute nothing, keeps
+the order in which the other states are discovered and expanded, and
+keeps their parents, so the back-traced path is the same.  A seed whose
+state is already in C has no reachable refutation and is skipped.
+
 The block degree is s = (a v b) v (1,...,1) where a = j - m, b = j - n.
 Full support is what makes the block chain t*s cofinal in N^k; comparing
 along a non-cofinal chain can miss differences hiding in an untouched
@@ -31,7 +50,7 @@ assumes that periods found at one scale generate anything at another.
 from collections import deque
 from itertools import product as _iproduct
 
-from .degrees import add, join, leq, ones, positive_part, subtract
+from .degrees import MAX_ENTRY, add, join, leq, ones, positive_part, subtract
 from .errors import ContractViolationError, InconclusiveError
 from .factorization import compose, factor, segment
 
@@ -150,33 +169,30 @@ def local_periodicity_at(g, v, m, n):
     b = subtract(j, n)
     block = join(join(a, b), ones(g.k))
     parents = {}
-    queue = deque()
     for lam in g.paths_from(v, j):
         # j = d(lam), so lam(m, j) is the tail of lam after degree m.
         _, left = factor(lam, m)
         _, right = factor(lam, n)
         if left.range_vertex != right.range_vertex:
             return Aperiodic(AperiodicityWitness(v, m, n, lam))
-        state = (left, right)
-        if state not in parents:
-            parents[state] = (None, lam)
-            queue.append(state)
-    while queue:
-        state = queue.popleft()
-        left, right = state
-        for kappa in g.paths_from(left.source_vertex, block):
-            lk = compose(left, kappa)
-            rk = compose(right, kappa)
-            lk_head, lk_tail = factor(lk, block)
-            rk_head, rk_tail = factor(rk, block)
-            if lk_head != rk_head:
-                lam = _assemble(parents, state)
-                lam = compose(lam, kappa)
-                return Aperiodic(AperiodicityWitness(v, m, n, lam))
-            succ = (lk_tail, rk_tail)
-            if succ not in parents:
-                parents[succ] = (state, kappa)
-                queue.append(succ)
+        seed = (left, right)
+        if seed in parents:
+            continue  # its closure is explored and consistent
+        parents[seed] = (None, lam)
+        queue = deque([seed])
+        while queue:
+            state = queue.popleft()
+            left, right = state
+            for kappa in g.paths_from(left.source_vertex, block):
+                lk_head, lk_tail = factor(compose(left, kappa), block)
+                rk_head, rk_tail = factor(compose(right, kappa), block)
+                if lk_head != rk_head:
+                    lam = compose(_assemble(parents, state), kappa)
+                    return Aperiodic(AperiodicityWitness(v, m, n, lam))
+                succ = (lk_tail, rk_tail)
+                if succ not in parents:
+                    parents[succ] = (state, kappa)
+                    queue.append(succ)
     return Periodic(v, m, n)
 
 
@@ -270,6 +286,8 @@ def scan_aperiodicity(g, bound=None):
         bound = default_bound(g)
     if bound < 1:
         raise ContractViolationError("scan bound must be >= 1")
+    if bound > MAX_ENTRY:
+        raise ContractViolationError(f"scan bound must be <= {MAX_ENTRY}")
     entries = []
     for v in g.vertices:
         for p in signed_vectors(g.k, bound):

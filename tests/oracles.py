@@ -6,14 +6,21 @@ Finding a witness proves aperiodicity; exhausting the depth box proves
 nothing, so the test harness treats oracle-no-witness plus a Periodic
 verdict as agreement.  Paths are generated without touching the library's
 caches so a bug there cannot mask itself.
+
+Two oracles pin other facts: `refute_first_witness` runs the definition
+of the decision's canonical witness one seed at a time, and
+`k1_scan_finds_periodicity` predicts a 1-graph scan at any bound from
+the graph's cycles alone.
 """
 
+from collections import deque
 from itertools import product
 
 from kgraph import (
     Degree,
     Path,
     add,
+    compose,
     ep_compose,
     ep_equal,
     ep_samples,
@@ -89,6 +96,90 @@ def brute_force_witness_full_box(g, v, m, n, depth):
         if lam is not None:
             return lam
     return None
+
+
+def refute_first_witness(g, v, m, n):
+    """The witness refute-first propagation must pick, or None when periodic.
+
+    The definition, run literally: seeds lam in vLambda^(m v n) in
+    canonical order, each with a breadth-first search of its own over
+    tail pairs (L, R) = (lam(m, m v n), lam(n, m v n)), nothing shared
+    between seeds, the whole path carried along instead of back-traced.
+    A seed with r(L) != r(R) is its own witness; otherwise extensions
+    kappa in s(L)Lambda^s go in canonical order, with block
+    s = (a v b) v (1,...,1), and the first kappa whose degree-s prefixes
+    of L.kappa and R.kappa differ ends the search with lam.kappa_1...kappa_t.
+    """
+    j = join(m, n)
+    block = join(join(subtract(j, m), subtract(j, n)), Degree((1,) * g.k))
+    zero = Degree((0,) * g.k)
+    for lam in iter_paths(g, v, j):
+        seed = (segment(lam, m, j), segment(lam, n, j))
+        if seed[0].range_vertex != seed[1].range_vertex:
+            return lam
+        seen = {seed}
+        queue = deque([(seed, lam)])
+        while queue:
+            (left, right), path = queue.popleft()
+            for kappa in iter_paths(g, left.source_vertex, block):
+                lk, rk = compose(left, kappa), compose(right, kappa)
+                if segment(lk, zero, block) != segment(rk, zero, block):
+                    return compose(path, kappa)
+                succ = (segment(lk, block, lk.degree), segment(rk, block, rk.degree))
+                if succ not in seen:
+                    seen.add(succ)
+                    queue.append((succ, compose(path, kappa)))
+    return None
+
+
+def k1_scan_finds_periodicity(g, bound):
+    """Whether scan_aperiodicity(g, bound) is periodic, for k = 1, with no search.
+
+    Claim: it is exactly when some cycle of length <= bound has every
+    vertex on it the range of exactly one edge (a cycle without an
+    entrance; Kumjian-Pask-Raeburn's Condition (L) fails on it).
+
+    For k = 1 each signed p = +-d reduces to the pair {d, 0}, so the
+    scan asks, for each vertex v and 1 <= d <= bound, whether
+    sigma^d(x) = x for every infinite path x with range v.  Validation
+    makes every vertex the range of some edge, so every finite path
+    extends to an infinite one.
+
+    If: a cycle mu of length l <= bound through v whose every vertex is
+    the range of exactly one edge leaves one infinite path from v,
+    mu.mu.mu..., and sigma^l fixes it.
+
+    Only if: suppose sigma^d(x) = x for every x from v.  For lam in
+    vLambda^d and any infinite y from s(lam), x = lam.y gives
+    y = sigma^d(x) = x, so s(lam) = r(y) = v: every such lam is a cycle
+    at v.  Two of them, lam != lam', would give x = lam'.lam.lam...
+    with sigma^d(x) = lam.lam... != x; so vLambda^d = {lam}.  If a
+    vertex lam(i), 0 <= i < d, were the range of an edge e other than
+    lam's edge there, then lam(0, i).e would extend to a second path in
+    vLambda^d.  So lam is a cycle of length d <= bound whose every
+    vertex is the range of exactly one edge.
+
+    Following the only edge into each such vertex is a partial map, and
+    the forced walk from a vertex on such a cycle returns to it first
+    after the cycle's least length, so walking at most `bound` steps
+    from each vertex decides the claim.
+    """
+    if g.k != 1:
+        raise ValueError("the cycle criterion is for 1-graphs")
+    only = {}
+    for u in g.vertices:
+        eids = g.skeleton.out_edges(u, 1)
+        if len(eids) == 1:
+            only[u] = g.skeleton.edges[eids[0]].source
+    for u in only:
+        w = u
+        for _ in range(bound):
+            w = only.get(w)
+            if w is None:
+                break
+            if w == u:
+                return True
+    return False
 
 
 def pairs_up_to(k, entry_bound):

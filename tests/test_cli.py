@@ -227,6 +227,20 @@ class TestUsageErrors:
         assert code == 3
         assert err.startswith("error: ")
 
+    # rejected before the scan builds a vector; the stub proves it
+    @pytest.mark.parametrize("command", ["aperiodic", "simple"])
+    def test_bound_past_max_entry_exits_3(self, capsys, monkeypatch, command):
+        import kgraph.periodicity as periodicity
+
+        def refuse(*args):
+            raise AssertionError("the scan built difference vectors")
+
+        monkeypatch.setattr(periodicity, "signed_vectors", refuse)
+        code, _, err = run(capsys, command, fixture_path("T2"), "--bound", "3000000000")
+        assert code == 3
+        assert err.startswith("error: ")
+        assert "2147483647" in err
+
 
 class TestTextRendering:
     def test_mirrors_the_json_object(self, capsys):

@@ -35,6 +35,15 @@ def test_negative_entries_rejected():
         Degree((2**31, 0))
 
 
+@pytest.mark.parametrize(
+    "coords", [(1.7, True), (1, True), (1.0, 0), ("1", 0)], ids=["float-bool", "bool", "float", "str"]
+)
+def test_non_int_entries_rejected(coords):
+    # bool is an int subclass and float truncates; neither is a degree entry
+    with pytest.raises(DegreeError):
+        Degree(coords)
+
+
 def test_rank_mismatch():
     with pytest.raises(RankMismatchError):
         join(Degree((1, 0)), Degree((1, 0, 0)))

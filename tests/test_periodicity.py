@@ -19,6 +19,7 @@ from kgraph import (
     scan_aperiodicity,
     segment,
 )
+from kgraph.degrees import positive_part
 from kgraph.periodicity import default_bound, signed_vectors
 from kgraph.skeleton import Edge
 
@@ -27,7 +28,9 @@ from oracles import (
     brute_force_witness,
     brute_force_witness_full_box,
     condition_b_oracle,
+    k1_scan_finds_periodicity,
     pairs_up_to,
+    refute_first_witness,
 )
 
 
@@ -74,6 +77,40 @@ class TestLocalDecision:
         same = local_periodicity_at(f, "v", deg(1, 0), deg(0, 1))
         assert res.witness.to_json() == same.witness.to_json()
         assert local_periodicity_at(t2, "v", (1, 0), (0, 1)).periodic
+
+
+class TestRefuteFirst:
+    def test_one_triple_stops_at_its_first_refutation(self, f, monkeypatch):
+        import kgraph.periodicity as periodicity
+
+        real_factor = periodicity.factor
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real_factor(*args)
+
+        monkeypatch.setattr(periodicity, "factor", counted)
+        res = local_periodicity_at(f, "v", (5, 0), (0, 5))
+        assert not res.periodic
+        assert len(calls) < len(f.paths_from("v", (5, 5)))
+
+    def test_witness_matches_the_definition(self, t2, f, d, d2):
+        # Bound 3 covers the triples of bounds 1 and 2.
+        by_rank = {1: [], 2: [], 3: []}
+        for g in corpus(200):
+            by_rank[g.k].append(g)
+        graphs = [t2, f, d, d2] + by_rank[1][:7] + by_rank[2][:7] + by_rank[3][:6]
+        outcomes = set()
+        for g in graphs:
+            for v in g.vertices:
+                for p in signed_vectors(g.k, 3):
+                    m, n = positive_part(p)
+                    res = local_periodicity_at(g, v, m, n)
+                    got = None if res.periodic else res.witness.lam
+                    assert got == refute_first_witness(g, v, m, n), (g.k, v, p)
+                    outcomes.add(res.periodic)
+        assert outcomes == {True, False}
 
 
 class TestWitness:
@@ -265,6 +302,18 @@ class TestOracleAgreement:
         for m, n in pairs:
             assert m != n
             assert (n, m) not in pairs
+
+    def test_k1_scan_matches_cycles_without_entrance(self):
+        verdicts = []
+        for g in corpus(400):
+            if g.k != 1:
+                continue
+            for bound in range(1, 5):
+                periodic = scan_aperiodicity(g, bound).periodic
+                assert periodic == k1_scan_finds_periodicity(g, bound), (g.vertices, bound)
+                verdicts.append(periodic)
+        assert len(verdicts) == 352
+        assert set(verdicts) == {True, False}
 
 
 class TestConditionB:
