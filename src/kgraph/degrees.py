@@ -88,7 +88,9 @@ def positive_part(p):
     the canonical minimal pair for the difference vector p.  The zero
     vector has no such pair and is rejected.
     """
-    p = tuple(int(c) for c in p)
+    p = tuple(p)
+    if any(type(c) is not int for c in p):
+        raise DegreeError(f"signed entries {p!r} are not all ints")
     if not p:
         raise DegreeError("empty vector")
     if all(c == 0 for c in p):

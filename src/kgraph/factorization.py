@@ -7,13 +7,15 @@ g of color j and s(f) = r(g) to a pair (g', f') with the colors reversed,
 r(g') = r(f) and s(f') = s(g).  The two-edge paths f.g and g'.f' are
 declared equal, and every path then has a unique normal form in which
 edge colors appear in ascending blocks (all color-1 edges first, then
-color-2, and so on).  Normalization is bubble sort on colors where each
-adjacent transposition applies the matching square; the square bijections
-make every swap well defined and, for k >= 3, the cube condition checked
-below makes the result independent of swap order.  For k >= 4 coherence
-over all color triples is sufficient (higher cubes follow from the
-three-color ones); the test suite cross-checks this claim by normalizing
-under two different swap schedules.
+color-2, and so on).  One routine, `KGraph._rewrite`, does every cut and
+composition: adjacent swaps, each applying the matching square, move an
+edge sequence to a target color word (the normal form for `compose`; for
+`factor(lam, m)`, that of m followed by that of d(lam) - m).  The square
+bijections make every swap well defined and, for k >= 3, the cube
+condition checked below makes the result independent of swap order.  For
+k >= 4 coherence over all color triples is sufficient (higher cubes
+follow from the three-color ones); the test suite cross-checks this claim
+against two other swap schedules.
 
 Equality of presentations with the abstract unique-factorization
 definition of a rank-k graph is a standard fact assumed here, not
@@ -268,40 +270,38 @@ class KGraph:
     def _swap(self, a, b):
         return _swap(self.squares, self._colors, a, b)
 
-    def _normalize(self, seq):
-        """Sort a composable edge sequence into ascending color blocks."""
+    def _rewrite(self, seq, *degrees):
+        """Swap a composable edge sequence into the color word of `degrees`.
+
+        The word is each degree's colors ascending, the degrees in turn;
+        slot by slot, the first edge of the slot's color is swapped down.
+        """
         arr = list(seq)
         colors = self._colors
-        n = len(arr)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1):
-                if colors[arr[i]] > colors[arr[i + 1]]:
-                    arr[i], arr[i + 1] = self._swap(arr[i], arr[i + 1])
-                    changed = True
+        word = [c for d in degrees for c, count in enumerate(d, 1) for _ in range(count)]
+        for i, color in enumerate(word):
+            j = i
+            while colors[arr[j]] != color:
+                j += 1
+            while j > i:
+                arr[j - 1], arr[j] = self._swap(arr[j - 1], arr[j])
+                j -= 1
         return tuple(arr)
-
-    def _degree_of(self, edge_ids):
-        counts = [0] * self.k
-        for eid in edge_ids:
-            counts[self._colors[eid] - 1] += 1
-        return tuple(counts)
 
     def path(self, range_vertex, edge_ids):
         """Build a path from an arbitrary composable edge sequence."""
         self.require_vertex(range_vertex)
         edge_ids = tuple(edge_ids)
-        if not edge_ids:
-            return self.vertex_path(range_vertex)
         at = range_vertex
+        counts = [0] * self.k
         for eid in edge_ids:
             e = self.edge(eid)
             if e.range != at:
                 raise CompositionError(f"edge {eid!r} has range {e.range!r}, expected {at!r}")
             at = e.source
-        edges = self._normalize(edge_ids)
-        return Path(self, range_vertex, at, self._degree_of(edges), edges)
+            counts[e.color - 1] += 1
+        degree = tuple(counts)
+        return Path(self, range_vertex, at, degree, self._rewrite(edge_ids, degree))
 
     # -- enumeration ---------------------------------------------------
 
@@ -364,8 +364,9 @@ def compose(mu, nu):
         return nu
     if nu.is_vertex():
         return mu
-    edges = g._normalize(mu.edges + nu.edges)
-    return Path(g, mu.range_vertex, nu.source_vertex, add(mu.degree, nu.degree), edges)
+    degree = add(mu.degree, nu.degree)
+    edges = g._rewrite(mu.edges + nu.edges, degree)
+    return Path(g, mu.range_vertex, nu.source_vertex, degree, edges)
 
 
 def factor(lam, m):
@@ -374,20 +375,12 @@ def factor(lam, m):
     g.require_rank(m)
     if not leq(m, lam.degree):
         raise DegreeError(f"factor degree {m!r} exceeds path degree {lam.degree!r}")
-    colors = g._colors
-    working = list(lam.edges)
-    prefix = []
-    for color in range(1, g.k + 1):
-        for _ in range(m[color - 1]):
-            idx = next(i for i, eid in enumerate(working) if colors[eid] == color)
-            while idx > 0:
-                working[idx - 1], working[idx] = g._swap(working[idx - 1], working[idx])
-                idx -= 1
-            prefix.append(working.pop(0))
-    mu_source = g.edge(prefix[-1]).source if prefix else lam.range_vertex
-    mu = Path(g, lam.range_vertex, mu_source, m, tuple(prefix))
-    rest = g._normalize(working)
-    nu = Path(g, mu_source, lam.source_vertex, subtract(lam.degree, m), rest)
+    rest = subtract(lam.degree, m)
+    edges = g._rewrite(lam.edges, m, rest)
+    cut = sum(m)
+    mu_source = g.edge(edges[cut - 1]).source if cut else lam.range_vertex
+    mu = Path(g, lam.range_vertex, mu_source, m, edges[:cut])
+    nu = Path(g, mu_source, lam.source_vertex, rest, edges[cut:])
     return mu, nu
 
 

@@ -69,10 +69,10 @@ class EventuallyPeriodicPath:
         rho, gam = self.prefix, self.loop
         g = gam.degree
         while leq(g, rho.degree):
-            cut = subtract(rho.degree, g)
-            if segment(rho, cut, rho.degree) != gam:
+            head, tail = factor(rho, subtract(rho.degree, g))
+            if tail != gam:
                 break
-            rho, _ = factor(rho, cut)
+            rho = head
         return EventuallyPeriodicPath(rho, gam)
 
 
@@ -93,8 +93,7 @@ def ep_segment(x, m, n):
 
 def ep_shift(x, p):
     """The shifted path sigma^p(x), re-minimizing the prefix."""
-    full = _unrolled(x, p)
-    rho = segment(full, p, full.degree)
+    _, rho = factor(_unrolled(x, p), p)
     return EventuallyPeriodicPath(rho, x.loop).minimized()
 
 

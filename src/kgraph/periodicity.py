@@ -187,7 +187,7 @@ def local_periodicity_at(g, v, m, n):
                 lk_head, lk_tail = factor(compose(left, kappa), block)
                 rk_head, rk_tail = factor(compose(right, kappa), block)
                 if lk_head != rk_head:
-                    lam = compose(_assemble(parents, state), kappa)
+                    lam = _assemble(parents, state, kappa)
                     return Aperiodic(AperiodicityWitness(v, m, n, lam))
                 succ = (lk_tail, rk_tail)
                 if succ not in parents:
@@ -196,21 +196,13 @@ def local_periodicity_at(g, v, m, n):
     return Periodic(v, m, n)
 
 
-def _assemble(parents, state):
-    """Rebuild lam.kappa_1...kappa_t for the discovery path of a state."""
-    pieces = []
-    cur = state
-    while True:
-        prev, step = parents[cur]
+def _assemble(parents, state, kappa):
+    """lam.kappa_1...kappa_t.kappa: a state's discovery path, then kappa."""
+    pieces = [kappa]
+    while state is not None:
+        state, step = parents[state]
         pieces.append(step)
-        if prev is None:
-            break
-        cur = prev
-    pieces.reverse()
-    lam = pieces[0]
-    for kappa in pieces[1:]:
-        lam = compose(lam, kappa)
-    return lam
+    return kappa.graph.path(pieces[-1].range_vertex, [e for p in reversed(pieces) for e in p.edges])
 
 
 class AperiodicReport:

@@ -97,7 +97,11 @@ class Skeleton:
         if not self.vertices:
             problems.append("vertices: graph has no vertices")
         # Every vertex needs an outgoing edge of every color; sinks are fine.
-        if self.k >= 1:
+        # With more colors than edges some color has none at all: say so
+        # once, so the report stays bounded in k.
+        if self.k > len(self.edges) and self.vertices:
+            problems.append(f"rank: k = {self.k} but {len(self.edges)} edge(s), so some color has none")
+        elif self.k >= 1:
             for v in self.vertices:
                 for color in range(1, self.k + 1):
                     if not self.out_edges(v, color):

@@ -11,9 +11,13 @@ k = 3   every color is functional (exactly one out-edge per vertex) with
         source maps drawn as powers of one random self-map, so the maps
         commute, every square is forced, and the cube condition holds
         because each degree has a unique path.
+
+`twisted_product_k3` adds k = 3 graphs with non-trivial cubes: products
+of 1-graphs with parallel edges, twisted in colors (1, 2).
 """
 
 import random
+from itertools import product
 
 from kgraph import Edge, KGraph, Skeleton, SquareTable
 
@@ -109,3 +113,57 @@ def random_kgraph(seed):
 
 def corpus(count, base_seed=20260819):
     return [random_kgraph(base_seed + i) for i in range(count)]
+
+
+def _one_graph(rng, tag, nv):
+    """Random 1-graph (vertices, [(id, range, source)]) with a parallel pair."""
+    verts = [f"{tag}{i}" for i in range(nv)]
+    pairs = [(v, rng.choice(verts)) for v in verts]
+    pairs.append(rng.choice(pairs))
+    return verts, [(f"{tag}e{i}", r, s) for i, (r, s) in enumerate(pairs)]
+
+
+def twisted_product_k3(seed):
+    """(E x_tau F) x G for random 1-graphs E, F, G, each with a parallel pair.
+
+    A vertex is a coordinate triple and a color-i edge has its factor edge
+    in coordinate i.  For colors i < j the square swaps the two factor
+    edges, except that in colors (1, 2) the image's E-edge is tau(e), the
+    next edge of e's parallel class, for f in a random nonempty set of
+    F-edges.  The parallel edges make squares and cubes non-trivial; the
+    cubes commute because a 2-graph times a 1-graph is a 3-graph.
+    """
+    rng = random.Random(seed)
+    factors = [_one_graph(rng, tag, rng.randint(1, 2)) for tag in "xyz"]
+    classes = {}
+    for eid, r, s in factors[0][1]:
+        classes.setdefault((r, s), []).append(eid)
+    tau = {c[i - 1]: c[i] for c in classes.values() for i in range(len(c))}
+    f_ids = [fid for fid, _, _ in factors[1][1]]
+    twisted = {fid for fid in f_ids if rng.random() < 0.5} or {f_ids[0]}
+    points = list(product(*(verts for verts, _ in factors)))
+
+    def at(point, changes):
+        return ".".join(changes.get(t, c) for t, c in enumerate(point))
+
+    edges = [
+        Edge(at(p, {i: eid}), i + 1, at(p, {}), at(p, {i: s}))
+        for i, (_, factor_edges) in enumerate(factors)
+        for eid, r, s in factor_edges
+        for p in points
+        if p[i] == r
+    ]
+    entries = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for eid, er, es in factors[i][1]:
+            for fid, fr, fs in factors[j][1]:
+                e2 = tau[eid] if (i, j) == (0, 1) and fid in twisted else eid
+                for p in points:
+                    if p[i] == er and p[j] == fr:
+                        pair = (at(p, {i: eid}), at(p, {i: es, j: fid}))
+                        entries.append((pair, (at(p, {j: fid}), at(p, {i: e2, j: fs}))))
+    return KGraph.build(Skeleton(3, [at(p, {}) for p in points], edges), SquareTable(entries))
+
+
+def k3_products(count, base_seed=20261018):
+    return [twisted_product_k3(base_seed + i) for i in range(count)]

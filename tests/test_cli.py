@@ -76,6 +76,14 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: line 1 column ")
 
+    def test_large_rank_report_is_short(self, capsys, monkeypatch):
+        doc = {"k": 100_000, "vertices": ["v"], "edges": [], "squares": []}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, data, _ = run_json(capsys, "validate", "-")
+        assert code == 1
+        (report,) = data["reports"]
+        assert report["violations"] == ["rank: k = 100000 but 0 edge(s), so some color has none"]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 3

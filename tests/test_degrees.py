@@ -36,12 +36,22 @@ def test_negative_entries_rejected():
 
 
 @pytest.mark.parametrize(
-    "coords", [(1.7, True), (1, True), (1.0, 0), ("1", 0)], ids=["float-bool", "bool", "float", "str"]
+    "make, coords",
+    [
+        (Degree, (1.7, True)),
+        (Degree, (1, True)),
+        (Degree, (1.0, 0)),
+        (Degree, ("1", 0)),
+        (positive_part, (1.7, -1)),
+        (positive_part, (True, 0)),
+        (positive_part, (-1.0, 2)),
+    ],
+    ids=["float-bool", "bool", "float", "str", "signed-float", "signed-bool", "signed-float-negative"],
 )
-def test_non_int_entries_rejected(coords):
+def test_non_int_entries_rejected(make, coords):
     # bool is an int subclass and float truncates; neither is a degree entry
     with pytest.raises(DegreeError):
-        Degree(coords)
+        make(coords)
 
 
 def test_rank_mismatch():

@@ -3,11 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraph import (
     DocumentError,
+    KGraph,
+    ValidationError,
     canonical_json,
     dump_graph_document,
+    fixture_parts,
     graph_from_json,
     graph_to_json,
     load_graph_document,
@@ -25,6 +30,44 @@ def t2_doc():
         ],
         "squares": [{"pair": ["b", "r"], "image": ["r", "b"]}],
     }
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+VERTEX = st.sampled_from(["u", "v", "w"])
+EDGE_ID = st.sampled_from(["a", "b", "c", "d"])
+ID_PAIRS = st.lists(EDGE_ID, min_size=2, max_size=2)
+# Well-shaped documents, so that validation is reached and some pass it.
+DOCUMENTS = st.fixed_dictionaries(
+    {
+        "k": st.integers(0, 2),
+        "vertices": st.lists(VERTEX, min_size=1, max_size=2, unique=True),
+        "edges": st.lists(
+            st.fixed_dictionaries(
+                {"id": EDGE_ID, "color": st.integers(0, 2), "range": VERTEX, "source": VERTEX}
+            ),
+            max_size=4,
+            unique_by=lambda e: e["id"],
+        ),
+        "squares": st.lists(st.fixed_dictionaries({"pair": ID_PAIRS, "image": ID_PAIRS}), max_size=2),
+    }
+)
+# The fixtures, valid, and with their first squares dropped, invalid.
+FIXTURES = st.builds(
+    lambda doc, drop: {**doc, "squares": doc["squares"][drop:]},
+    st.sampled_from([dump_graph_document(*fixture_parts(n)) for n in ("T2", "F", "D", "D2")]),
+    st.integers(0, 2),
+)
+# A well-shaped document with one field replaced by any JSON value.
+ONE_FIELD_OFF = st.builds(
+    lambda doc, key, value: {**doc, key: value},
+    DOCUMENTS | FIXTURES,
+    st.sampled_from(["k", "vertices", "edges", "squares"]),
+    JSON_VALUES,
+)
 
 
 def problems_of(data):
@@ -115,6 +158,16 @@ class TestLoad:
         doc["squares"] = []
         with pytest.raises(ValidationError):
             graph_from_json(json.dumps(doc))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(FIXTURES | DOCUMENTS | ONE_FIELD_OFF | JSON_VALUES)
+def test_any_json_value_gives_a_graph_or_a_reported_problem(value):
+    try:
+        g = graph_from_json(json.dumps(value))
+    except (DocumentError, ValidationError):
+        return
+    assert isinstance(g, KGraph)
 
 
 class TestDump:

@@ -14,8 +14,9 @@ from kgraph import (
     zero,
 )
 from kgraph.errors import CompositionError, DegreeError, ValidationError
+from kgraph.factorization import validate_cubes, validate_squares
 
-from generators import corpus
+from generators import corpus, k3_products
 from oracles import degrees_up_to, iter_paths, normalize_by_schedule
 
 
@@ -107,8 +108,8 @@ def test_factor_compose_round_trip_everywhere():
 
 
 def test_three_segment_identity(f, d2):
-    for g in (f, d2):
-        l = Degree((2, 2))
+    for g in (f, d2, *k3_products(3)):
+        l = Degree((2, 2) + (1,) * (g.k - 2))
         for v in g.vertices:
             for lam in iter_paths(g, v, l):
                 for m in degrees_up_to(l):
@@ -156,7 +157,7 @@ def _descending_form(g, lam):
 
 
 def test_normalization_idempotent_and_schedule_independent():
-    for g in _graph_corpus():
+    for g in _graph_corpus() + k3_products(6):
         for v in g.vertices:
             for lam in iter_paths(g, v, Degree((2,) * g.k)):
                 again = g.path(lam.range_vertex, lam.edges)
@@ -165,6 +166,25 @@ def test_normalization_idempotent_and_schedule_independent():
                 fwd = normalize_by_schedule(g, scrambled, min)
                 rev = normalize_by_schedule(g, scrambled, max)
                 assert fwd == rev == lam.edges
+
+
+def test_k3_products_have_non_trivial_cubes():
+    # Exchanging the images of two squares in one block keeps a valid
+    # square table but breaks some cube, so the cubes constrain the table.
+    for g in k3_products(6):
+        skel, entries = g.skeleton, g.squares.entries
+        blocks = {}
+        for idx, ((a, b), _) in enumerate(entries):
+            key = (skel.edge(a).color, skel.edge(b).color, skel.edge(a).range, skel.edge(b).source)
+            blocks.setdefault(key, []).append(idx)
+        broken = False
+        for i, j, *_ in (ids for ids in blocks.values() if len(ids) > 1):
+            swapped = list(entries)
+            swapped[i], swapped[j] = (entries[i][0], entries[j][1]), (entries[j][0], entries[i][1])
+            table = SquareTable(swapped)
+            assert validate_squares(skel, table).ok
+            broken = broken or not validate_cubes(skel, table).ok
+        assert broken
 
 
 def test_unique_factorization_exhaustive(f):

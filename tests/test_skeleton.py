@@ -43,6 +43,13 @@ def test_validation_reports_every_problem():
     assert "vertex 'w': no outgoing color-2 edge" in report.violations
 
 
+def test_more_colors_than_edges_reported_once():
+    # One message, not one per (vertex, color): the report stays bounded in k.
+    report = Skeleton(100_000, ["v", "w"], _loops(2)).validate()
+    assert not report.ok
+    assert report.violations == ["rank: k = 100000 but 2 edge(s), so some color has none"]
+
+
 def test_empty_graph_is_invalid():
     report = Skeleton(1, [], []).validate()
     assert not report.ok
