@@ -101,20 +101,26 @@ def validate_squares(skeleton, table):
             problems.append(f"square {(fid, gid)!r}: image range {g2.range!r} != pair range {f.range!r}")
         if f2.source != g.source:
             problems.append(f"square {(fid, gid)!r}: image source {f2.source!r} != pair source {g.source!r}")
-    # Totality and bijectivity, color pair by color pair.
+    # Totality and bijectivity, color pair by color pair.  Each kind of
+    # violation is reported once, by its first instance and its count, so
+    # the report stays bounded in k.
+    no_square, not_image, not_pair = [], [], []
     for ci in range(1, skeleton.k + 1):
         for cj in range(ci + 1, skeleton.k + 1):
             pairs = _composable_pairs(skeleton, ci, cj)
             images = _composable_pairs(skeleton, cj, ci)
-            for p in pairs:
-                if p not in table.forward:
-                    problems.append(f"colors ({ci},{cj}): composable pair {p!r} has no square")
-            for q in images:
-                if q not in table.backward:
-                    problems.append(f"colors ({ci},{cj}): composable pair {q!r} is not the image of any square")
+            no_square += [(ci, cj, p) for p in pairs if p not in table.forward]
+            not_image += [(ci, cj, q) for q in images if q not in table.backward]
             claimed = {table.forward[p] for p in pairs if p in table.forward}
-            for img in sorted(claimed - set(images)):
-                problems.append(f"colors ({ci},{cj}): square image {img!r} is not a composable pair")
+            not_pair += [(ci, cj, img) for img in sorted(claimed - set(images))]
+    for instances, kind in (
+        (no_square, "composable pair {!r} has no square"),
+        (not_image, "composable pair {!r} is not the image of any square"),
+        (not_pair, "square image {!r} is not a composable pair"),
+    ):
+        if instances:
+            ci, cj, first = instances[0]
+            problems.append(f"colors ({ci},{cj}): {kind.format(first)} (first of {len(instances)})")
     return ValidationReport("squares", problems)
 
 

@@ -6,12 +6,23 @@ into edges, so checking single edges suffices.  H is saturated when a
 vertex all of whose degree-n continuations land in H is itself in H for
 some n; testing the single-color degrees e_i and iterating captures the
 general rule, since vLambda^n factors through vLambda^(e_i) step by
-step.  The two closure rules interleave to a least fixpoint.
+step.  The two closure rules interleave to a least fixpoint, which a
+worklist reaches in O(|E| + k|V|): each vertex joins H once, and each
+edge is looked at once for heredity and once for saturation.
 
 Nontrivial saturated hereditary sets are exactly what blocks cofinality:
 any such H traps the vertices it contains, and conversely the closure of
-any single vertex that fails to reach everything is such a set.  The
-quotient by H keeps the vertices outside H and the edges whose source
+any single vertex that fails to reach everything is such a set.  One
+closure per terminal strongly connected component of v -> s(e),
+e in vLambda^(e_i), settles cofinality.  If w is the source of a path
+with range v, the closure of {v} is hereditary, so it contains w and
+hence the closure of {w}.  Every vertex reaches a terminal component,
+and the vertices of one component share a closure.  So the least
+nontrivial singleton closure, by size and then contents, is a terminal
+component's closure, and the graph is cofinal exactly when every
+terminal closure is everything.
+
+The quotient by H keeps the vertices outside H and the edges whose source
 survives; the result is rebuilt through full validation rather than
 assumed correct.
 """
@@ -60,23 +71,31 @@ def is_saturated(g, h):
 
 
 def sat_her_closure(g, seed):
-    """Least saturated hereditary superset of seed."""
-    h = set(_as_set(g, seed))
-    changed = True
-    while changed:
-        changed = False
-        for e in g.skeleton.edges.values():
-            if e.range in h and e.source not in h:
-                h.add(e.source)
-                changed = True
-        for v in g.vertices:
-            if v in h:
-                continue
-            for color in range(1, g.k + 1):
-                if all(g.edge(eid).source in h for eid in g.skeleton.out_edges(v, color)):
-                    h.add(v)
-                    changed = True
-                    break
+    """Least saturated hereditary superset of seed.
+
+    `outside[(v, color)]` counts the edges of vLambda^(e_color) whose
+    source is not yet in H, and `lowers[x]` names the counts that drop
+    when x joins H.  Validation gives every vertex an edge of every
+    color, so a count reaching 0 is what saturation adds.
+    """
+    sources = {v: [] for v in g.vertices}
+    lowers = {v: [] for v in g.vertices}
+    for e in g.skeleton.edges.values():
+        sources[e.range].append(e.source)
+        lowers[e.source].append((e.range, e.color))
+    outside = {key: len(ids) for key, ids in g.skeleton.by_range.items()}
+    h = set()
+    pending = list(_as_set(g, seed))
+    while pending:
+        x = pending.pop()
+        if x in h:
+            continue
+        h.add(x)
+        pending += sources[x]
+        for key in lowers[x]:
+            outside[key] -= 1
+            if not outside[key]:
+                pending.append(key[0])
     return frozenset(h)
 
 
@@ -141,18 +160,59 @@ class NotCofinal:
         return f"NotCofinal({sorted(self.certificate)!r})"
 
 
+def _terminal_components(g):
+    """Strongly connected components of v -> s(e) with no way out.
+
+    Tarjan (1972) with an explicit stack, so long chains cannot hit the
+    recursion limit.  Components come out after every component they
+    reach, so a component is terminal when no successor lies outside it.
+    """
+    succ = {v: [] for v in g.vertices}
+    for e in g.skeleton.edges.values():
+        succ[e.range].append(e.source)
+    index, low, done = {}, {}, set()
+    stack, terminal = [], []
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in done:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = set()
+                    while v not in component:
+                        component.add(stack.pop())
+                    done |= component
+                    if all(w in component for u in component for w in succ[u]):
+                        terminal.append(component)
+    return terminal
+
+
 def is_cofinal(g):
     """Cofinal iff every singleton closure is everything.
 
     Otherwise the least nontrivial closure (fewest vertices, then
-    lexicographically) is returned as the obstruction certificate.
+    lexicographically) is returned as the obstruction certificate.  Only
+    terminal components need a closure (module docstring).
     """
     everything = frozenset(g.vertices)
-    obstructions = []
-    for v in g.vertices:
-        closure = sat_her_closure(g, {v})
-        if closure != everything:
-            obstructions.append(closure)
+    closures = [sat_her_closure(g, c) for c in _terminal_components(g)]
+    obstructions = [h for h in closures if h != everything]
     if not obstructions:
         return Cofinal()
     least = min(obstructions, key=lambda h: (len(h), sorted(h)))

@@ -14,6 +14,8 @@ k = 3   every color is functional (exactly one out-edge per vertex) with
 
 `twisted_product_k3` adds k = 3 graphs with non-trivial cubes: products
 of 1-graphs with parallel edges, twisted in colors (1, 2).
+`disjoint_union` puts graphs of one rank side by side, which gives a
+graph several terminal components.
 """
 
 import random
@@ -167,3 +169,22 @@ def twisted_product_k3(seed):
 
 def k3_products(count, base_seed=20261018):
     return [twisted_product_k3(base_seed + i) for i in range(count)]
+
+
+def disjoint_union(graphs):
+    """One graph holding a renamed copy of each graph, all of one rank.
+
+    Copy t prefixes every vertex and edge id with `c<t>.`, so a graph may
+    appear more than once and its copies tie in size.
+    """
+    (k,) = {g.k for g in graphs}
+    vertices, edges, entries = [], [], []
+    for t, g in enumerate(graphs):
+        c = f"c{t}."
+        vertices += [c + v for v in g.vertices]
+        edges += [Edge(c + e.id, e.color, c + e.range, c + e.source) for e in g.skeleton.edges.values()]
+        entries += [
+            (tuple(c + eid for eid in pair), tuple(c + eid for eid in image))
+            for pair, image in g.squares.entries
+        ]
+    return KGraph.build(Skeleton(k, vertices, edges), SquareTable(entries))

@@ -10,7 +10,9 @@ caches so a bug there cannot mask itself.
 Two oracles pin other facts: `refute_first_witness` runs the definition
 of the decision's canonical witness one seed at a time, and
 `k1_scan_finds_periodicity` predicts a 1-graph scan at any bound from
-the graph's cycles alone.
+the graph's cycles alone.  `fixed_point_closure` and
+`least_singleton_obstruction` are the ideals layer's definitions run
+literally: whole-graph passes to a fixpoint, one closure per vertex.
 """
 
 from collections import deque
@@ -199,6 +201,46 @@ def brute_force_sat_her_sets(g):
         if is_hereditary(g, h) and is_saturated(g, h):
             out.append(h)
     return sorted(out, key=lambda h: (len(h), sorted(h)))
+
+
+def fixed_point_closure(g, seed):
+    """Least saturated hereditary superset of seed, by whole-graph passes.
+
+    The plain definition: add sources of edges with range in H, add
+    vertices some color of whose edges all have source in H, and repeat
+    until a pass changes nothing.
+    """
+    for v in seed:
+        g.require_vertex(v)
+    h = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for e in g.skeleton.edges.values():
+            if e.range in h and e.source not in h:
+                h.add(e.source)
+                changed = True
+        for v in g.vertices:
+            if v in h:
+                continue
+            for color in range(1, g.k + 1):
+                if all(g.edge(eid).source in h for eid in g.skeleton.out_edges(v, color)):
+                    h.add(v)
+                    changed = True
+                    break
+    return frozenset(h)
+
+
+def least_singleton_obstruction(g):
+    """Least nontrivial fixed_point_closure({v}) by (size, contents), or None.
+
+    None means every singleton closure is everything, that is, g is
+    cofinal; otherwise the set is the expected cofinality certificate.
+    """
+    everything = frozenset(g.vertices)
+    closures = [fixed_point_closure(g, {v}) for v in g.vertices]
+    obstructions = [h for h in closures if h != everything]
+    return min(obstructions, key=lambda h: (len(h), sorted(h)), default=None)
 
 
 def normalize_by_schedule(g, edge_ids, schedule):

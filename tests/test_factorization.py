@@ -3,7 +3,9 @@ import pytest
 
 from kgraph import (
     Degree,
+    Edge,
     KGraph,
+    Skeleton,
     SquareTable,
     compose,
     factor,
@@ -38,6 +40,28 @@ def test_build_refuses_non_bijective_table():
     )
     with pytest.raises(ValidationError):
         KGraph.build(skel, squares)
+
+
+def test_missing_square_named(t2):
+    report = validate_squares(t2.skeleton, SquareTable([]))
+    assert report.violations == [
+        "colors (1,2): composable pair ('b', 'r') has no square (first of 1)",
+        "colors (1,2): composable pair ('r', 'b') is not the image of any square (first of 1)",
+    ]
+
+
+@pytest.mark.parametrize("k", [50, 200])
+def test_missing_squares_reported_once_per_kind(k):
+    # One loop per color and no squares: every color pair misses one
+    # square, yet the report has one line per kind of violation.
+    skel = Skeleton(k, ["v"], [Edge(f"l{c}", c, "v", "v") for c in range(1, k + 1)])
+    assert skel.validate().ok
+    report = validate_squares(skel, SquareTable([]))
+    pairs = k * (k - 1) // 2
+    assert report.violations == [
+        f"colors (1,2): composable pair ('l1', 'l2') has no square (first of {pairs})",
+        f"colors (1,2): composable pair ('l2', 'l1') is not the image of any square (first of {pairs})",
+    ]
 
 
 def test_vertex_and_edge_paths(t2):

@@ -1,11 +1,18 @@
 """Saturated hereditary sets, cofinality, quotients."""
 
+import random
+
 import pytest
 
+import kgraph.ideals
 from kgraph import (
     ContractViolationError,
     Degree,
+    Edge,
+    KGraph,
     LimitExceededError,
+    Skeleton,
+    SquareTable,
     core_dimensions,
     enumerate_sat_her,
     is_cofinal,
@@ -14,12 +21,57 @@ from kgraph import (
     quotient,
     sat_her_closure,
 )
-from generators import corpus
-from oracles import brute_force_sat_her_sets, cofinality_oracle
+from generators import corpus, disjoint_union, k3_products
+from oracles import (
+    brute_force_sat_her_sets,
+    cofinality_oracle,
+    fixed_point_closure,
+    least_singleton_obstruction,
+)
 
 
 def fs(*vs):
     return frozenset(vs)
+
+
+def unions():
+    """Disjoint unions of corpus graphs: several terminal components each.
+
+    Per rank: every graph beside itself (copies tie in size, so only the
+    contents order them), neighbouring pairs, and one triple.
+    """
+    by_rank = {}
+    for g in corpus(30):
+        by_rank.setdefault(g.k, []).append(g)
+    out = []
+    for graphs in by_rank.values():
+        out += [disjoint_union([g, g]) for g in graphs[:6]]
+        out += [disjoint_union(pair) for pair in zip(graphs, graphs[1:6])]
+        out.append(disjoint_union(graphs[:3]))
+    return out
+
+
+def reference_graphs(fixtures):
+    return list(fixtures) + corpus(200) + k3_products(8) + unions()
+
+
+def one_graph(names, sources):
+    """k = 1 graph on `names` with one edge names[i] <- sources[i] each."""
+    edges = [Edge(f"e{v}", 1, v, s) for v, s in zip(names, sources)]
+    return KGraph.build(Skeleton(1, names, edges), SquareTable([]))
+
+
+def chain(n, ascending):
+    """v0 <- v1 <- ... <- v(n-1), which has a loop; names run either way."""
+    names = [f"v{i:05d}" for i in range(n)]
+    if not ascending:
+        names.reverse()
+    return one_graph(names, names[1:] + names[-1:])
+
+
+def cycle(n):
+    names = [f"v{i:05d}" for i in range(n)]
+    return one_graph(names, names[1:] + names[:1])
 
 
 class TestPredicates:
@@ -61,6 +113,18 @@ class TestClosure:
         c = sat_her_closure(d2, fs("w"))
         assert is_hereditary(d2, c)
         assert is_saturated(d2, c)
+
+    def test_matches_fixed_point_definition(self, t2, f, d, d2):
+        rng = random.Random(7)
+        cases = 0
+        for g in reference_graphs([t2, f, d, d2]):
+            vs = list(g.vertices)
+            seeds = [fs()] + [fs(v) for v in vs]
+            seeds += [frozenset(rng.sample(vs, rng.randint(2, len(vs)))) for _ in range(3) if len(vs) > 1]
+            for seed in seeds:
+                assert sat_her_closure(g, seed) == fixed_point_closure(g, seed), (g.vertices, seed)
+                cases += 1
+        assert cases > 1000
 
 
 class TestEnumeration:
@@ -111,8 +175,47 @@ class TestCofinality:
         assert not cofinality_oracle(d2, 2)
 
     def test_oracle_on_corpus(self):
-        for g in corpus(6):
+        for g in corpus(40):
             assert cofinality_oracle(g, 2) == is_cofinal(g).cofinal
+
+    def test_matches_singleton_definition(self, t2, f, d, d2):
+        verdicts = set()
+        for g in reference_graphs([t2, f, d, d2]):
+            res = is_cofinal(g)
+            least = least_singleton_obstruction(g)
+            assert res.cofinal == (least is None), g.vertices
+            if least is not None:
+                assert res.certificate == least, g.vertices
+            verdicts.add(res.cofinal)
+        assert verdicts == {True, False}
+
+    def test_unions_tie_in_size(self):
+        # Two different least-size obstructions, so the certificate in
+        # test_matches_singleton_definition is decided by contents.
+        ties = 0
+        for g in unions():
+            everything = frozenset(g.vertices)
+            closures = {fixed_point_closure(g, {v}) for v in g.vertices} - {everything}
+            sizes = sorted(len(h) for h in closures)
+            ties += len(sizes) > 1 and sizes[0] == sizes[1]
+        assert ties >= 10
+
+    def test_one_closure_per_terminal_component(self, d, d2, f, monkeypatch):
+        calls = []
+        closure = kgraph.ideals.sat_her_closure
+        monkeypatch.setattr(kgraph.ideals, "sat_her_closure", lambda g, seed: calls.append(seed) or closure(g, seed))
+        # A 50-cycle is one component; a closure per vertex would make 50.
+        for g, expected in [(cycle(50), 1), (disjoint_union([cycle(4)] * 3), 3), (d, 2), (d2, 1), (f, 1)]:
+            calls.clear()
+            is_cofinal(g)
+            assert len(calls) == expected, g.vertices
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_long_chain(self, ascending):
+        assert is_cofinal(chain(5000, ascending)).cofinal
+
+    def test_long_cycle(self):
+        assert is_cofinal(cycle(5000)).cofinal
 
 
 class TestQuotient:
