@@ -18,7 +18,6 @@ nevertheless a nonzero obstruction.
 
 import time
 
-from .degrees import zero
 from .errors import ContractViolationError
 from .ideals import (
     enumerate_sat_her,
@@ -28,7 +27,7 @@ from .ideals import (
     quotient,
     vertex_set_to_json,
 )
-from .infinite import ep_compose, ep_equal, ep_samples, ep_segment, ep_shift
+from .infinite import EventuallyPeriodicPath, _unrolled_cut, ep_compose, ep_equal, ep_samples
 from .periodicity import default_bound, scan_aperiodicity
 
 
@@ -89,9 +88,10 @@ def rep_apply_adjoint(g, eta, x):
         raise ContractViolationError("eta belongs to a different graph")
     if x.range_vertex != eta.range_vertex:
         return ZERO
-    if ep_segment(x, zero(g.k), eta.degree) != eta:
+    head, rest = _unrolled_cut(x.prefix, x.loop, eta.degree)
+    if head != eta:
         return ZERO
-    return ep_shift(x, eta.degree)
+    return EventuallyPeriodicPath(rest, x.loop).minimized()
 
 
 def annihilates(g, elem, x, cycle_cache=None):

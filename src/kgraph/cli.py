@@ -172,9 +172,12 @@ def cmd_quotient(args):
     if not isinstance(g, KGraph):
         return g
     names = [s.strip() for s in args.set.split(",") if s.strip()]
+    unknown = [v for v in names if not g.skeleton.has_vertex(v)]
+    if unknown:
+        return _fail([f"unknown vertex {v!r}" for v in unknown])
     try:
         sub = quotient(g, names)
-    except (ContractViolationError, KeyError) as exc:
+    except ContractViolationError as exc:
         _emit({"verdict": "error", "message": str(exc)}, args.text)
         return 1
     _emit(dump_graph_document(sub.skeleton, sub.squares), args.text)

@@ -9,13 +9,16 @@ declared equal, and every path then has a unique normal form in which
 edge colors appear in ascending blocks (all color-1 edges first, then
 color-2, and so on).  One routine, `KGraph._rewrite`, does every cut and
 composition: adjacent swaps, each applying the matching square, move an
-edge sequence to a target color word (the normal form for `compose`; for
-`factor(lam, m)`, that of m followed by that of d(lam) - m).  The square
-bijections make every swap well defined and, for k >= 3, the cube
-condition checked below makes the result independent of swap order.  For
-k >= 4 coherence over all color triples is sufficient (higher cubes
-follow from the three-color ones); the test suite cross-checks this claim
-against two other swap schedules.
+edge sequence to a target color word (the normal form for `compose`).
+`KGraph._cut` takes every piece of a cut from one rewrite: the word for
+degrees d1, d2, ... is the normal form of d1, then of d2, and so on, and
+the result is sliced into one path per degree.  So `factor(lam, m)` cuts
+into (m, d(lam) - m) and `segment(lam, m, n)` is the middle piece of
+(m, n - m, d(lam) - n).  The square bijections make every swap well
+defined and, for k >= 3, the cube condition checked below makes the
+result independent of swap order.  For k >= 4 coherence over all color
+triples is sufficient (higher cubes follow from the three-color ones);
+the test suite cross-checks this claim against two other swap schedules.
 
 Equality of presentations with the abstract unique-factorization
 definition of a rank-k graph is a standard fact assumed here, not
@@ -60,16 +63,9 @@ class SquareTable:
         return {"squares": [{"pair": list(p), "image": list(i)} for p, i in rows]}
 
 
-def _composable_pairs(skeleton, ci, cj):
-    """All (e1, e2) with colors (ci, cj) and s(e1) = r(e2), sorted."""
-    out = []
-    for eid in sorted(skeleton.edges):
-        e = skeleton.edges[eid]
-        if e.color != ci:
-            continue
-        for gid in skeleton.out_edges(e.source, cj):
-            out.append((eid, gid))
-    return out
+def _composable_pairs(skeleton, edges, cj):
+    """All (e1, e2) with e1 in `edges`, e2 of color cj and s(e1) = r(e2), in order."""
+    return [(e.id, gid) for e in edges for gid in skeleton.out_edges(e.source, cj)]
 
 
 def validate_squares(skeleton, table):
@@ -105,10 +101,13 @@ def validate_squares(skeleton, table):
     # violation is reported once, by its first instance and its count, so
     # the report stays bounded in k.
     no_square, not_image, not_pair = [], [], []
+    by_color = {}  # edges of each color, sorted by id: one index for every color pair
+    for eid in sorted(skeleton.edges):
+        by_color.setdefault(skeleton.edges[eid].color, []).append(skeleton.edges[eid])
     for ci in range(1, skeleton.k + 1):
         for cj in range(ci + 1, skeleton.k + 1):
-            pairs = _composable_pairs(skeleton, ci, cj)
-            images = _composable_pairs(skeleton, cj, ci)
+            pairs = _composable_pairs(skeleton, by_color.get(ci, ()), cj)
+            images = _composable_pairs(skeleton, by_color.get(cj, ()), ci)
             no_square += [(ci, cj, p) for p in pairs if p not in table.forward]
             not_image += [(ci, cj, q) for q in images if q not in table.backward]
             claimed = {table.forward[p] for p in pairs if p in table.forward}
@@ -294,6 +293,17 @@ class KGraph:
                 j -= 1
         return tuple(arr)
 
+    def _cut(self, range_vertex, seq, degrees):
+        """One `_rewrite` of seq into the word of `degrees`; one Path per degree."""
+        edges = self._rewrite(seq, *degrees)
+        pieces, at, start = [], range_vertex, 0
+        for d in degrees:
+            end = start + sum(d)
+            source = self.edge(edges[end - 1]).source if end > start else at
+            pieces.append(Path(self, at, source, d, edges[start:end]))
+            at, start = source, end
+        return pieces
+
     def path(self, range_vertex, edge_ids):
         """Build a path from an arbitrary composable edge sequence."""
         self.require_vertex(range_vertex)
@@ -370,30 +380,26 @@ def compose(mu, nu):
         return nu
     if nu.is_vertex():
         return mu
-    degree = add(mu.degree, nu.degree)
-    edges = g._rewrite(mu.edges + nu.edges, degree)
-    return Path(g, mu.range_vertex, nu.source_vertex, degree, edges)
+    return g._cut(mu.range_vertex, mu.edges + nu.edges, (add(mu.degree, nu.degree),))[0]
+
+
+def _require_below(lam, m):
+    lam.graph.require_rank(m)
+    if not leq(m, lam.degree):
+        raise DegreeError(f"factor degree {m!r} exceeds path degree {lam.degree!r}")
 
 
 def factor(lam, m):
     """The unique (mu, nu) with d(mu) = m and lam = mu.nu; needs m <= d(lam)."""
-    g = lam.graph
-    g.require_rank(m)
-    if not leq(m, lam.degree):
-        raise DegreeError(f"factor degree {m!r} exceeds path degree {lam.degree!r}")
-    rest = subtract(lam.degree, m)
-    edges = g._rewrite(lam.edges, m, rest)
-    cut = sum(m)
-    mu_source = g.edge(edges[cut - 1]).source if cut else lam.range_vertex
-    mu = Path(g, lam.range_vertex, mu_source, m, edges[:cut])
-    nu = Path(g, mu_source, lam.source_vertex, rest, edges[cut:])
-    return mu, nu
+    _require_below(lam, m)
+    return tuple(lam.graph._cut(lam.range_vertex, lam.edges, (m, subtract(lam.degree, m))))
 
 
 def segment(lam, m, n):
     """lam(m, n): the piece of lam between degrees m and n (m <= n <= d)."""
     if not leq(m, n):
         raise DegreeError(f"segment needs m <= n, got {m!r}, {n!r}")
-    head, _ = factor(lam, n)
-    _, mid = factor(head, m)
-    return mid
+    _require_below(lam, n)
+    lam.graph.require_rank(m)
+    pieces = (m, subtract(n, m), subtract(lam.degree, n))
+    return lam.graph._cut(lam.range_vertex, lam.edges, pieces)[1]

@@ -3,8 +3,10 @@
 An infinite path is represented by a finite prefix rho and a loop gamma
 with r(gamma) = s(gamma) = s(rho); the path is rho.gamma.gamma...  The
 loop degree must be >= 1 in every coordinate so that unrolling it covers
-any requested degree.  Two representations can denote the same path;
-`ep_equal` decides that exactly.
+any requested degree: a cut of x into degrees summing to n unrolls the
+least t copies with n <= d(rho) + t d(gamma), t computed in closed form,
+and cuts rho.gamma^t once.  Two representations can denote the same
+path; `ep_equal` decides that exactly.
 
 Equality works block by block.  After cutting both paths at the join of
 the prefix degrees, the tails are purely periodic, and a purely periodic
@@ -18,9 +20,9 @@ can never produce a difference.
 
 from itertools import product as _iproduct
 
-from .degrees import add, join, leq, subtract, zero
+from .degrees import add, join, leq, subtract
 from .errors import CompositionError, DegreeError
-from .factorization import compose, factor, segment
+from .factorization import compose, factor
 
 
 class EventuallyPeriodicPath:
@@ -76,24 +78,27 @@ class EventuallyPeriodicPath:
         return EventuallyPeriodicPath(rho, gam)
 
 
-def _unrolled(x, n):
-    """A finite prefix of x of degree >= n."""
-    full = x.prefix
-    while not leq(n, full.degree):
-        full = compose(full, x.loop)
-    return full
+def _unrolled_cut(rho, gam, *degrees):
+    """Cut rho.gam^t once into `degrees` plus the rest, for the least t that covers them."""
+    top = [sum(c) for c in zip(*degrees)]
+    t = max(0, *(-((r - n) // c) for r, n, c in zip(rho.degree, top, gam.degree)))
+    rest = tuple(r + t * c - n for r, n, c in zip(rho.degree, top, gam.degree))
+    return rho.graph._cut(rho.range_vertex, rho.edges + gam.edges * t, degrees + (rest,))
 
 
 def ep_segment(x, m, n):
     """x(m, n) for an eventually periodic x; any m <= n."""
     if not leq(m, n):
         raise DegreeError(f"segment needs m <= n, got {m!r}, {n!r}")
-    return segment(_unrolled(x, n), m, n)
+    x.graph.require_rank(m)
+    x.graph.require_rank(n)
+    return _unrolled_cut(x.prefix, x.loop, m, subtract(n, m))[1]
 
 
 def ep_shift(x, p):
     """The shifted path sigma^p(x), re-minimizing the prefix."""
-    _, rho = factor(_unrolled(x, p), p)
+    x.graph.require_rank(p)
+    _, rho = _unrolled_cut(x.prefix, x.loop, p)
     return EventuallyPeriodicPath(rho, x.loop).minimized()
 
 
@@ -108,11 +113,9 @@ def ep_equal(x, y, cycle_cache=None):
     if x.range_vertex != y.range_vertex:
         return False
     cut = join(x.prefix.degree, y.prefix.degree)
-    if ep_segment(x, zero(len(cut)), cut) != ep_segment(y, zero(len(cut)), cut):
-        return False
-    cx = ep_segment(x, cut, add(cut, x.loop.degree))
-    cy = ep_segment(y, cut, add(cut, y.loop.degree))
-    return _cycles_equal(cx, cy, cycle_cache)
+    hx, cx, _ = _unrolled_cut(x.prefix, x.loop, cut, x.loop.degree)
+    hy, cy, _ = _unrolled_cut(y.prefix, y.loop, cut, y.loop.degree)
+    return hx == hy and _cycles_equal(cx, cy, cycle_cache)
 
 
 def _cycles_equal(cx, cy, cache=None):
@@ -126,16 +129,14 @@ def _cycles_equal(cx, cy, cache=None):
     while state not in seen:
         seen.add(state)
         a, b = state
-        xa = EventuallyPeriodicPath(a.graph.vertex_path(a.range_vertex), a)
-        xb = EventuallyPeriodicPath(b.graph.vertex_path(b.range_vertex), b)
+        at = a.graph.vertex_path(a.range_vertex)
         block = add(a.degree, b.degree)
-        if ep_segment(xa, zero(len(block)), block) != ep_segment(xb, zero(len(block)), block):
+        ha, a, _ = _unrolled_cut(at, a, block, a.degree)
+        hb, b, _ = _unrolled_cut(at, b, block, b.degree)
+        if ha != hb:
             verdict = False
             break
-        state = (
-            ep_segment(xa, block, add(block, a.degree)),
-            ep_segment(xb, block, add(block, b.degree)),
-        )
+        state = (a, b)
     if cache is not None:
         cache[start] = verdict
     return verdict

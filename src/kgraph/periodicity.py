@@ -51,7 +51,7 @@ from collections import deque
 from itertools import product as _iproduct
 
 from .degrees import MAX_ENTRY, add, join, leq, ones, positive_part, subtract
-from .errors import ContractViolationError, InconclusiveError
+from .errors import CompositionError, ContractViolationError, InconclusiveError
 from .factorization import compose, factor, segment
 
 
@@ -183,9 +183,12 @@ def local_periodicity_at(g, v, m, n):
         while queue:
             state = queue.popleft()
             left, right = state
+            if right.source_vertex != left.source_vertex:
+                raise CompositionError("the two tails of a state must share a source")
             for kappa in g.paths_from(left.source_vertex, block):
-                lk_head, lk_tail = factor(compose(left, kappa), block)
-                rk_head, rk_tail = factor(compose(right, kappa), block)
+                # L.kappa cut at the block; the tail keeps d(L) = a (d(R) = b).
+                lk_head, lk_tail = g._cut(left.range_vertex, left.edges + kappa.edges, (block, a))
+                rk_head, rk_tail = g._cut(right.range_vertex, right.edges + kappa.edges, (block, b))
                 if lk_head != rk_head:
                     lam = _assemble(parents, state, kappa)
                     return Aperiodic(AperiodicityWitness(v, m, n, lam))

@@ -13,13 +13,20 @@ of the decision's canonical witness one seed at a time, and
 the graph's cycles alone.  `fixed_point_closure` and
 `least_singleton_obstruction` are the ideals layer's definitions run
 literally: whole-graph passes to a fixpoint, one closure per vertex.
+The `*_by_compose` functions are the path layers' definitions one cut
+at a time: a segment from two `factor` calls, an eventually periodic
+path unrolled one `compose` per loop copy, and cycle equality stepped
+on `EventuallyPeriodicPath` wrappers.
 """
 
 from collections import deque
 from itertools import product
 
 from kgraph import (
+    ZERO,
     Degree,
+    DegreeError,
+    EventuallyPeriodicPath,
     Path,
     add,
     compose,
@@ -27,7 +34,9 @@ from kgraph import (
     ep_equal,
     ep_samples,
     ep_segment,
+    factor,
     join,
+    leq,
     segment,
     subtract,
 )
@@ -335,4 +344,71 @@ def cofinality_oracle(g, depth):
             for v in need:
                 if not (hits & reach[v]):
                     return False
+    return True
+
+
+def segment_by_compose(lam, m, n):
+    """lam(m, n) as the tail of the head: factor at n, then at m."""
+    if not leq(m, n):
+        raise DegreeError(f"segment needs m <= n, got {m!r}, {n!r}")
+    head, _ = factor(lam, n)
+    _, mid = factor(head, m)
+    return mid
+
+
+def unrolled_by_compose(x, n):
+    """A finite prefix of x of degree >= n, one loop copy composed at a time."""
+    full = x.prefix
+    while not leq(n, full.degree):
+        full = compose(full, x.loop)
+    return full
+
+
+def ep_segment_by_compose(x, m, n):
+    return segment_by_compose(unrolled_by_compose(x, n), m, n)
+
+
+def ep_shift_by_compose(x, p):
+    _, rho = factor(unrolled_by_compose(x, p), p)
+    return EventuallyPeriodicPath(rho, x.loop).minimized()
+
+
+def rep_apply_adjoint_by_compose(g, eta, x):
+    if x.range_vertex != eta.range_vertex:
+        return ZERO
+    if ep_segment_by_compose(x, Degree((0,) * g.k), eta.degree) != eta:
+        return ZERO
+    return ep_shift_by_compose(x, eta.degree)
+
+
+def ep_equal_by_compose(x, y):
+    """Equality of the denoted paths: the prefix block, then the cycles."""
+    if x.graph is not y.graph or x.range_vertex != y.range_vertex:
+        return False
+    cut = join(x.prefix.degree, y.prefix.degree)
+    zero = Degree((0,) * len(cut))
+    if ep_segment_by_compose(x, zero, cut) != ep_segment_by_compose(y, zero, cut):
+        return False
+    cx = ep_segment_by_compose(x, cut, add(cut, x.loop.degree))
+    cy = ep_segment_by_compose(y, cut, add(cut, y.loop.degree))
+    return cycles_equal_by_compose(cx, cy)
+
+
+def cycles_equal_by_compose(cx, cy):
+    """Whether cx^inf = cy^inf, stepping on pure-cycle wrappers."""
+    seen = set()
+    state = (cx, cy)
+    while state not in seen:
+        seen.add(state)
+        a, b = state
+        xa = EventuallyPeriodicPath(a.graph.vertex_path(a.range_vertex), a)
+        xb = EventuallyPeriodicPath(b.graph.vertex_path(b.range_vertex), b)
+        block = add(a.degree, b.degree)
+        zero = Degree((0,) * len(block))
+        if ep_segment_by_compose(xa, zero, block) != ep_segment_by_compose(xb, zero, block):
+            return False
+        state = (
+            ep_segment_by_compose(xa, block, add(block, a.degree)),
+            ep_segment_by_compose(xb, block, add(block, b.degree)),
+        )
     return True

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraph.cli import main, render_text
 
@@ -199,6 +201,12 @@ class TestQuotient:
         assert code == 1
         assert data["verdict"] == "error"
 
+    def test_unknown_vertex_is_unusable_input(self, capsys):
+        code, out, err = run(capsys, "quotient", fixture_path("D"), "--set", "zz,u,yy")
+        assert code == 3
+        assert out == ""
+        assert err == "error: unknown vertex 'zz'\nerror: unknown vertex 'yy'\n"
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self):
@@ -265,3 +273,85 @@ class TestTextRendering:
     def test_scalar_roundtrip(self):
         assert render_text(True) == ["true"]
         assert render_text("plain") == ["plain"]
+
+
+FIXTURE_NAMES = ("T2", "F", "D", "D2")
+FIXTURE_TEXTS = {name: (FIXDIR / f"{name}.json").read_text() for name in FIXTURE_NAMES}
+VERTEX_NAMES = sorted({v for text in FIXTURE_TEXTS.values() for v in json.loads(text)["vertices"]})
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def garbled(draw):
+    """A fixture document as is, truncated, or with one character changed."""
+    text = FIXTURE_TEXTS[draw(st.sampled_from(FIXTURE_NAMES))]
+    at = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["as is", "truncated", "replaced", "dropped", "inserted"]))
+    if how == "truncated":
+        return text[:at]
+    if how == "replaced":
+        return text[:at] + draw(st.characters()) + text[at + 1 :]
+    if how == "dropped":
+        return text[:at] + text[at + 1 :]
+    if how == "inserted":
+        return text[:at] + draw(st.characters()) + text[at:]
+    return text
+
+
+# Integer bounds stay small or pass the entry cap, where the scan refuses
+# before any work; other text never parses as an int.
+BOUNDS = (
+    st.none()
+    | st.integers(-3, 3).map(str)
+    | st.integers(2**31, 2**64).map(str)
+    | st.text(max_size=4).filter(_not_an_int)
+)
+SETS = st.lists(st.sampled_from(VERTEX_NAMES + ["zz", "", " "]), max_size=4).map(",".join) | st.text(
+    max_size=4
+)
+FILES = st.sampled_from(["-", "missing.json"] + [f"fixtures/{name}.json" for name in FIXTURE_NAMES])
+
+
+@st.composite
+def invocations(draw):
+    """(argv, stdin text) for one CLI run."""
+    command = draw(
+        st.sampled_from(["validate", "aperiodic", "cofinal", "simple", "ideals", "quotient", "fixture"])
+    )
+    if command == "fixture":
+        argv = [command, draw(st.sampled_from(list(FIXTURE_NAMES) + ["T3", ""]))]
+    else:
+        name = draw(FILES)
+        argv = [command, name if name == "-" else str(FIXDIR.parent / name)]
+    bound = draw(BOUNDS)
+    if command in ("aperiodic", "simple") and bound is not None:
+        argv.append(f"--bound={bound}")
+    if command == "quotient":
+        argv.append(f"--set={draw(SETS)}")
+    if draw(st.booleans()):
+        argv.append("--text")
+    return argv, draw(garbled())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(invocations())
+def test_every_run_exits_0_1_or_3_without_a_traceback(invocation):
+    argv, stdin_text = invocation
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin_text), out, err
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    assert code in (0, 1, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
