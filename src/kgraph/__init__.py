@@ -23,7 +23,6 @@ from .documents import (
     canonical_json,
     dump_graph_document,
     graph_from_json,
-    graph_to_json,
     load_graph_document,
     parse_graph_document,
 )
@@ -32,14 +31,12 @@ from .errors import (
     ContractViolationError,
     DegreeError,
     DocumentError,
-    InconclusiveError,
     LimitExceededError,
     ValidationError,
 )
 from .factorization import KGraph, Path, SquareTable, compose, factor, segment
 from .fixtures import fixture, fixture_parts
 from .ideals import (
-    core_dimensions,
     enumerate_sat_her,
     is_cofinal,
     is_hereditary,
@@ -52,7 +49,6 @@ from .infinite import (
     ep_compose,
     ep_equal,
     ep_samples,
-    ep_samples_unique,
     ep_segment,
     ep_shift,
 )
@@ -61,7 +57,6 @@ from .periodicity import (
     AperiodicityWitness,
     Periodic,
     PeriodicityTuple,
-    aperiodic_prefix,
     local_periodicity_at,
     periodicity_tuple,
     scan_aperiodicity,
@@ -80,7 +75,6 @@ __all__ = [
     "DocumentError",
     "Edge",
     "EventuallyPeriodicPath",
-    "InconclusiveError",
     "KGraph",
     "LimitExceededError",
     "Path",
@@ -95,23 +89,19 @@ __all__ = [
     "all_ideals_gauge_invariant",
     "analyze",
     "annihilates",
-    "aperiodic_prefix",
     "canonical_json",
     "compose",
-    "core_dimensions",
     "dump_graph_document",
     "enumerate_sat_her",
     "ep_compose",
     "ep_equal",
     "ep_samples",
-    "ep_samples_unique",
     "ep_segment",
     "ep_shift",
     "factor",
     "fixture",
     "fixture_parts",
     "graph_from_json",
-    "graph_to_json",
     "is_cofinal",
     "is_hereditary",
     "is_saturated",

@@ -76,9 +76,11 @@ def add(m, n):
 
 def subtract(m, n):
     """m - n, defined only when n <= m."""
-    if not leq(n, m):
-        raise DegreeError(f"cannot subtract {n!r} from {m!r}: not below it")
-    return tuple(a - b for a, b in _paired(m, n))
+    out = tuple(a - b for b, a in _paired(n, m))
+    for c in out:
+        if c < 0:
+            raise DegreeError(f"cannot subtract {n!r} from {m!r}: not below it")
+    return out
 
 
 def positive_part(p):

@@ -164,10 +164,5 @@ def dump_graph_document(skel, squares):
     }
 
 
-def graph_to_json(g):
-    """Validated KGraph -> canonical JSON text (newline-terminated)."""
-    return canonical_json(dump_graph_document(g.skeleton, g.squares))
-
-
 def canonical_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

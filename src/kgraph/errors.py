@@ -39,7 +39,3 @@ class ContractViolationError(KGraphError):
 
 class LimitExceededError(KGraphError):
     """A computation refused to start because the input exceeds a configured limit."""
-
-
-class InconclusiveError(KGraphError):
-    """A bounded search hit its depth limit before reaching a verdict."""

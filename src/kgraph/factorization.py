@@ -29,7 +29,7 @@ range end first: edges[0] has range r(lambda) and edges[-1] has source
 s(lambda), and compose(mu, nu) requires s(mu) = r(nu).
 """
 
-from .degrees import add, leq, subtract, unit, zero
+from .degrees import add, subtract, unit, zero
 from .errors import CompositionError, ContractViolationError, DegreeError, ValidationError
 from .skeleton import ValidationReport
 
@@ -383,23 +383,26 @@ def compose(mu, nu):
     return g._cut(mu.range_vertex, mu.edges + nu.edges, (add(mu.degree, nu.degree),))[0]
 
 
-def _require_below(lam, m):
+def _rest_after(lam, m):
+    """d(lam) - m, refusing an m that is not below d(lam)."""
     lam.graph.require_rank(m)
-    if not leq(m, lam.degree):
-        raise DegreeError(f"factor degree {m!r} exceeds path degree {lam.degree!r}")
+    try:
+        return subtract(lam.degree, m)
+    except DegreeError:
+        raise DegreeError(f"factor degree {m!r} exceeds path degree {lam.degree!r}") from None
 
 
 def factor(lam, m):
     """The unique (mu, nu) with d(mu) = m and lam = mu.nu; needs m <= d(lam)."""
-    _require_below(lam, m)
-    return tuple(lam.graph._cut(lam.range_vertex, lam.edges, (m, subtract(lam.degree, m))))
+    return tuple(lam.graph._cut(lam.range_vertex, lam.edges, (m, _rest_after(lam, m))))
 
 
 def segment(lam, m, n):
     """lam(m, n): the piece of lam between degrees m and n (m <= n <= d)."""
-    if not leq(m, n):
-        raise DegreeError(f"segment needs m <= n, got {m!r}, {n!r}")
-    _require_below(lam, n)
+    try:
+        middle = subtract(n, m)
+    except DegreeError:
+        raise DegreeError(f"segment needs m <= n, got {m!r}, {n!r}") from None
+    pieces = (m, middle, _rest_after(lam, n))
     lam.graph.require_rank(m)
-    pieces = (m, subtract(n, m), subtract(lam.degree, n))
     return lam.graph._cut(lam.range_vertex, lam.edges, pieces)[1]

@@ -29,8 +29,6 @@ assumed correct.
 
 import os
 
-import numpy as np
-
 from .errors import ContractViolationError, LimitExceededError
 from .factorization import KGraph, SquareTable
 from .skeleton import Skeleton
@@ -243,15 +241,3 @@ def quotient(g, h):
     ]
     skel = Skeleton(g.k, keep_vertices, keep_edges)
     return KGraph.build(skel, SquareTable(entries))
-
-
-def core_dimensions(g, n):
-    """|Lambda^n v| for every v, via products of the vertex matrices."""
-    g.require_rank(n)
-    mats = g.skeleton.vertex_matrices()
-    size = len(g.vertices)
-    acc = np.identity(size, dtype=object)
-    for color, power in enumerate(n):
-        for _ in range(power):
-            acc = acc @ mats[color]
-    return {v: int(sum(acc[:, i])) for i, v in enumerate(g.vertices)}

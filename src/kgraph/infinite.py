@@ -162,14 +162,3 @@ def ep_samples(g, v, prefix_bound, loop_bound):
                 for gam in g.paths_from(w, ldeg):
                     if gam.source_vertex == w:
                         yield EventuallyPeriodicPath(rho, gam)
-
-
-def ep_samples_unique(g, v, prefix_bound, loop_bound):
-    """Like ep_samples but deduplicated by minimized representation."""
-    seen = set()
-    for x in ep_samples(g, v, prefix_bound, loop_bound):
-        m = x.minimized()
-        key = (m.prefix, m.loop)
-        if key not in seen:
-            seen.add(key)
-            yield m

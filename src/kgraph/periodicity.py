@@ -51,7 +51,7 @@ from collections import deque
 from itertools import product as _iproduct
 
 from .degrees import MAX_ENTRY, add, join, leq, ones, positive_part, subtract
-from .errors import CompositionError, ContractViolationError, InconclusiveError
+from .errors import CompositionError, ContractViolationError
 from .factorization import compose, factor, segment
 
 
@@ -310,24 +310,3 @@ def _least_tuple(g, v, m, n):
     mu = g.paths_from(v, m)[0]
     alpha = g.paths_from(mu.source_vertex, subtract(j, m))[0]
     return PeriodicityTuple(v, m, n, mu, alpha)
-
-
-def aperiodic_prefix(g, v, pairs, depth_limit=None):
-    """Chain one separating witness per pair into a single path from v.
-
-    Raises if any pair turns out periodic at the reached vertex, and
-    refuses (Inconclusive) if the chained degree outgrows depth_limit.
-    """
-    eta = g.vertex_path(v)
-    for idx, (m, n) in enumerate(pairs):
-        res = local_periodicity_at(g, eta.source_vertex, m, n)
-        if res.periodic:
-            raise ContractViolationError(
-                f"pair #{idx} {(m, n)!r} is periodic at {eta.source_vertex!r}"
-            )
-        eta = compose(eta, res.witness.lam)
-        if depth_limit is not None and sum(eta.degree) > depth_limit:
-            raise InconclusiveError(
-                f"chained prefix degree {eta.degree!r} exceeds depth limit {depth_limit}"
-            )
-    return eta

@@ -12,8 +12,6 @@ refuse skeletons that have not passed it.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContractViolationError
 
 
@@ -117,21 +115,3 @@ class Skeleton:
     def require_validated(self):
         if not self._validated:
             raise ContractViolationError("skeleton has not passed validation")
-
-    def vertex_matrices(self):
-        """One square matrix per color: entry (v, w) counts color-i edges v <- w.
-
-        Rows and columns follow sorted vertex order.  Entries are exact
-        Python ints (object dtype) so powers never overflow.
-        """
-        self.require_validated()
-        index = {v: i for i, v in enumerate(self.vertices)}
-        n = len(self.vertices)
-        mats = []
-        for color in range(1, self.k + 1):
-            m = np.zeros((n, n), dtype=object)
-            for eid, e in self.edges.items():
-                if e.color == color:
-                    m[index[e.range], index[e.source]] += 1
-            mats.append(m)
-        return mats

@@ -17,6 +17,13 @@ The `*_by_compose` functions are the path layers' definitions one cut
 at a time: a segment from two `factor` calls, an eventually periodic
 path unrolled one `compose` per loop copy, and cycle equality stepped
 on `EventuallyPeriodicPath` wrappers.
+
+The rest are test helpers that the library does not need.
+`vertex_matrices` gives the commuting vertex matrices of Kumjian and
+Pask (NYJM 2000) as exact int lists, and `core_dimensions` counts
+|Lambda^n v| through their products.  `ep_samples_unique` deduplicates
+sampled infinite paths, and `aperiodic_prefix` chains one separating
+witness per pair, the way the paper's proof builds an aperiodic path.
 """
 
 from collections import deque
@@ -24,6 +31,7 @@ from itertools import product
 
 from kgraph import (
     ZERO,
+    ContractViolationError,
     Degree,
     DegreeError,
     EventuallyPeriodicPath,
@@ -37,6 +45,7 @@ from kgraph import (
     factor,
     join,
     leq,
+    local_periodicity_at,
     segment,
     subtract,
 )
@@ -412,3 +421,68 @@ def cycles_equal_by_compose(cx, cy):
             ep_segment_by_compose(xb, block, add(block, b.degree)),
         )
     return True
+
+
+def vertex_matrices(skeleton):
+    """One matrix per color: entry (v, w) counts color-i edges v <- w.
+
+    Rows and columns follow sorted vertex order; a matrix is a list of
+    rows of Python ints, so products are exact.
+    """
+    skeleton.require_validated()
+    index = {v: i for i, v in enumerate(skeleton.vertices)}
+    size = len(skeleton.vertices)
+    mats = [[[0] * size for _ in range(size)] for _ in range(skeleton.k)]
+    for e in skeleton.edges.values():
+        mats[e.color - 1][index[e.range]][index[e.source]] += 1
+    return mats
+
+
+def matmul(a, b):
+    """Product of two square int matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def matrix_power(m, e):
+    out = [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+    for _ in range(e):
+        out = matmul(out, m)
+    return out
+
+
+def core_dimensions(g, n):
+    """|Lambda^n v| for every v: column sums of the product of matrix powers."""
+    g.require_rank(n)
+    acc = None
+    for m, power in zip(vertex_matrices(g.skeleton), n):
+        p = matrix_power(m, power)
+        acc = p if acc is None else matmul(acc, p)
+    return {v: sum(row[i] for row in acc) for i, v in enumerate(g.vertices)}
+
+
+def ep_samples_unique(g, v, prefix_bound, loop_bound):
+    """Like ep_samples but deduplicated by minimized representation."""
+    seen = set()
+    for x in ep_samples(g, v, prefix_bound, loop_bound):
+        m = x.minimized()
+        key = (m.prefix, m.loop)
+        if key not in seen:
+            seen.add(key)
+            yield m
+
+
+def aperiodic_prefix(g, v, pairs):
+    """Chain one separating witness per pair into a single path from v.
+
+    Raises if any pair turns out periodic at the reached vertex.
+    """
+    eta = g.vertex_path(v)
+    for idx, (m, n) in enumerate(pairs):
+        res = local_periodicity_at(g, eta.source_vertex, m, n)
+        if res.periodic:
+            raise ContractViolationError(
+                f"pair #{idx} {(m, n)!r} is periodic at {eta.source_vertex!r}"
+            )
+        eta = compose(eta, res.witness.lam)
+    return eta

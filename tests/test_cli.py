@@ -52,6 +52,14 @@ class TestFixtureCommand:
         assert proc.stdout == (FIXDIR / "T2.json").read_text()
 
 
+def test_import_loads_no_numpy():
+    # The library is stdlib-only; numpy alone would double the start-up time.
+    code = "import sys, kgraph, kgraph.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 class TestValidate:
     def test_valid_graph(self, capsys):
         code, data, _ = run_json(capsys, "validate", fixture_path("F"))

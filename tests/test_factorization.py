@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from kgraph import (
@@ -19,7 +18,14 @@ from kgraph.errors import CompositionError, DegreeError, ValidationError
 from kgraph.factorization import validate_cubes, validate_squares
 
 from generators import corpus, k3_products
-from oracles import degrees_up_to, iter_paths, normalize_by_schedule
+from oracles import (
+    degrees_up_to,
+    iter_paths,
+    matmul,
+    matrix_power,
+    normalize_by_schedule,
+    vertex_matrices,
+)
 
 
 def test_build_refuses_invalid_squares():
@@ -146,22 +152,15 @@ def test_three_segment_identity(f, d2):
                         assert compose(compose(first, mid), last) == lam
 
 
-def _matrix_power(m, e):
-    out = np.eye(m.shape[0], dtype=object)
-    for _ in range(e):
-        out = out @ m
-    return out
-
-
 def test_counting_identity_matrices_vs_enumeration():
     for g in _graph_corpus():
-        mats = g.skeleton.vertex_matrices()
+        mats = vertex_matrices(g.skeleton)
         index = {v: i for i, v in enumerate(g.vertices)}
         for n in degrees_up_to(Degree((2,) * g.k)):
             prod_matrix = None
             for color, m in enumerate(mats, start=1):
-                p = _matrix_power(m, n[color - 1])
-                prod_matrix = p if prod_matrix is None else prod_matrix @ p
+                p = matrix_power(m, n[color - 1])
+                prod_matrix = p if prod_matrix is None else matmul(prod_matrix, p)
             for v in g.vertices:
                 expected = sum(prod_matrix[index[v]])
                 assert len(g.paths_from(v, n)) == expected

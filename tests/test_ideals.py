@@ -13,7 +13,6 @@ from kgraph import (
     LimitExceededError,
     Skeleton,
     SquareTable,
-    core_dimensions,
     enumerate_sat_her,
     is_cofinal,
     is_hereditary,
@@ -25,6 +24,7 @@ from generators import corpus, disjoint_union, k3_products
 from oracles import (
     brute_force_sat_her_sets,
     cofinality_oracle,
+    core_dimensions,
     fixed_point_closure,
     least_singleton_obstruction,
 )

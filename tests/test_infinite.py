@@ -14,11 +14,12 @@ from kgraph import (
     ep_compose,
     ep_equal,
     ep_samples,
-    ep_samples_unique,
     ep_segment,
     ep_shift,
     zero,
 )
+
+from oracles import ep_samples_unique
 
 
 def ep(g, vertex, prefix_edges, loop_edges):

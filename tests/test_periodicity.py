@@ -7,13 +7,11 @@ from kgraph import (
     AperiodicityWitness,
     ContractViolationError,
     Degree,
-    InconclusiveError,
     KGraph,
     Periodic,
     PeriodicityTuple,
     Skeleton,
     SquareTable,
-    aperiodic_prefix,
     local_periodicity_at,
     periodicity_tuple,
     scan_aperiodicity,
@@ -23,8 +21,9 @@ from kgraph.degrees import positive_part
 from kgraph.periodicity import default_bound, signed_vectors
 from kgraph.skeleton import Edge
 
-from generators import corpus
+from generators import corpus, k3_products
 from oracles import (
+    aperiodic_prefix,
     brute_force_witness,
     brute_force_witness_full_box,
     condition_b_oracle,
@@ -101,6 +100,7 @@ class TestRefuteFirst:
         for g in corpus(200):
             by_rank[g.k].append(g)
         graphs = [t2, f, d, d2] + by_rank[1][:7] + by_rank[2][:7] + by_rank[3][:6]
+        graphs += k3_products(4)
         outcomes = set()
         for g in graphs:
             for v in g.vertices:
@@ -334,8 +334,3 @@ class TestAperiodicPrefix:
     def test_periodic_pair_refused(self, t2):
         with pytest.raises(ContractViolationError):
             aperiodic_prefix(t2, "v", [(deg(1, 0), deg(0, 1))])
-
-    def test_depth_limit(self, f):
-        pairs = [(deg(1, 0), deg(0, 0))] * 4
-        with pytest.raises(InconclusiveError):
-            aperiodic_prefix(f, "v", pairs, depth_limit=2)

@@ -1,10 +1,10 @@
-import numpy as np
 import pytest
 
 from kgraph import Edge, Skeleton
 from kgraph.errors import ContractViolationError
 
 from generators import corpus
+from oracles import matmul, vertex_matrices
 
 
 def _loops(k, v="v"):
@@ -79,10 +79,10 @@ def test_indexes_sorted_and_consistent():
 def test_vertex_matrices_require_validation():
     skel = Skeleton(2, ["v"], _loops(2))
     with pytest.raises(ContractViolationError):
-        skel.vertex_matrices()
+        vertex_matrices(skel)
     skel.validate()
-    m1, m2 = skel.vertex_matrices()
-    assert m1.tolist() == [[1]] and m2.tolist() == [[1]]
+    m1, m2 = vertex_matrices(skel)
+    assert m1 == [[1]] and m2 == [[1]]
 
 
 def test_matrix_counts_match_by_hand():
@@ -98,15 +98,15 @@ def test_matrix_counts_match_by_hand():
         ],
     )
     skel.validate()
-    m1, m2 = skel.vertex_matrices()
+    m1, m2 = vertex_matrices(skel)
     # vertex order is sorted: u, w
-    assert m1.tolist() == [[0, 2], [1, 0]]
-    assert m2.tolist() == [[1, 0], [0, 1]]
+    assert m1 == [[0, 2], [1, 0]]
+    assert m2 == [[1, 0], [0, 1]]
 
 
 def test_random_corpus_matrices_commute():
     for g in corpus(15):
-        mats = g.skeleton.vertex_matrices()
+        mats = vertex_matrices(g.skeleton)
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                assert np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
+                assert matmul(mats[i], mats[j]) == matmul(mats[j], mats[i])
