@@ -28,7 +28,7 @@ from .ideals import (
     vertex_set_to_json,
 )
 from .infinite import EventuallyPeriodicPath, _unrolled_cut, ep_compose, ep_equal, ep_samples
-from .periodicity import default_bound, scan_aperiodicity
+from .periodicity import resolve_bound, scan_aperiodicity
 
 
 class _Zero:
@@ -178,8 +178,7 @@ def _simplicity_verdict(g, bound, cof, scan):
 
 def is_simple(g, bound=None):
     """Cofinality first, then the bounded periodicity scan."""
-    if bound is None:
-        bound = default_bound(g)
+    bound = resolve_bound(g, bound)
     cof = is_cofinal(g)
     scan = scan_aperiodicity(g, bound) if cof.cofinal else None
     return _simplicity_verdict(g, bound, cof, scan)
@@ -235,8 +234,7 @@ def all_ideals_gauge_invariant(g, bound=None):
     full vertex set is not (no quotient remains).  Rows are ordered by
     (size, contents), and the offender is the first periodic row.
     """
-    if bound is None:
-        bound = default_bound(g)
+    bound = resolve_bound(g, bound)
     rows = []
     offender = None
     for h in enumerate_sat_her(g):
@@ -277,8 +275,7 @@ class AnalysisReport:
 def analyze(g, bound=None, source=None):
     """Run every decision at one bound and bundle the certificates."""
     start = time.monotonic()
-    if bound is None:
-        bound = default_bound(g)
+    bound = resolve_bound(g, bound)
     cof = is_cofinal(g)
     gauge = all_ideals_gauge_invariant(g, bound)
     # Row 0 is H = {}, whose quotient is g itself: that scan is g's scan.

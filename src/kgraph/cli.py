@@ -22,7 +22,7 @@ from .documents import (
     load_graph_document,
 )
 from .errors import ContractViolationError, DocumentError, LimitExceededError, ValidationError
-from .factorization import KGraph, validate_cubes, validate_squares
+from .factorization import KGraph, validation_reports
 from .fixtures import FIXTURE_NAMES, fixture_parts
 from .ideals import enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
 from .periodicity import scan_aperiodicity
@@ -106,11 +106,7 @@ def cmd_validate(args):
         skel, squares = load_graph_document(text)
     except DocumentError as exc:
         return _fail(exc.problems)
-    reports = [skel.validate()]
-    if reports[-1].ok:
-        reports.append(validate_squares(skel, squares))
-    if reports[-1].ok:
-        reports.append(validate_cubes(skel, squares))
+    reports = list(validation_reports(skel, squares))
     ok = all(r.ok for r in reports)
     _emit(
         {"verdict": "valid" if ok else "invalid", "reports": [r.to_json() for r in reports]},

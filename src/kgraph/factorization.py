@@ -19,6 +19,8 @@ defined and, for k >= 3, the cube condition checked below makes the
 result independent of swap order.  For k >= 4 coherence over all color
 triples is sufficient (higher cubes follow from the three-color ones);
 the test suite cross-checks this claim against two other swap schedules.
+`KGraph.paths_from` walks vLambda^n lazily in canonical (lexicographic)
+order and caches nothing: it holds one path and its pending edges.
 
 Equality of presentations with the abstract unique-factorization
 definition of a rank-k graph is a standard fact assumed here, not
@@ -183,6 +185,17 @@ def validate_cubes(skeleton, table):
     return ValidationReport("cubes", problems)
 
 
+def validation_reports(skeleton, squares):
+    """Skeleton, squares, then cubes: each report in turn, up to the first failure."""
+    report = skeleton.validate()
+    yield report
+    for check in (validate_squares, validate_cubes):
+        if not report.ok:
+            return
+        report = check(skeleton, squares)
+        yield report
+
+
 class Path:
     """A path in canonical (colors ascending) form.  Treat as immutable."""
 
@@ -229,21 +242,14 @@ class KGraph:
         self.squares = squares
         self.k = skeleton.k
         self._colors = {eid: e.color for eid, e in skeleton.edges.items()}
-        self._paths_from = {}
 
     _build_token = object()
 
     @classmethod
     def build(cls, skeleton, squares):
-        report = skeleton.validate()
-        if not report.ok:
-            raise ValidationError(report)
-        report = validate_squares(skeleton, squares)
-        if not report.ok:
-            raise ValidationError(report)
-        report = validate_cubes(skeleton, squares)
-        if not report.ok:
-            raise ValidationError(report)
+        for report in validation_reports(skeleton, squares):
+            if not report.ok:
+                raise ValidationError(report)
         return cls(skeleton, squares, _token=cls._build_token)
 
     @property
@@ -322,43 +328,34 @@ class KGraph:
     # -- enumeration ---------------------------------------------------
 
     def paths_from(self, v, n):
-        """All of vLambda^n: canonical paths with range v and degree n.
+        """vLambda^n, lazily: canonical paths with range v and degree n.
 
-        Enumeration order is lexicographic on the canonical edge-id
-        sequence; downstream "canonically least" choices rely on it.
-        Each (vertex, degree) key is cached.  A miss walks down n one
-        edge of the least remaining color at a time, collecting the
-        uncached keys of each level, then fills them from the deepest
-        level up, so no call recurses.
+        v and n are checked at the call; the paths then come one at a
+        time from a depth-first walk on an explicit stack (no recursion,
+        memory linear in |n|), and nothing is kept between calls.  The
+        order is lexicographic on the canonical edge-id sequence: each
+        position takes the least remaining color, then `out_edges` order.
+        Downstream "canonically least" choices rely on it.
         """
         self.require_vertex(v)
         self.require_rank(n)
-        cache = self._paths_from
-        key = (v, n)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        levels = []  # (degree, color, rest, vertices to fill), top level first
-        deg, todo = n, [v]
-        while todo and any(deg):
-            color = next(i + 1 for i, c in enumerate(deg) if c > 0)
-            rest = subtract(deg, unit(self.k, color))
-            levels.append((deg, color, rest, todo))
-            sources = dict.fromkeys(
-                self.edge(eid).source for u in todo for eid in self.skeleton.out_edges(u, color)
-            )
-            deg = rest
-            todo = [w for w in sources if (w, deg) not in cache]
-        for w in todo:  # deg is zero here
-            cache[(w, deg)] = (self.vertex_path(w),)
-        for level, color, rest, verts in reversed(levels):
-            for u in verts:
-                cache[(u, level)] = tuple(
-                    Path(self, u, tail.source_vertex, level, (eid,) + tail.edges)
-                    for eid in self.skeleton.out_edges(u, color)
-                    for tail in cache[(self.edge(eid).source, rest)]
-                )
-        return cache[key]
+        return self._walk(v, n)
+
+    def _walk(self, v, n):
+        word = [c for c, count in enumerate(n, 1) for _ in range(count)]
+        by_range, edges = self.skeleton.by_range, self.skeleton.edges
+        # Entries are (vertex, depth, edge into it), least edge pushed last;
+        # prefix[1:] leads to the entry just popped: memory linear in depth.
+        prefix, stack = [], [(v, 0, None)]
+        while stack:
+            at, depth, eid = stack.pop()
+            del prefix[depth:]
+            prefix.append(eid)
+            if depth == len(word):
+                yield Path(self, v, at, n, prefix[1:])
+                continue
+            for f in reversed(by_range.get((at, word[depth]), ())):
+                stack.append((edges[f].source, depth + 1, f))
 
 
 def _same_graph(*paths):

@@ -155,10 +155,12 @@ def ep_samples(g, v, prefix_bound, loop_bound):
     """
     g.require_vertex(v)
     k = g.k
+    cycles = {}  # prefix source vertex -> its cycles, in canonical order
     for pdeg in _iproduct(range(prefix_bound + 1), repeat=k):
         for rho in g.paths_from(v, pdeg):
             w = rho.source_vertex
-            for ldeg in _iproduct(range(1, loop_bound + 1), repeat=k):
-                for gam in g.paths_from(w, ldeg):
-                    if gam.source_vertex == w:
-                        yield EventuallyPeriodicPath(rho, gam)
+            if w not in cycles:
+                ldegs = _iproduct(range(1, loop_bound + 1), repeat=k)
+                cycles[w] = [c for d in ldegs for c in g.paths_from(w, d) if c.source_vertex == w]
+            for gam in cycles[w]:
+                yield EventuallyPeriodicPath(rho, gam)

@@ -261,6 +261,17 @@ def default_bound(g):
     return len(g.vertices) + max(per_color)
 
 
+def resolve_bound(g, bound):
+    """The scan bound to use: `default_bound(g)` for None, else checked in 1..MAX_ENTRY."""
+    if bound is None:
+        bound = default_bound(g)
+    if bound < 1:
+        raise ContractViolationError("scan bound must be >= 1")
+    if bound > MAX_ENTRY:
+        raise ContractViolationError(f"scan bound must be <= {MAX_ENTRY}")
+    return bound
+
+
 def signed_vectors(k, bound):
     """Nonzero vectors with entries in [-bound, bound], lexicographic."""
     for p in _iproduct(range(-bound, bound + 1), repeat=k):
@@ -277,12 +288,7 @@ def scan_aperiodicity(g, bound=None):
     (vertex, p) lexicographic order, or an AperiodicReport carrying one
     witness per (vertex, p).
     """
-    if bound is None:
-        bound = default_bound(g)
-    if bound < 1:
-        raise ContractViolationError("scan bound must be >= 1")
-    if bound > MAX_ENTRY:
-        raise ContractViolationError(f"scan bound must be <= {MAX_ENTRY}")
+    bound = resolve_bound(g, bound)
     entries = []
     for v in g.vertices:
         for p in signed_vectors(g.k, bound):
@@ -307,6 +313,6 @@ def periodicity_tuple(g, v, m, n):
 def _least_tuple(g, v, m, n):
     # The least mu and alpha; the caller has decided that (v, m, n) is periodic.
     j = join(m, n)
-    mu = g.paths_from(v, m)[0]
-    alpha = g.paths_from(mu.source_vertex, subtract(j, m))[0]
+    mu = next(g.paths_from(v, m))
+    alpha = next(g.paths_from(mu.source_vertex, subtract(j, m)))
     return PeriodicityTuple(v, m, n, mu, alpha)

@@ -4,8 +4,10 @@ The periodicity oracle enumerates finite paths outright (no pair
 propagation, no memoization) and looks for a separating pair of segments.
 Finding a witness proves aperiodicity; exhausting the depth box proves
 nothing, so the test harness treats oracle-no-witness plus a Periodic
-verdict as agreement.  Paths are generated without touching the library's
-caches so a bug there cannot mask itself.
+verdict as agreement.  Paths are generated without calling the library's
+enumerator so a bug there cannot mask itself; `paths_from_by_levels`
+builds vLambda^n in canonical order by filling levels bottom-up, which
+pins the order of `KGraph.paths_from`'s depth-first walk.
 
 Two oracles pin other facts: `refute_first_witness` runs the definition
 of the decision's canonical witness one seed at a time, and
@@ -48,6 +50,7 @@ from kgraph import (
     local_periodicity_at,
     segment,
     subtract,
+    unit,
 )
 
 
@@ -75,6 +78,37 @@ def iter_paths(g, v, n):
 
     for edge_ids, source in blocks(v, 1):
         yield Path(g, v, source, n, edge_ids)
+
+
+def paths_from_by_levels(g, v, n):
+    """vLambda^n in canonical order, filled level by level from the deepest.
+
+    The order `KGraph.paths_from` must walk in, built the other way round:
+    walk down n one edge of the least remaining color at a time, collecting
+    the (vertex, degree) keys of each level, then fill every key's tuple of
+    paths from the deepest level up, each from the tuples one level below.
+    """
+    table = {}
+    levels = []  # (degree, color, rest, vertices to fill), top level first
+    deg, todo = n, [v]
+    while any(deg):
+        color = next(i + 1 for i, c in enumerate(deg) if c > 0)
+        rest = subtract(deg, unit(g.k, color))
+        levels.append((deg, color, rest, todo))
+        todo = list(dict.fromkeys(
+            g.edge(eid).source for u in todo for eid in g.skeleton.out_edges(u, color)
+        ))
+        deg = rest
+    for w in todo:  # deg is zero here
+        table[(w, deg)] = (Path(g, w, w, deg, ()),)
+    for level, color, rest, verts in reversed(levels):
+        for u in verts:
+            table[(u, level)] = tuple(
+                Path(g, u, tail.source_vertex, level, (eid,) + tail.edges)
+                for eid in g.skeleton.out_edges(u, color)
+                for tail in table[(g.edge(eid).source, rest)]
+            )
+    return table[(v, n)]
 
 
 def degrees_up_to(max_degree):

@@ -110,8 +110,8 @@ def periodicity_survey():
                     if lam is not None:
                         disagreements.append((gi, v, m, n))
                         continue
-                    mu = g.paths_from(v, m)[0]
-                    alpha = g.paths_from(mu.source_vertex, subtract(join(m, n), m))[0]
+                    mu = next(g.paths_from(v, m))
+                    alpha = next(g.paths_from(mu.source_vertex, subtract(join(m, n), m)))
                     emitted.setdefault(gi, []).append(
                         PeriodicityTuple(v, m, n, mu, alpha)
                     )

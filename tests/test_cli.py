@@ -246,21 +246,28 @@ class TestUsageErrors:
         assert code == 3
         assert err.startswith("error: ")
 
-    def test_zero_bound_on_simple_exits_3(self, capsys):
-        code, _, err = run(capsys, "simple", fixture_path("F"), "--bound", "0")
+    # D is not cofinal, so `simple` never reaches its scan: the bound is
+    # checked before cofinality
+    @pytest.mark.parametrize("name", ["F", "D"])
+    def test_zero_bound_on_simple_exits_3(self, capsys, name):
+        code, _, err = run(capsys, "simple", fixture_path(name), "--bound", "0")
         assert code == 3
         assert err.startswith("error: ")
 
     # rejected before the scan builds a vector; the stub proves it
-    @pytest.mark.parametrize("command", ["aperiodic", "simple"])
-    def test_bound_past_max_entry_exits_3(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "command, name",
+        [("aperiodic", "T2"), ("simple", "T2"), ("simple", "D")],
+        ids=["aperiodic", "simple", "simple-D"],
+    )
+    def test_bound_past_max_entry_exits_3(self, capsys, monkeypatch, command, name):
         import kgraph.periodicity as periodicity
 
         def refuse(*args):
             raise AssertionError("the scan built difference vectors")
 
         monkeypatch.setattr(periodicity, "signed_vectors", refuse)
-        code, _, err = run(capsys, command, fixture_path("T2"), "--bound", "3000000000")
+        code, _, err = run(capsys, command, fixture_path(name), "--bound", "3000000000")
         assert code == 3
         assert err.startswith("error: ")
         assert "2147483647" in err

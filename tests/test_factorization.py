@@ -24,6 +24,7 @@ from oracles import (
     matmul,
     matrix_power,
     normalize_by_schedule,
+    paths_from_by_levels,
     vertex_matrices,
 )
 
@@ -115,9 +116,21 @@ def test_segment_t2(t2):
 
 
 def test_paths_from_t2_unique(t2):
-    found = t2.paths_from("v", Degree((1, 1)))
+    found = tuple(t2.paths_from("v", Degree((1, 1))))
     assert len(found) == 1
     assert found[0].edges == ("b", "r")
+
+
+def test_paths_from_walks_in_level_order():
+    box = {1: (6,), 2: (3, 3), 3: (2, 2, 2)}
+    graphs = [fixture(n) for n in ("T2", "F", "D", "D2")] + corpus(40) + k3_products(4)
+    checked = 0
+    for g in graphs:
+        for n in degrees_up_to(box[g.k]):
+            for v in g.vertices:
+                assert tuple(g.paths_from(v, n)) == paths_from_by_levels(g, v, n)
+                checked += 1
+    assert checked > 1_800
 
 
 def _graph_corpus():
@@ -163,7 +176,7 @@ def test_counting_identity_matrices_vs_enumeration():
                 prod_matrix = p if prod_matrix is None else matmul(prod_matrix, p)
             for v in g.vertices:
                 expected = sum(prod_matrix[index[v]])
-                assert len(g.paths_from(v, n)) == expected
+                assert len(tuple(g.paths_from(v, n))) == expected
 
 
 def _descending_form(g, lam):
@@ -227,8 +240,8 @@ def test_unique_factorization_exhaustive(f):
 
 
 def test_plain_tuple_degrees_checked_at_entry(f):
-    assert f.paths_from("v", (1, 1)) == f.paths_from("v", Degree((1, 1)))
-    lam = f.paths_from("v", (1, 1))[0]
+    assert tuple(f.paths_from("v", (1, 1))) == tuple(f.paths_from("v", Degree((1, 1))))
+    lam = next(f.paths_from("v", (1, 1)))
     with pytest.raises(DegreeError):
         f.paths_from("v", (0, -1))
     with pytest.raises(DegreeError):

@@ -1,5 +1,7 @@
 """Local periodicity decisions, certificates, and the bounded scan."""
 
+import tracemalloc
+
 import pytest
 
 from kgraph import (
@@ -12,6 +14,7 @@ from kgraph import (
     PeriodicityTuple,
     Skeleton,
     SquareTable,
+    fixture,
     local_periodicity_at,
     periodicity_tuple,
     scan_aperiodicity,
@@ -92,7 +95,7 @@ class TestRefuteFirst:
         monkeypatch.setattr(periodicity, "factor", counted)
         res = local_periodicity_at(f, "v", (5, 0), (0, 5))
         assert not res.periodic
-        assert len(calls) < len(f.paths_from("v", (5, 5)))
+        assert len(calls) < len(tuple(f.paths_from("v", (5, 5))))
 
     def test_witness_matches_the_definition(self, t2, f, d, d2):
         # Bound 3 covers the triples of bounds 1 and 2.
@@ -224,6 +227,18 @@ class TestScan:
         rep = scan_aperiodicity(t2, 1)
         assert rep.periodic
         assert len(calls) == 1
+
+    def test_deep_scan_memory_is_bounded(self):
+        # vLambda^(8,8) of F holds 2^16 paths; the scan must not hold them.
+        f = fixture("F")
+        tracemalloc.start()
+        try:
+            rep = scan_aperiodicity(f, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not rep.periodic
+        assert peak < 8_000_000
 
     def test_zero_bound_rejected(self, t2):
         with pytest.raises(ContractViolationError):
