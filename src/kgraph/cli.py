@@ -4,7 +4,7 @@ Exit codes are uniform across commands: 0 the property holds (or the
 command simply succeeded), 1 it fails and the report carries the
 certificate, 3 the input could not be used (unreadable file, malformed
 JSON, structural validation failure outside `validate` itself, bad
-flags).  No command exits 2.
+flags, input too big to fit in memory).  No command exits 2.
 
 Reports are JSON on standard output with sorted keys; --text renders the
 same object line for line as indented `key: value` text.
@@ -232,7 +232,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        pass  # report outside the handler, once the traceback's frames are freed
+    return _fail(["out of memory: the input is too big for this implementation"])
 
 
 if __name__ == "__main__":

@@ -19,6 +19,9 @@ defined and, for k >= 3, the cube condition checked below makes the
 result independent of swap order.  For k >= 4 coherence over all color
 triples is sufficient (higher cubes follow from the three-color ones);
 the test suite cross-checks this claim against two other swap schedules.
+Each triple c1 < c2 < c3 is checked once, from its ascending order: once
+the squares are bijections, the six orders of a triple form a hexagon
+whose loop maps are conjugate, so one order decides all six.
 `KGraph.paths_from` walks vLambda^n lazily in canonical (lexicographic)
 order and caches nothing: it holds one path and its pending edges.
 
@@ -125,62 +128,47 @@ def validate_squares(skeleton, table):
     return ValidationReport("squares", problems)
 
 
-def _swap(table, colors, a, b):
-    """Apply the square to adjacent edge ids (a, b); colors must differ."""
-    ca, cb = colors[a], colors[b]
-    if ca == cb:
-        raise ContractViolationError("cannot swap edges of equal color")
-    if ca < cb:
-        return table.forward[(a, b)]
-    return table.backward[(a, b)]
-
-
 def validate_cubes(skeleton, table):
-    """Check swap-order confluence on every three-distinct-color triple.
+    """Check swap-order confluence on every cube, once, from its ascending order.
 
-    For a composable triple (e1, e2, e3) whose colors are pairwise
-    distinct, reversing the color order by swaps at positions
-    (1,2),(0,1),(1,2) must agree with swapping at (0,1),(1,2),(0,1).
-    Trivially true for k < 3.
+    For a composable triple (e1, e2, e3) with colors c1 < c2 < c3,
+    reversing the color order by swaps at positions (1,2),(0,1),(1,2)
+    must agree with swapping at (0,1),(1,2),(0,1).  The two schedules are
+    the two halves of the hexagon whose corners are the six orders of the
+    three colors.  Precondition: `validate_squares` has passed, so every
+    square is a bijection of composable pairs.  Each swap then carries the
+    triples of one order bijectively onto those of the next, so the loop
+    around the hexagon at any order is conjugate to the loop at the
+    ascending order, and it is the identity at one order exactly when it
+    is at all six.  From the ascending order every swap is of an
+    ascending pair, a plain `table.forward` lookup.  Called without the
+    precondition, a missing lookup is reported, not raised.  Trivially
+    true for k < 3.
     """
     skeleton.require_validated()
     problems = []
-    if skeleton.k < 3:
-        return ValidationReport("cubes", problems)
-    colors = {eid: e.color for eid, e in skeleton.edges.items()}
-
-    def swap(a, b):
-        return _swap(table, colors, a, b)
-
-    for e1 in sorted(skeleton.edges):
-        color1 = colors[e1]
-        for color2 in range(1, skeleton.k + 1):
-            if color2 == color1:
-                continue
-            for e2 in skeleton.out_edges(skeleton.edge(e1).source, color2):
-                for color3 in range(1, skeleton.k + 1):
-                    if color3 in (color1, color2):
-                        continue
-                    for e3 in skeleton.out_edges(skeleton.edge(e2).source, color3):
+    k, edges, by_range, fwd = skeleton.k, skeleton.edges, skeleton.by_range, table.forward
+    for e1 in sorted(edges):
+        for color2 in range(edges[e1].color + 1, k + 1):
+            for e2 in by_range.get((edges[e1].source, color2), ()):
+                for color3 in range(color2 + 1, k + 1):
+                    for e3 in by_range.get((edges[e2].source, color3), ()):
                         try:
-                            a, b, c = e1, e2, e3
-                            b1, c1 = swap(b, c)
-                            a1, b2 = swap(a, b1)
-                            c2, b3 = swap(b2, c1)
-                            route1 = (a1, c2, b3)
-                            x1, y1 = swap(a, b)
-                            y2, z1 = swap(y1, c)
-                            x2, y3 = swap(x1, y2)
-                            route2 = (x2, y3, z1)
+                            b1, c1 = fwd[(e2, e3)]
+                            a1, b2 = fwd[(e1, b1)]
+                            c2, b3 = fwd[(b2, c1)]
+                            x1, y1 = fwd[(e1, e2)]
+                            y2, z1 = fwd[(y1, e3)]
+                            x2, y3 = fwd[(x1, y2)]
                         except KeyError as missing:
                             problems.append(
                                 f"cube ({e1},{e2},{e3}): square lookup failed for {missing}"
                             )
                             continue
-                        if route1 != route2:
+                        if (a1, c2, b3) != (x2, y3, z1):
                             problems.append(
                                 f"cube ({e1},{e2},{e3}): swap schedules disagree "
-                                f"({route1!r} vs {route2!r})"
+                                f"({(a1, c2, b3)!r} vs {(x2, y3, z1)!r})"
                             )
     return ValidationReport("cubes", problems)
 
@@ -279,7 +267,13 @@ class KGraph:
         return Path(self, e.range, e.source, unit(self.k, e.color), (eid,))
 
     def _swap(self, a, b):
-        return _swap(self.squares, self._colors, a, b)
+        """Apply the square to adjacent edge ids (a, b); colors must differ."""
+        ca, cb = self._colors[a], self._colors[b]
+        if ca == cb:
+            raise ContractViolationError("cannot swap edges of equal color")
+        if ca < cb:
+            return self.squares.forward[(a, b)]
+        return self.squares.backward[(a, b)]
 
     def _rewrite(self, seq, *degrees):
         """Swap a composable edge sequence into the color word of `degrees`.

@@ -14,12 +14,16 @@ k = 3   every color is functional (exactly one out-edge per vertex) with
 
 `twisted_product_k3` adds k = 3 graphs with non-trivial cubes: products
 of 1-graphs with parallel edges, twisted in colors (1, 2).
+`twisted_product_k2` is the k = 2 product of two such 1-graphs: its
+vertex matrices commute but are not equal.
+`exchanged_tables` mutates a valid square table into others that are
+still bijections but may break cubes.
 `disjoint_union` puts graphs of one rank side by side, which gives a
 graph several terminal components.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from kgraph import Edge, KGraph, Skeleton, SquareTable
 
@@ -125,18 +129,15 @@ def _one_graph(rng, tag, nv):
     return verts, [(f"{tag}e{i}", r, s) for i, (r, s) in enumerate(pairs)]
 
 
-def twisted_product_k3(seed):
-    """(E x_tau F) x G for random 1-graphs E, F, G, each with a parallel pair.
+def _twisted_product(rng, factors):
+    """The product of the 1-graphs `factors`, twisted in colors (1, 2).
 
-    A vertex is a coordinate triple and a color-i edge has its factor edge
+    A vertex is a coordinate tuple and a color-i edge has its factor edge
     in coordinate i.  For colors i < j the square swaps the two factor
-    edges, except that in colors (1, 2) the image's E-edge is tau(e), the
-    next edge of e's parallel class, for f in a random nonempty set of
-    F-edges.  The parallel edges make squares and cubes non-trivial; the
-    cubes commute because a 2-graph times a 1-graph is a 3-graph.
+    edges, except that in colors (1, 2) the image's first-factor edge is
+    tau(e), the next edge of e's parallel class, for f in a random
+    nonempty set of second-factor edges.
     """
-    rng = random.Random(seed)
-    factors = [_one_graph(rng, tag, rng.randint(1, 2)) for tag in "xyz"]
     classes = {}
     for eid, r, s in factors[0][1]:
         classes.setdefault((r, s), []).append(eid)
@@ -156,7 +157,7 @@ def twisted_product_k3(seed):
         if p[i] == r
     ]
     entries = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
+    for i, j in combinations(range(len(factors)), 2):
         for eid, er, es in factors[i][1]:
             for fid, fr, fs in factors[j][1]:
                 e2 = tau[eid] if (i, j) == (0, 1) and fid in twisted else eid
@@ -164,11 +165,55 @@ def twisted_product_k3(seed):
                     if p[i] == er and p[j] == fr:
                         pair = (at(p, {i: eid}), at(p, {i: es, j: fid}))
                         entries.append((pair, (at(p, {j: fid}), at(p, {i: e2, j: fs}))))
-    return KGraph.build(Skeleton(3, [at(p, {}) for p in points], edges), SquareTable(entries))
+    skeleton = Skeleton(len(factors), [at(p, {}) for p in points], edges)
+    return KGraph.build(skeleton, SquareTable(entries))
+
+
+def twisted_product_k2(seed):
+    """E x_tau F for random 1-graphs E on two vertices and F, each with a parallel pair.
+
+    The vertex matrices A_E (x) I and I (x) A_F commute, and they are
+    equal only if A_E and A_F are one multiple of the identity.  A_E is
+    not: its two rows (the edges with range at each vertex) sum to 2 and 1.
+    """
+    rng = random.Random(seed)
+    return _twisted_product(rng, [_one_graph(rng, "x", 2), _one_graph(rng, "y", rng.randint(1, 2))])
+
+
+def twisted_product_k3(seed):
+    """(E x_tau F) x G for random 1-graphs E, F, G, each with a parallel pair.
+
+    The parallel edges make squares and cubes non-trivial; the cubes
+    commute because a 2-graph times a 1-graph is a 3-graph.
+    """
+    rng = random.Random(seed)
+    return _twisted_product(rng, [_one_graph(rng, tag, rng.randint(1, 2)) for tag in "xyz"])
+
+
+def k2_products(count, base_seed=20261018):
+    return [twisted_product_k2(base_seed + i) for i in range(count)]
 
 
 def k3_products(count, base_seed=20261018):
     return [twisted_product_k3(base_seed + i) for i in range(count)]
+
+
+def exchanged_tables(g):
+    """Square tables of g with the images of two squares in one block exchanged.
+
+    A block is the squares of one color pair sharing range and source;
+    every pair of squares in each block is exchanged in turn.
+    """
+    skel, entries = g.skeleton, g.squares.entries
+    blocks = {}
+    for idx, ((a, b), _) in enumerate(entries):
+        key = (skel.edge(a).color, skel.edge(b).color, skel.edge(a).range, skel.edge(b).source)
+        blocks.setdefault(key, []).append(idx)
+    for ids in blocks.values():
+        for i, j in combinations(ids, 2):
+            swapped = list(entries)
+            swapped[i], swapped[j] = (entries[i][0], entries[j][1]), (entries[j][0], entries[i][1])
+            yield SquareTable(swapped)
 
 
 def disjoint_union(graphs):

@@ -18,7 +18,9 @@ literally: whole-graph passes to a fixpoint, one closure per vertex.
 The `*_by_compose` functions are the path layers' definitions one cut
 at a time: a segment from two `factor` calls, an eventually periodic
 path unrolled one `compose` per loop copy, and cycle equality stepped
-on `EventuallyPeriodicPath` wrappers.
+on `EventuallyPeriodicPath` wrappers.  `validate_cubes_all_orders` is
+the cube check run from every one of a triple's six color orders, with
+backward square lookups for descending pairs.
 
 The rest are test helpers that the library does not need.
 `vertex_matrices` gives the commuting vertex matrices of Kumjian and
@@ -52,6 +54,7 @@ from kgraph import (
     subtract,
     unit,
 )
+from kgraph.skeleton import ValidationReport
 
 
 def _chains(g, v, color, length):
@@ -310,6 +313,48 @@ def normalize_by_schedule(g, edge_ids, schedule):
         i = schedule(spots)
         arr[i], arr[i + 1] = g._swap(arr[i], arr[i + 1])
     return tuple(arr)
+
+
+def validate_cubes_all_orders(skeleton, table):
+    """Swap-order confluence on every composable triple of three distinct colors.
+
+    Every color order of every cube is checked: reversing the order by
+    swaps at positions (1,2),(0,1),(1,2) must agree with swapping at
+    (0,1),(1,2),(0,1).  A swap of a descending pair looks up
+    `table.backward`.  Trivially true for k < 3.
+    """
+    skeleton.require_validated()
+    problems = []
+    colors = {eid: e.color for eid, e in skeleton.edges.items()}
+
+    def swap(a, b):
+        return (table.forward if colors[a] < colors[b] else table.backward)[(a, b)]
+
+    for e1 in sorted(skeleton.edges):
+        for color2 in range(1, skeleton.k + 1):
+            if color2 == colors[e1]:
+                continue
+            for e2 in skeleton.out_edges(skeleton.edge(e1).source, color2):
+                for color3 in range(1, skeleton.k + 1):
+                    if color3 in (colors[e1], color2):
+                        continue
+                    for e3 in skeleton.out_edges(skeleton.edge(e2).source, color3):
+                        try:
+                            b1, c1 = swap(e2, e3)
+                            a1, b2 = swap(e1, b1)
+                            c2, b3 = swap(b2, c1)
+                            x1, y1 = swap(e1, e2)
+                            y2, z1 = swap(y1, e3)
+                            x2, y3 = swap(x1, y2)
+                        except KeyError as missing:
+                            problems.append(f"cube ({e1},{e2},{e3}): square lookup failed for {missing}")
+                            continue
+                        if (a1, c2, b3) != (x2, y3, z1):
+                            problems.append(
+                                f"cube ({e1},{e2},{e3}): swap schedules disagree "
+                                f"({(a1, c2, b3)!r} vs {(x2, y3, z1)!r})"
+                            )
+    return ValidationReport("cubes", problems)
 
 
 def condition_b_oracle(g, v, depth):

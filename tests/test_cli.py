@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgraph.cli import main, render_text
+from kgraph.documents import canonical_json, dump_graph_document
+
+from generators import exchanged_tables, k3_products
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -98,6 +101,23 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 3
         assert "error:" in err
+
+    def test_broken_cube_is_named_by_its_ascending_order(self, capsys, tmp_path):
+        # Exchanging the images of two squares in one block of a k = 3
+        # product keeps every square a bijection but breaks some cubes.
+        g = k3_products(1)[0]
+        table = next(exchanged_tables(g))
+        bad = tmp_path / "bad.json"
+        bad.write_text(canonical_json(dump_graph_document(g.skeleton, table)))
+        code, data, _ = run_json(capsys, "validate", str(bad))
+        assert code == 1
+        assert data["verdict"] == "invalid"
+        skeleton_report, squares_report, cubes_report = data["reports"]
+        assert skeleton_report["ok"] and squares_report["ok"]
+        assert not cubes_report["ok"]
+        for problem in cubes_report["violations"]:
+            triple = problem[len("cube (") : problem.index(")")].split(",")
+            assert [g.edge(e).color for e in triple] == [1, 2, 3], problem
 
 
 class TestScans:
@@ -271,6 +291,22 @@ class TestUsageErrors:
         assert code == 3
         assert err.startswith("error: ")
         assert "2147483647" in err
+
+
+def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
+    # Exit 1 means "fails, certificate attached"; running out of memory
+    # is input too big for the implementation.
+    import kgraph.cli as cli
+
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "scan_aperiodicity", exhaust)
+    code, out, err = run(capsys, "aperiodic", fixture_path("F"), "--bound", "10000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
 
 
 class TestTextRendering:

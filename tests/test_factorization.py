@@ -17,7 +17,7 @@ from kgraph import (
 from kgraph.errors import CompositionError, DegreeError, ValidationError
 from kgraph.factorization import validate_cubes, validate_squares
 
-from generators import corpus, k3_products
+from generators import corpus, exchanged_tables, k3_products
 from oracles import (
     degrees_up_to,
     iter_paths,
@@ -25,6 +25,7 @@ from oracles import (
     matrix_power,
     normalize_by_schedule,
     paths_from_by_levels,
+    validate_cubes_all_orders,
     vertex_matrices,
 )
 
@@ -208,19 +209,24 @@ def test_k3_products_have_non_trivial_cubes():
     # Exchanging the images of two squares in one block keeps a valid
     # square table but breaks some cube, so the cubes constrain the table.
     for g in k3_products(6):
-        skel, entries = g.skeleton, g.squares.entries
-        blocks = {}
-        for idx, ((a, b), _) in enumerate(entries):
-            key = (skel.edge(a).color, skel.edge(b).color, skel.edge(a).range, skel.edge(b).source)
-            blocks.setdefault(key, []).append(idx)
         broken = False
-        for i, j, *_ in (ids for ids in blocks.values() if len(ids) > 1):
-            swapped = list(entries)
-            swapped[i], swapped[j] = (entries[i][0], entries[j][1]), (entries[j][0], entries[i][1])
-            table = SquareTable(swapped)
-            assert validate_squares(skel, table).ok
-            broken = broken or not validate_cubes(skel, table).ok
+        for table in exchanged_tables(g):
+            assert validate_squares(g.skeleton, table).ok
+            broken = broken or not validate_cubes(g.skeleton, table).ok
         assert broken
+
+
+def test_ascending_cube_check_matches_all_orders():
+    # One color order per cube decides the same as all six, on valid
+    # tables and on tables with one exchanged pair of square images.
+    outcomes = []
+    for g in k3_products(6):
+        for table in (g.squares, *exchanged_tables(g)):
+            assert validate_squares(g.skeleton, table).ok
+            ok = validate_cubes(g.skeleton, table).ok
+            assert ok == validate_cubes_all_orders(g.skeleton, table).ok
+            outcomes.append(ok)
+    assert set(outcomes) == {True, False}
 
 
 def test_unique_factorization_exhaustive(f):

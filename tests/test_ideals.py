@@ -20,7 +20,7 @@ from kgraph import (
     quotient,
     sat_her_closure,
 )
-from generators import corpus, disjoint_union, k3_products
+from generators import corpus, disjoint_union, k2_products, k3_products
 from oracles import (
     brute_force_sat_her_sets,
     cofinality_oracle,
@@ -175,7 +175,8 @@ class TestCofinality:
         assert not cofinality_oracle(d2, 2)
 
     def test_oracle_on_corpus(self):
-        for g in corpus(40):
+        # k2_products: commuting but unequal vertex matrices
+        for g in corpus(40) + k2_products(4):
             assert cofinality_oracle(g, 2) == is_cofinal(g).cofinal
 
     def test_matches_singleton_definition(self, t2, f, d, d2):

@@ -24,7 +24,7 @@ from kgraph.degrees import positive_part
 from kgraph.periodicity import default_bound, signed_vectors
 from kgraph.skeleton import Edge
 
-from generators import corpus, k3_products
+from generators import corpus, k2_products, k3_products
 from oracles import (
     aperiodic_prefix,
     brute_force_witness,
@@ -103,7 +103,7 @@ class TestRefuteFirst:
         for g in corpus(200):
             by_rank[g.k].append(g)
         graphs = [t2, f, d, d2] + by_rank[1][:7] + by_rank[2][:7] + by_rank[3][:6]
-        graphs += k3_products(4)
+        graphs += k2_products(4) + k3_products(4)
         outcomes = set()
         for g in graphs:
             for v in g.vertices:
