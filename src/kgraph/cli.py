@@ -2,9 +2,20 @@
 
 Exit codes are uniform across commands: 0 the property holds (or the
 command simply succeeded), 1 it fails and the report carries the
-certificate, 3 the input could not be used (unreadable file, malformed
-JSON, structural validation failure outside `validate` itself, bad
-flags, input too big to fit in memory).  No command exits 2.
+certificate, 3 the input could not be used.  No command exits 2.  Each
+`cmd_*` returns its report and whether the property holds, and raises
+on unusable input; `main` alone turns that into an exit code.  Exit 3,
+with one `error:` line per problem on standard error, covers:
+
+- bad flags (argparse usage errors);
+- a file that cannot be read, or bytes that are not UTF-8;
+- malformed JSON, or JSON nested too deeply to parse;
+- a document of the wrong shape (`DocumentError`);
+- a structural validation failure outside `validate` (`ValidationError`);
+- a scan bound out of range (`ContractViolationError`);
+- a `quotient --set` name that is not a vertex;
+- an `ideals` graph over the vertex limit (`LimitExceededError`);
+- input too big to fit in memory (`MemoryError`).
 
 Reports are JSON on standard output with sorted keys; --text renders the
 same object line for line as indented `key: value` text.
@@ -15,17 +26,14 @@ import json
 import sys
 
 from .analysis import is_simple
-from .documents import (
-    canonical_json,
-    dump_graph_document,
-    graph_from_json,
-    load_graph_document,
-)
+from .documents import canonical_json, dump_graph_document, load_graph_document
 from .errors import ContractViolationError, DocumentError, LimitExceededError, ValidationError
 from .factorization import KGraph, validation_reports
 from .fixtures import FIXTURE_NAMES, fixture_parts
 from .ideals import enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
 from .periodicity import scan_aperiodicity
+
+_OUT_OF_MEMORY = ("out of memory: the input is too big for this implementation",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,13 +41,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
-
-
-def _read(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _scalar(v):
@@ -70,120 +71,60 @@ def render_text(obj, indent=0):
     return lines
 
 
-def _emit(report, as_text):
-    if as_text:
-        sys.stdout.write("\n".join(render_text(report)) + "\n")
-    else:
-        sys.stdout.write(canonical_json(report))
-
-
-def _fail(problems):
-    for p in problems:
-        sys.stderr.write(f"error: {p}\n")
-    return 3
-
-
-def _load_graph(path):
-    """Validated KGraph, or an exit code after printing diagnostics."""
+def _read_document(path):
+    """(Skeleton, SquareTable) from a file, or from standard input for `-`."""
     try:
-        text = _read(path)
-    except OSError as exc:
-        return _fail([f"{path}: {exc.strerror or exc}"])
-    try:
-        return graph_from_json(text)
-    except DocumentError as exc:
-        return _fail(exc.problems)
-    except ValidationError as exc:
-        return _fail(exc.report.violations)
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError([f"{path}: {getattr(exc, 'strerror', None) or exc}"]) from None
+    return load_graph_document(text)
 
 
 def cmd_validate(args):
-    try:
-        text = _read(args.file)
-    except OSError as exc:
-        return _fail([f"{args.file}: {exc.strerror or exc}"])
-    try:
-        skel, squares = load_graph_document(text)
-    except DocumentError as exc:
-        return _fail(exc.problems)
-    reports = list(validation_reports(skel, squares))
+    reports = list(validation_reports(*_read_document(args.file)))
     ok = all(r.ok for r in reports)
-    _emit(
-        {"verdict": "valid" if ok else "invalid", "reports": [r.to_json() for r in reports]},
-        args.text,
-    )
-    return 0 if ok else 1
+    return {"verdict": "valid" if ok else "invalid", "reports": [r.to_json() for r in reports]}, ok
 
 
 def cmd_aperiodic(args):
-    g = _load_graph(args.file)
-    if not isinstance(g, KGraph):
-        return g
-    try:
-        scan = scan_aperiodicity(g, args.bound)
-    except ContractViolationError as exc:
-        return _fail([str(exc)])
-    _emit(scan.to_json(), args.text)
-    return 0 if not scan.periodic else 1
+    scan = scan_aperiodicity(KGraph.build(*_read_document(args.file)), args.bound)
+    return scan.to_json(), not scan.periodic
 
 
 def cmd_cofinal(args):
-    g = _load_graph(args.file)
-    if not isinstance(g, KGraph):
-        return g
-    verdict = is_cofinal(g)
-    _emit(verdict.to_json(), args.text)
-    return 0 if verdict.cofinal else 1
+    verdict = is_cofinal(KGraph.build(*_read_document(args.file)))
+    return verdict.to_json(), verdict.cofinal
 
 
 def cmd_simple(args):
-    g = _load_graph(args.file)
-    if not isinstance(g, KGraph):
-        return g
-    try:
-        verdict = is_simple(g, args.bound)
-    except ContractViolationError as exc:
-        return _fail([str(exc)])
-    _emit(verdict.to_json(), args.text)
-    return 0 if verdict.status == "simple" else 1
+    verdict = is_simple(KGraph.build(*_read_document(args.file)), args.bound)
+    return verdict.to_json(), verdict.status == "simple"
 
 
 def cmd_ideals(args):
-    g = _load_graph(args.file)
-    if not isinstance(g, KGraph):
-        return g
-    try:
-        sets = enumerate_sat_her(g)
-    except LimitExceededError as exc:
-        return _fail([str(exc)])
-    _emit(
-        {"count": len(sets), "sets": [vertex_set_to_json(h) for h in sets]},
-        args.text,
-    )
-    return 0
+    sets = enumerate_sat_her(KGraph.build(*_read_document(args.file)))
+    return {"count": len(sets), "sets": [vertex_set_to_json(h) for h in sets]}, True
 
 
 def cmd_quotient(args):
-    g = _load_graph(args.file)
-    if not isinstance(g, KGraph):
-        return g
+    g = KGraph.build(*_read_document(args.file))
     names = [s.strip() for s in args.set.split(",") if s.strip()]
     unknown = [v for v in names if not g.skeleton.has_vertex(v)]
     if unknown:
-        return _fail([f"unknown vertex {v!r}" for v in unknown])
+        raise DocumentError([f"unknown vertex {v!r}" for v in unknown])
     try:
         sub = quotient(g, names)
     except ContractViolationError as exc:
-        _emit({"verdict": "error", "message": str(exc)}, args.text)
-        return 1
-    _emit(dump_graph_document(sub.skeleton, sub.squares), args.text)
-    return 0
+        return {"verdict": "error", "message": str(exc)}, False
+    return dump_graph_document(sub.skeleton, sub.squares), True
 
 
 def cmd_fixture(args):
-    skel, squares = fixture_parts(args.name)
-    _emit(dump_graph_document(skel, squares), args.text)
-    return 0
+    return dump_graph_document(*fixture_parts(args.name)), True
 
 
 def _add_common(sub, bound=False):
@@ -231,12 +172,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code: 0 holds, 1 fails, 3 unusable input."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, holds = args.func(args)
+        out = "\n".join(render_text(report)) + "\n" if args.text else canonical_json(report)
+    except DocumentError as exc:
+        problems = exc.problems
+    except ValidationError as exc:
+        problems = exc.report.violations
+    except (ContractViolationError, LimitExceededError) as exc:
+        problems = [str(exc)]
     except MemoryError:
-        pass  # report outside the handler, once the traceback's frames are freed
-    return _fail(["out of memory: the input is too big for this implementation"])
+        # No allocation in the handler; the report waits until the traceback's frames are freed.
+        problems = _OUT_OF_MEMORY
+    else:
+        sys.stdout.write(out)
+        return 0 if holds else 1
+    for p in problems:
+        sys.stderr.write(f"error: {p}\n")
+    return 3
 
 
 if __name__ == "__main__":

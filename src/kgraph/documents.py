@@ -10,7 +10,8 @@ The document shape is fixed:
     }
 
 This layer checks shape and types only and reports every problem it finds
-at once, each addressed to the field it concerns ("edges[3].color: ...").
+at once, each addressed to the field it concerns ("edges[3].color: ...");
+JSON nested deeper than the decoder can follow is one "document:" problem.
 Structural soundness (colors in range, endpoints exist, square table laws)
 is the job of the validation pass behind KGraph.build.
 """
@@ -23,6 +24,7 @@ from .skeleton import Edge, Skeleton
 
 _TOP_KEYS = ("k", "vertices", "edges", "squares")
 _EDGE_KEYS = ("id", "color", "range", "source")
+_SQUARE_KEYS = ("pair", "image")
 
 
 def _is_int(x):
@@ -30,25 +32,39 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_id_pair(row, key, problems, where):
-    val = row.get(key)
-    if not (isinstance(val, list) and len(val) == 2 and all(isinstance(s, str) for s in val)):
-        problems.append(f"{where}.{key}: expected a pair of edge ids, got {val!r}")
-        return None
-    return tuple(val)
+def _has_keys(obj, keys, where, problems):
+    """Report each key of `keys` that obj lacks and each it has beyond them."""
+    ok = True
+    for key in keys:
+        if key not in obj:
+            problems.append(f"{where}: missing key {key!r}")
+            ok = False
+    for key in sorted(set(obj) - set(keys)):
+        problems.append(f"{where}: unknown key {key!r}")
+        ok = False
+    return ok
+
+
+def _rows(data, name, keys, problems):
+    """Yield (address, row) for each row of data[name] that is an object with exactly `keys`."""
+    rows = data[name]
+    if not isinstance(rows, list):
+        problems.append(f"{name}: expected a list")
+        return
+    for i, row in enumerate(rows):
+        where = f"{name}[{i}]"
+        if not isinstance(row, dict):
+            problems.append(f"{where}: expected an object")
+        elif _has_keys(row, keys, where, problems):
+            yield where, row
 
 
 def parse_graph_document(data):
     """Dict -> (Skeleton, SquareTable), or DocumentError listing every problem."""
-    problems = []
     if not isinstance(data, dict):
         raise DocumentError([f"document: expected a JSON object, got {type(data).__name__}"])
-    for key in _TOP_KEYS:
-        if key not in data:
-            problems.append(f"document: missing key {key!r}")
-    for key in sorted(set(data) - set(_TOP_KEYS)):
-        problems.append(f"document: unknown key {key!r}")
-    if problems:
+    problems = []
+    if not _has_keys(data, _TOP_KEYS, "document", problems):
         raise DocumentError(problems)
 
     k = data["k"]
@@ -67,73 +83,44 @@ def parse_graph_document(data):
                 problems.append(f"vertices: duplicate id {v!r}")
             seen.add(v)
 
-    edges = []
-    raw_edges = data["edges"]
-    if not isinstance(raw_edges, list):
-        problems.append("edges: expected a list")
-        raw_edges = []
-    edge_ids = set()
-    for i, row in enumerate(raw_edges):
-        where = f"edges[{i}]"
-        if not isinstance(row, dict):
-            problems.append(f"{where}: expected an object")
-            continue
+    edges = {}
+    for where, row in _rows(data, "edges", _EDGE_KEYS, problems):
+        eid, color, rng, src = row["id"], row["color"], row["range"], row["source"]
         bad = False
-        for key in _EDGE_KEYS:
-            if key not in row:
-                problems.append(f"{where}: missing key {key!r}")
-                bad = True
-        for key in sorted(set(row) - set(_EDGE_KEYS)):
-            problems.append(f"{where}: unknown key {key!r}")
+        if not isinstance(eid, str):
+            problems.append(f"{where}.id: expected a string, got {eid!r}")
+            bad = True
+        if not _is_int(color):
+            problems.append(f"{where}.color: expected an integer, got {color!r}")
+            bad = True
+        if not isinstance(rng, str):
+            problems.append(f"{where}.range: expected a string, got {rng!r}")
+            bad = True
+        if not isinstance(src, str):
+            problems.append(f"{where}.source: expected a string, got {src!r}")
             bad = True
         if bad:
             continue
-        if not isinstance(row["id"], str):
-            problems.append(f"{where}.id: expected a string, got {row['id']!r}")
-            bad = True
-        if not _is_int(row["color"]):
-            problems.append(f"{where}.color: expected an integer, got {row['color']!r}")
-            bad = True
-        for key in ("range", "source"):
-            if not isinstance(row[key], str):
-                problems.append(f"{where}.{key}: expected a string, got {row[key]!r}")
-                bad = True
-        if bad:
+        if eid in edges:
+            problems.append(f"{where}.id: duplicate edge id {eid!r}")
             continue
-        if row["id"] in edge_ids:
-            problems.append(f"{where}.id: duplicate edge id {row['id']!r}")
-            continue
-        edge_ids.add(row["id"])
-        edges.append(Edge(row["id"], row["color"], row["range"], row["source"]))
+        edges[eid] = Edge(eid, color, rng, src)
 
     entries = []
-    raw_squares = data["squares"]
-    if not isinstance(raw_squares, list):
-        problems.append("squares: expected a list")
-        raw_squares = []
-    for i, row in enumerate(raw_squares):
-        where = f"squares[{i}]"
-        if not isinstance(row, dict):
-            problems.append(f"{where}: expected an object")
-            continue
+    for where, row in _rows(data, "squares", _SQUARE_KEYS, problems):
         bad = False
-        for key in ("pair", "image"):
-            if key not in row:
-                problems.append(f"{where}: missing key {key!r}")
+        for key in _SQUARE_KEYS:
+            val = row[key]
+            if not (isinstance(val, list) and len(val) == 2
+                    and isinstance(val[0], str) and isinstance(val[1], str)):
+                problems.append(f"{where}.{key}: expected a pair of edge ids, got {val!r}")
                 bad = True
-        for key in sorted(set(row) - {"pair", "image"}):
-            problems.append(f"{where}: unknown key {key!r}")
-            bad = True
-        if bad:
-            continue
-        pair = _check_id_pair(row, "pair", problems, where)
-        image = _check_id_pair(row, "image", problems, where)
-        if pair is not None and image is not None:
-            entries.append((pair, image))
+        if not bad:
+            entries.append((tuple(row["pair"]), tuple(row["image"])))
 
     if problems:
         raise DocumentError(problems)
-    return Skeleton(k, vertices, edges), SquareTable(entries)
+    return Skeleton(k, vertices, edges.values()), SquareTable(entries)
 
 
 def load_graph_document(text):
@@ -142,6 +129,8 @@ def load_graph_document(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError([f"line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
+    except RecursionError:
+        raise DocumentError(["document: nested too deeply to parse"]) from None
     return parse_graph_document(data)
 
 

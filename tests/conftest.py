@@ -7,7 +7,7 @@ from kgraph import fixture
 CRITERIA = {
     1: "factorization soundness (fixtures + random corpus, |d| <= 4)",
     2: "vertex matrices commute pairwise",
-    3: "periodicity decision vs brute-force oracle, entries <= 2, depth 4",
+    3: "periodicity decision vs brute-force oracle, entries <= 2, depth 4 (+ twisted products)",
     4: "emitted tuples annihilate on all eventually periodic paths, entries <= 3",
     5: "cofinality vs oracle (depth 3); D NotCofinal({u}), T2/F Cofinal",
     6: "is_simple end-to-end: T2 LocallyPeriodic, D NotCofinal, F Simple at B=2",

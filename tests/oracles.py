@@ -21,6 +21,9 @@ path unrolled one `compose` per loop copy, and cycle equality stepped
 on `EventuallyPeriodicPath` wrappers.  `validate_cubes_all_orders` is
 the cube check run from every one of a triple's six color orders, with
 backward square lookups for descending pairs.
+`parse_graph_document_reference` is the document parser with its key
+and row checks written out once per section, as they were before the
+library shared them.
 
 The rest are test helpers that the library does not need.
 `vertex_matrices` gives the commuting vertex matrices of Kumjian and
@@ -38,8 +41,10 @@ from kgraph import (
     ContractViolationError,
     Degree,
     DegreeError,
+    DocumentError,
     EventuallyPeriodicPath,
     Path,
+    SquareTable,
     add,
     compose,
     ep_compose,
@@ -54,7 +59,7 @@ from kgraph import (
     subtract,
     unit,
 )
-from kgraph.skeleton import ValidationReport
+from kgraph.skeleton import Edge, Skeleton, ValidationReport
 
 
 def _chains(g, v, color, length):
@@ -355,6 +360,121 @@ def validate_cubes_all_orders(skeleton, table):
                                 f"({(a1, c2, b3)!r} vs {(x2, y3, z1)!r})"
                             )
     return ValidationReport("cubes", problems)
+
+
+_TOP_KEYS = ("k", "vertices", "edges", "squares")
+_EDGE_KEYS = ("id", "color", "range", "source")
+
+
+def _is_int(x):
+    # bool is an int subclass; a color of `true` must not slip through.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_id_pair(row, key, problems, where):
+    val = row.get(key)
+    if not (isinstance(val, list) and len(val) == 2 and all(isinstance(s, str) for s in val)):
+        problems.append(f"{where}.{key}: expected a pair of edge ids, got {val!r}")
+        return None
+    return tuple(val)
+
+
+def parse_graph_document_reference(data):
+    """The document parser as first written, one hand-rolled key check per row kind."""
+    problems = []
+    if not isinstance(data, dict):
+        raise DocumentError([f"document: expected a JSON object, got {type(data).__name__}"])
+    for key in _TOP_KEYS:
+        if key not in data:
+            problems.append(f"document: missing key {key!r}")
+    for key in sorted(set(data) - set(_TOP_KEYS)):
+        problems.append(f"document: unknown key {key!r}")
+    if problems:
+        raise DocumentError(problems)
+
+    k = data["k"]
+    if not _is_int(k):
+        problems.append(f"k: expected an integer, got {k!r}")
+        k = 0
+
+    vertices = data["vertices"]
+    if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
+        problems.append("vertices: expected a list of strings")
+        vertices = []
+    else:
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                problems.append(f"vertices: duplicate id {v!r}")
+            seen.add(v)
+
+    edges = []
+    raw_edges = data["edges"]
+    if not isinstance(raw_edges, list):
+        problems.append("edges: expected a list")
+        raw_edges = []
+    edge_ids = set()
+    for i, row in enumerate(raw_edges):
+        where = f"edges[{i}]"
+        if not isinstance(row, dict):
+            problems.append(f"{where}: expected an object")
+            continue
+        bad = False
+        for key in _EDGE_KEYS:
+            if key not in row:
+                problems.append(f"{where}: missing key {key!r}")
+                bad = True
+        for key in sorted(set(row) - set(_EDGE_KEYS)):
+            problems.append(f"{where}: unknown key {key!r}")
+            bad = True
+        if bad:
+            continue
+        if not isinstance(row["id"], str):
+            problems.append(f"{where}.id: expected a string, got {row['id']!r}")
+            bad = True
+        if not _is_int(row["color"]):
+            problems.append(f"{where}.color: expected an integer, got {row['color']!r}")
+            bad = True
+        for key in ("range", "source"):
+            if not isinstance(row[key], str):
+                problems.append(f"{where}.{key}: expected a string, got {row[key]!r}")
+                bad = True
+        if bad:
+            continue
+        if row["id"] in edge_ids:
+            problems.append(f"{where}.id: duplicate edge id {row['id']!r}")
+            continue
+        edge_ids.add(row["id"])
+        edges.append(Edge(row["id"], row["color"], row["range"], row["source"]))
+
+    entries = []
+    raw_squares = data["squares"]
+    if not isinstance(raw_squares, list):
+        problems.append("squares: expected a list")
+        raw_squares = []
+    for i, row in enumerate(raw_squares):
+        where = f"squares[{i}]"
+        if not isinstance(row, dict):
+            problems.append(f"{where}: expected an object")
+            continue
+        bad = False
+        for key in ("pair", "image"):
+            if key not in row:
+                problems.append(f"{where}: missing key {key!r}")
+                bad = True
+        for key in sorted(set(row) - {"pair", "image"}):
+            problems.append(f"{where}: unknown key {key!r}")
+            bad = True
+        if bad:
+            continue
+        pair = _check_id_pair(row, "pair", problems, where)
+        image = _check_id_pair(row, "image", problems, where)
+        if pair is not None and image is not None:
+            entries.append((pair, image))
+
+    if problems:
+        raise DocumentError(problems)
+    return Skeleton(k, vertices, edges), SquareTable(entries)
 
 
 def condition_b_oracle(g, v, depth):

@@ -5,13 +5,16 @@ criterion number.  Expected values come from hand checks and from the
 independent brute-force oracles in oracles.py, never from the code
 under test.  Criteria 3 and 4 share one sweep: the decision-vs-oracle
 pass emits the periodicity tuples that the representation pass replays.
+Criterion 3 also sweeps twisted k = 2 and k = 3 products; criterion 4
+replays the 54 fixture and corpus graphs only, since its audit of the
+products takes minutes.
 """
 
 import time
 from functools import lru_cache
 from itertools import product
 
-from generators import corpus
+from generators import corpus, k2_products, k3_products
 from oracles import (
     brute_force_witness,
     cofinality_oracle,
@@ -51,6 +54,10 @@ def graphs():
     return [fixture(name) for name in FIXTURE_NAMES] + corpus(50)
 
 
+def products():
+    return k2_products(4) + k3_products(2)
+
+
 @lru_cache(maxsize=None)
 def sub_degrees(n):
     return [Degree(t) for t in product(*(range(a + 1) for a in n))]
@@ -85,21 +92,22 @@ def test_criterion_2():
                 assert matmul(mats[i], mats[j]) == matmul(mats[j], mats[i])
 
 
-@lru_cache(maxsize=1)
-def periodicity_survey():
+@lru_cache(maxsize=None)
+def periodicity_survey(graph_list):
     """Decision vs depth-4 witness search on every graph, vertex, small pair.
 
     Disagreement means the decision said periodic while the oracle holds a
     separating path.  Witnesses from either side are re-validated through
     the checking constructor.  Returns (elapsed, decided, disagreements,
     emitted) with decided the number of triples and emitted mapping graph
-    index to the periodicity tuples found.
+    index to the periodicity tuples found.  `graph_list` is `graphs` or
+    `products`.
     """
     t0 = time.monotonic()
     decided = 0
     disagreements = []
     emitted = {}
-    for gi, g in enumerate(graphs()):
+    for gi, g in enumerate(graph_list()):
         pairs = pairs_up_to(g.k, 2)
         for v in g.vertices:
             for m, n in pairs:
@@ -124,17 +132,22 @@ def periodicity_survey():
 
 
 def test_criterion_3():
-    elapsed, decided, disagreements, emitted = periodicity_survey()
+    elapsed, decided, disagreements, emitted = periodicity_survey(graphs)
     # every vertex of all 54 graphs against every pair with entries <= 2
     assert decided == 9030
     assert disagreements == []
     # the known-periodic fixtures T2 and D must appear in the stash
     assert 0 in emitted and 2 in emitted
     assert elapsed < 300.0
+    elapsed, decided, disagreements, _ = periodicity_survey(products)
+    # every vertex of the 4 + 2 twisted products, same pairs
+    assert decided == 3384
+    assert disagreements == []
+    assert elapsed < 300.0
 
 
 def test_criterion_4():
-    _, _, _, emitted = periodicity_survey()
+    _, _, _, emitted = periodicity_survey(graphs)
     assert emitted
     checked = 0
     for gi, tuples in emitted.items():

@@ -309,6 +309,43 @@ def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+READING_COMMANDS = [
+    ["validate"],
+    ["aperiodic"],
+    ["cofinal"],
+    ["simple"],
+    ["ideals"],
+    ["quotient", "--set", ""],
+]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command", READING_COMMANDS, ids=lambda c: c[0])
+def test_bytes_that_are_not_utf8_exit_3(capsys, monkeypatch, tmp_path, command, source):
+    raw = b"\xff\xfe{}"
+    if source == "file":
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        name = str(path)
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        name = "-"
+    code, out, err = run(capsys, command[0], name, *command[1:])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {name}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_deep_nesting_exits_3_without_a_traceback(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "\n")
+    code, out, err = run(capsys, "simple", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: document: nested too deeply to parse\n"
+
+
 class TestTextRendering:
     def test_mirrors_the_json_object(self, capsys):
         _, data, _ = run_json(capsys, "simple", fixture_path("F"), "--bound", "2")

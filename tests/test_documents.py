@@ -1,5 +1,6 @@
 """JSON interchange: parsing with addressed problems, deterministic dumps."""
 
+import copy
 import json
 
 import pytest
@@ -17,6 +18,8 @@ from kgraph import (
     load_graph_document,
     parse_graph_document,
 )
+
+from oracles import parse_graph_document_reference
 
 
 def t2_doc():
@@ -146,6 +149,12 @@ class TestLoad:
         (msg,) = info.value.problems
         assert msg.startswith("line 2 column ")
 
+    def test_deep_nesting_is_one_document_problem(self):
+        for text in ("[" * 200_000, '{"k": ' * 200_000):
+            with pytest.raises(DocumentError) as info:
+                load_graph_document(text)
+            assert info.value.problems == ["document: nested too deeply to parse"]
+
     def test_graph_from_json_validates(self):
         g = graph_from_json(json.dumps(t2_doc()))
         assert list(g.vertices) == ["v"]
@@ -167,6 +176,63 @@ def test_any_json_value_gives_a_graph_or_a_reported_problem(value):
     except (DocumentError, ValidationError):
         return
     assert isinstance(g, KGraph)
+
+
+FIXTURE_DOCS = [dump_graph_document(*fixture_parts(n)) for n in ("T2", "F", "D", "D2")]
+ODD_VALUES = [None, True, 1, 2.5, "x", [], ["a"], ["a", 1], {}]
+ADDED_KEYS = ["extra", "k", "id", "color", "pair", "image"]
+
+
+def _containers(node):
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture document after one to three edits of keys, values or rows."""
+    doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(_containers(doc))))
+        value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        if isinstance(node, dict):
+            how = draw(st.sampled_from(["delete", "add", "replace"] if node else ["add"]))
+            if how == "delete":
+                del node[draw(st.sampled_from(sorted(node)))]
+            elif how == "add":
+                node[draw(st.sampled_from(ADDED_KEYS))] = value
+            else:
+                node[draw(st.sampled_from(sorted(node)))] = value
+        elif node:
+            i = draw(st.integers(0, len(node) - 1))
+            how = draw(st.sampled_from(["replace", "duplicate", "drop"]))
+            if how == "replace":
+                node[i] = value
+            elif how == "duplicate":
+                node.insert(i, copy.deepcopy(node[i]))
+            else:
+                del node[i]
+        else:
+            node.append(value)
+    return doc
+
+
+def parse_outcome(parse, data):
+    try:
+        skel, squares = parse(data)
+    except DocumentError as exc:
+        return exc.problems
+    return skel.k, skel.vertices, list(skel.edges.items()), squares.entries
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(mutated_documents())
+def test_parser_matches_the_reference_on_mutated_documents(doc):
+    assert parse_outcome(parse_graph_document, doc) == parse_outcome(
+        parse_graph_document_reference, doc
+    )
 
 
 class TestDump:
