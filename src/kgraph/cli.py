@@ -12,9 +12,10 @@ with one `error:` line per problem on standard error, covers:
 - malformed JSON, or JSON nested too deeply to parse;
 - a document of the wrong shape (`DocumentError`);
 - a structural validation failure outside `validate` (`ValidationError`);
-- a scan bound out of range (`ContractViolationError`);
-- a `quotient --set` name that is not a vertex;
-- an `ideals` graph over the vertex limit (`LimitExceededError`);
+- a scan bound that is not an int in range (`ContractViolationError`),
+  such as `--bound=--`, which argparse before Python 3.13 stores as [];
+- a `quotient --set` name that is not a vertex, `--set=--` included;
+- an `ideals` lattice of more than `ENUM_LIMIT` sets (`LimitExceededError`);
 - input too big to fit in memory (`MemoryError`).
 
 Reports are JSON on standard output with sorted keys; --text renders the
@@ -112,7 +113,9 @@ def cmd_ideals(args):
 
 def cmd_quotient(args):
     g = KGraph.build(*_read_document(args.file))
-    names = [s.strip() for s in args.set.split(",") if s.strip()]
+    # argparse before Python 3.13 drops the value of `--set=--` and stores [].
+    text = "--" if args.set == [] else args.set
+    names = [s.strip() for s in text.split(",") if s.strip()]
     unknown = [v for v in names if not g.skeleton.has_vertex(v)]
     if unknown:
         raise DocumentError([f"unknown vertex {v!r}" for v in unknown])

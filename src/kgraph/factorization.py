@@ -34,7 +34,7 @@ range end first: edges[0] has range r(lambda) and edges[-1] has source
 s(lambda), and compose(mu, nu) requires s(mu) = r(nu).
 """
 
-from .degrees import add, subtract, unit, zero
+from .degrees import MAX_ENTRY, add, subtract, unit, zero
 from .errors import CompositionError, ContractViolationError, DegreeError, ValidationError
 from .skeleton import ValidationReport
 
@@ -252,11 +252,12 @@ class KGraph:
             raise ContractViolationError(f"unknown vertex {v!r}")
 
     def require_rank(self, n):
-        """Guard a degree tuple from a caller: rank k, nonnegative int entries."""
+        """Guard a degree tuple from a caller: rank k, int entries in 0..MAX_ENTRY."""
         if len(n) != self.k:
             raise DegreeError(f"degree rank {len(n)} does not match graph rank {self.k}")
-        if any(type(c) is not int or c < 0 for c in n):
-            raise DegreeError(f"degree {n!r} needs nonnegative int entries; see Degree()")
+        for c in n:
+            if type(c) is not int or c < 0 or c > MAX_ENTRY:
+                raise DegreeError(f"degree {n!r} needs int entries in 0..{MAX_ENTRY}; see Degree()")
 
     def vertex_path(self, v):
         self.require_vertex(v)

@@ -22,19 +22,25 @@ nontrivial singleton closure, by size and then contents, is a terminal
 component's closure, and the graph is cofinal exactly when every
 terminal closure is everything.
 
+The same argument shrinks the lattice's generators.  A saturated
+hereditary H is the closure of the union of its vertices' closures, and
+the vertices of one component share a closure, so `enumerate_sat_her`
+joins one closure per component, terminal or not, instead of one per
+vertex.  One Tarjan pass, `_components`, serves both.  The lattice can
+still be exponential in the number of components (n disjoint copies of
+one graph have 2^n sets), so the enumeration counts the sets it finds
+and refuses past ENUM_LIMIT; the number of vertices does not matter.
+
 The quotient by H keeps the vertices outside H and the edges whose source
 survives; the result is rebuilt through full validation rather than
 assumed correct.
 """
 
-import os
-
 from .errors import ContractViolationError, LimitExceededError
 from .factorization import KGraph, SquareTable
 from .skeleton import Skeleton
 
-DEFAULT_ENUM_LIMIT = 20
-ENUM_LIMIT_ENV = "KGRAPH_MAX_VERTICES"
+ENUM_LIMIT = 2**16
 
 
 def vertex_set_to_json(h):
@@ -97,30 +103,15 @@ def sat_her_closure(g, seed):
     return frozenset(h)
 
 
-def _enum_limit():
-    raw = os.environ.get(ENUM_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise LimitExceededError(f"{ENUM_LIMIT_ENV}={raw!r} is not an integer") from None
-
-
-def enumerate_sat_her(g, limit=None):
+def enumerate_sat_her(g):
     """All saturated hereditary sets, sorted by size then contents.
 
-    Every such set is a join of singleton closures, so the lattice is
-    grown from those under union-then-closure.  Refuses graphs larger
-    than the limit (default 20 vertices, env KGRAPH_MAX_VERTICES).
+    Every such set is a join of singleton closures, and the vertices of
+    one strongly connected component share theirs, so the lattice is
+    grown from one closure per component under union-then-closure.
+    Refuses a lattice of more than ENUM_LIMIT sets.
     """
-    if limit is None:
-        limit = _enum_limit()
-    if len(g.vertices) > limit:
-        raise LimitExceededError(
-            f"{len(g.vertices)} vertices exceeds enumeration limit {limit}"
-        )
-    generators = [sat_her_closure(g, {v}) for v in g.vertices]
+    generators = {sat_her_closure(g, c) for c, _ in _components(g)}
     found = {frozenset()}
     frontier = [frozenset()]
     while frontier:
@@ -130,6 +121,8 @@ def enumerate_sat_her(g, limit=None):
             if joined not in found:
                 joined = sat_her_closure(g, joined)
             if joined not in found:
+                if len(found) == ENUM_LIMIT:
+                    raise LimitExceededError(f"more than {ENUM_LIMIT} saturated hereditary sets")
                 found.add(joined)
                 frontier.append(joined)
     return sorted(found, key=lambda h: (len(h), sorted(h)))
@@ -146,9 +139,16 @@ class Cofinal:
 
 
 class NotCofinal:
+    """A nontrivial saturated hereditary set, re-validated on construction."""
+
     cofinal = False
 
-    def __init__(self, certificate):
+    def __init__(self, g, certificate):
+        certificate = _as_set(g, certificate)
+        if not certificate or len(certificate) == len(g.vertices):
+            raise ContractViolationError("cofinality certificate must be nontrivial")
+        if not (is_hereditary(g, certificate) and is_saturated(g, certificate)):
+            raise ContractViolationError("cofinality certificate is not saturated hereditary")
         self.certificate = certificate
 
     def to_json(self):
@@ -158,18 +158,19 @@ class NotCofinal:
         return f"NotCofinal({sorted(self.certificate)!r})"
 
 
-def _terminal_components(g):
-    """Strongly connected components of v -> s(e) with no way out.
+def _components(g):
+    """Strongly connected components of v -> s(e), each as (vertices, terminal).
 
     Tarjan (1972) with an explicit stack, so long chains cannot hit the
     recursion limit.  Components come out after every component they
-    reach, so a component is terminal when no successor lies outside it.
+    reach, so a component is terminal, with no way out, when no
+    successor lies outside it.
     """
     succ = {v: [] for v in g.vertices}
     for e in g.skeleton.edges.values():
         succ[e.range].append(e.source)
     index, low, done = {}, {}, set()
-    stack, terminal = [], []
+    stack, components = [], []
     for root in g.vertices:
         if root in index:
             continue
@@ -196,9 +197,9 @@ def _terminal_components(g):
                     while v not in component:
                         component.add(stack.pop())
                     done |= component
-                    if all(w in component for u in component for w in succ[u]):
-                        terminal.append(component)
-    return terminal
+                    terminal = all(w in component for u in component for w in succ[u])
+                    components.append((component, terminal))
+    return components
 
 
 def is_cofinal(g):
@@ -209,12 +210,12 @@ def is_cofinal(g):
     terminal components need a closure (module docstring).
     """
     everything = frozenset(g.vertices)
-    closures = [sat_her_closure(g, c) for c in _terminal_components(g)]
+    closures = [sat_her_closure(g, c) for c, terminal in _components(g) if terminal]
     obstructions = [h for h in closures if h != everything]
     if not obstructions:
         return Cofinal()
     least = min(obstructions, key=lambda h: (len(h), sorted(h)))
-    return NotCofinal(least)
+    return NotCofinal(g, least)
 
 
 def quotient(g, h):

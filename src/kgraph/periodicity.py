@@ -262,9 +262,11 @@ def default_bound(g):
 
 
 def resolve_bound(g, bound):
-    """The scan bound to use: `default_bound(g)` for None, else checked in 1..MAX_ENTRY."""
+    """The scan bound to use: `default_bound(g)` for None, else an int checked in 1..MAX_ENTRY."""
     if bound is None:
         bound = default_bound(g)
+    if type(bound) is not int:
+        raise ContractViolationError(f"scan bound {bound!r} is not an int")
     if bound < 1:
         raise ContractViolationError("scan bound must be >= 1")
     if bound > MAX_ENTRY:

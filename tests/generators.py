@@ -19,7 +19,9 @@ vertex matrices commute but are not equal.
 `exchanged_tables` mutates a valid square table into others that are
 still bijections but may break cubes.
 `disjoint_union` puts graphs of one rank side by side, which gives a
-graph several terminal components.
+graph several terminal components.  `cycle_product` is an untwisted
+product of two cycles, a graph of any size with one component, and
+`wide_graph` is one with more than 20 vertices and a small lattice.
 """
 
 import random
@@ -167,6 +169,21 @@ def _twisted_product(rng, factors):
                         entries.append((pair, (at(p, {j: fid}), at(p, {i: e2, j: fs}))))
     skeleton = Skeleton(len(factors), [at(p, {}) for p in points], edges)
     return KGraph.build(skeleton, SquareTable(entries))
+
+
+def cycle_product(m, n):
+    """The 2-graph product of an m-cycle and an n-cycle: m*n vertices, one component."""
+    factors = []
+    for tag, size in (("x", m), ("y", n)):
+        verts = [f"{tag}{i}" for i in range(size)]
+        factors.append((verts, [(f"{tag}e{i}", v, verts[i - 1]) for i, v in enumerate(verts)]))
+    # Every parallel class has one edge, so the twist changes nothing.
+    return _twisted_product(random.Random(0), factors)
+
+
+def wide_graph():
+    """A 4x5 cycle product beside three k = 2 products: 32 vertices, 64 ideals."""
+    return disjoint_union([cycle_product(4, 5)] + k2_products(3))
 
 
 def twisted_product_k2(seed):

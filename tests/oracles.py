@@ -15,6 +15,9 @@ of the decision's canonical witness one seed at a time, and
 the graph's cycles alone.  `fixed_point_closure` and
 `least_singleton_obstruction` are the ideals layer's definitions run
 literally: whole-graph passes to a fixpoint, one closure per vertex.
+`enumerate_sat_her_per_vertex` grows the ideal lattice from one
+generator per vertex, with no limit, as the library did before it took
+one per strongly connected component.
 The `*_by_compose` functions are the path layers' definitions one cut
 at a time: a segment from two `factor` calls, an eventually periodic
 path unrolled one `compose` per loop copy, and cycle equality stepped
@@ -289,6 +292,25 @@ def fixed_point_closure(g, seed):
                     changed = True
                     break
     return frozenset(h)
+
+
+def enumerate_sat_her_per_vertex(g):
+    """All saturated hereditary sets, joined from every singleton closure."""
+    from kgraph import sat_her_closure
+
+    generators = [sat_her_closure(g, {v}) for v in g.vertices]
+    found = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        base = frontier.pop()
+        for gen in generators:
+            joined = base | gen
+            if joined not in found:
+                joined = sat_her_closure(g, joined)
+            if joined not in found:
+                found.add(joined)
+                frontier.append(joined)
+    return sorted(found, key=lambda h: (len(h), sorted(h)))
 
 
 def least_singleton_obstruction(g):

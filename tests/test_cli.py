@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgraph.ideals
 from kgraph.cli import main, render_text
 from kgraph.documents import canonical_json, dump_graph_document
 
-from generators import exchanged_tables, k3_products
+from generators import exchanged_tables, k3_products, wide_graph
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -205,6 +206,19 @@ class TestIdeals:
         assert code == 0
         assert data["sets"] == [[], ["u"], ["u", "w"]]
 
+    def test_more_than_20_vertices(self, capsys, tmp_path):
+        g = wide_graph()
+        path = tmp_path / "big.json"
+        path.write_text(canonical_json(dump_graph_document(g.skeleton, g.squares)))
+        code, data, _ = run_json(capsys, "ideals", str(path))
+        assert code == 0
+        assert len(g.vertices) == 32 and data["count"] == 64
+
+    @pytest.mark.parametrize("limit, code", [(4, 0), (3, 3)])
+    def test_lattice_over_the_limit_exits_3(self, capsys, monkeypatch, limit, code):
+        monkeypatch.setattr(kgraph.ideals, "ENUM_LIMIT", limit)
+        assert run(capsys, "ideals", fixture_path("D"))[0] == code
+
 
 class TestQuotient:
     def test_collapse_d2(self, capsys):
@@ -253,6 +267,26 @@ class TestUsageErrors:
             main([command, fixture_path("F"), "--jobs", "2"])
         assert info.value.code == 3
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    # argparse before Python 3.13 stores [] for a lone `--` value without
+    # calling `type`; 3.13 rejects the bound itself.
+    @pytest.mark.parametrize(
+        "argv",
+        [["aperiodic", "F", "--bound=--"], ["simple", "F", "--bound=--"], ["quotient", "D", "--set=--"]],
+        ids=["aperiodic", "simple", "quotient"],
+    )
+    def test_double_dash_value_exits_3(self, capsys, argv):
+        command, name, flag = argv
+        try:
+            code = main([command, fixture_path(name), flag])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert "Traceback" not in out.err
+        if command == "quotient":
+            assert out.err == "error: unknown vertex '--'\n"
 
     def test_non_integer_bound(self):
         with pytest.raises(SystemExit) as info:
@@ -400,9 +434,12 @@ BOUNDS = (
     | st.integers(-3, 3).map(str)
     | st.integers(2**31, 2**64).map(str)
     | st.text(max_size=4).filter(_not_an_int)
+    | st.just("--")
 )
-SETS = st.lists(st.sampled_from(VERTEX_NAMES + ["zz", "", " "]), max_size=4).map(",".join) | st.text(
-    max_size=4
+SETS = (
+    st.lists(st.sampled_from(VERTEX_NAMES + ["zz", "", " "]), max_size=4).map(",".join)
+    | st.text(max_size=4)
+    | st.just("--")
 )
 FILES = st.sampled_from(["-", "missing.json"] + [f"fixtures/{name}.json" for name in FIXTURE_NAMES])
 

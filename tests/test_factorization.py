@@ -256,3 +256,5 @@ def test_plain_tuple_degrees_checked_at_entry(f):
         f.paths_from("v", (1,))
     with pytest.raises(DegreeError):
         f.paths_from("v", (1.0, 0))  # would leak 1.0 into the JSON of its paths
+    with pytest.raises(DegreeError):
+        f.paths_from("v", (2**31, 0))  # Degree's cap; the walk would build a 2**31-entry word

@@ -20,11 +20,13 @@ from kgraph import (
     quotient,
     sat_her_closure,
 )
-from generators import corpus, disjoint_union, k2_products, k3_products
+from kgraph.ideals import NotCofinal
+from generators import corpus, cycle_product, disjoint_union, k2_products, k3_products, wide_graph
 from oracles import (
     brute_force_sat_her_sets,
     cofinality_oracle,
     core_dimensions,
+    enumerate_sat_her_per_vertex,
     fixed_point_closure,
     least_singleton_obstruction,
 )
@@ -138,16 +140,32 @@ class TestEnumeration:
         for g in [t2, f, d, d2] + corpus(10):
             assert enumerate_sat_her(g) == brute_force_sat_her_sets(g)
 
-    def test_limit_enforced(self, d):
-        with pytest.raises(LimitExceededError):
-            enumerate_sat_her(d, limit=1)
+    def test_matches_per_vertex_generators(self, t2, f, d, d2):
+        graphs = [t2, f, d, d2, wide_graph()] + corpus(200) + k2_products(6) + k3_products(6) + unions()
+        for g in graphs:
+            assert enumerate_sat_her(g) == enumerate_sat_her_per_vertex(g), g.vertices
 
-    def test_limit_from_environment(self, d, monkeypatch):
-        monkeypatch.setenv("KGRAPH_MAX_VERTICES", "1")
-        with pytest.raises(LimitExceededError):
-            enumerate_sat_her(d)
-        monkeypatch.setenv("KGRAPH_MAX_VERTICES", "junk")
-        with pytest.raises(LimitExceededError):
+    def test_more_than_20_vertices(self):
+        g = wide_graph()
+        assert (len(g.vertices), len(enumerate_sat_her(g))) == (32, 64)
+        g = cycle_product(4, 6)
+        assert enumerate_sat_her(g) == [fs(), frozenset(g.vertices)]
+
+    def test_one_generator_per_component(self, monkeypatch):
+        calls = []
+        closure = kgraph.ideals.sat_her_closure
+        monkeypatch.setattr(kgraph.ideals, "sat_her_closure", lambda g, seed: calls.append(seed) or closure(g, seed))
+        # One component: one generator's closure, then one for its join
+        # with the empty set.  A generator per vertex would take 51.
+        assert enumerate_sat_her(cycle(50)) == [fs(), frozenset(cycle(50).vertices)]
+        assert len(calls) == 2
+
+    def test_limit_counts_sets(self, d, monkeypatch):
+        # D has exactly 4 sets: at the limit it enumerates, one below it refuses.
+        monkeypatch.setattr(kgraph.ideals, "ENUM_LIMIT", 4)
+        assert len(enumerate_sat_her(d)) == 4
+        monkeypatch.setattr(kgraph.ideals, "ENUM_LIMIT", 3)
+        with pytest.raises(LimitExceededError, match="more than 3 saturated hereditary sets"):
             enumerate_sat_her(d)
 
 
@@ -167,6 +185,18 @@ class TestCofinality:
         res = is_cofinal(d2)
         assert not res.cofinal
         assert res.certificate == fs("u")
+
+    @pytest.mark.parametrize("certificate", [fs(), fs("u", "w"), fs("w")], ids=["empty", "everything", "not-hereditary"])
+    def test_certificate_revalidated(self, d2, certificate):
+        with pytest.raises(ContractViolationError):
+            NotCofinal(d2, certificate)
+
+    def test_certificate_must_be_saturated(self):
+        # a <- a and b <- a: {a} is hereditary, but b's one edge comes from a.
+        g = one_graph(["a", "b"], ["a", "a"])
+        assert is_hereditary(g, fs("a")) and not is_saturated(g, fs("a"))
+        with pytest.raises(ContractViolationError):
+            NotCofinal(g, fs("a"))
 
     def test_oracle_agreement(self, t2, f, d, d2):
         assert cofinality_oracle(t2, 2)
