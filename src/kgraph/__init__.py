@@ -53,12 +53,9 @@ from .infinite import (
     ep_shift,
 )
 from .periodicity import (
-    Aperiodic,
     AperiodicityWitness,
-    Periodic,
     PeriodicityTuple,
     local_periodicity_at,
-    periodicity_tuple,
     scan_aperiodicity,
 )
 from .skeleton import Edge, Skeleton
@@ -66,7 +63,6 @@ from .skeleton import Edge, Skeleton
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aperiodic",
     "AperiodicityWitness",
     "CompositionError",
     "ContractViolationError",
@@ -78,7 +74,6 @@ __all__ = [
     "KGraph",
     "LimitExceededError",
     "Path",
-    "Periodic",
     "PeriodicityTuple",
     "RepElement",
     "Skeleton",
@@ -113,7 +108,6 @@ __all__ = [
     "meet",
     "ones",
     "parse_graph_document",
-    "periodicity_tuple",
     "positive_part",
     "quotient",
     "rep_apply",

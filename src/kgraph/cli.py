@@ -9,8 +9,10 @@ with one `error:` line per problem on standard error, covers:
 
 - bad flags (argparse usage errors);
 - a file that cannot be read, or bytes that are not UTF-8;
-- malformed JSON, or JSON nested too deeply to parse;
-- a document of the wrong shape (`DocumentError`);
+- malformed JSON, JSON nested too deeply to parse, or an integer
+  literal with more digits than the interpreter converts;
+- a document of the wrong shape (`DocumentError`), or an id holding a
+  lone surrogate, which no UTF-8 output could print;
 - a structural validation failure outside `validate` (`ValidationError`);
 - a scan bound that is not an int in range (`ContractViolationError`),
   such as `--bound=--`, which argparse before Python 3.13 stores as [];

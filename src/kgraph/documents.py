@@ -11,12 +11,16 @@ The document shape is fixed:
 
 This layer checks shape and types only and reports every problem it finds
 at once, each addressed to the field it concerns ("edges[3].color: ...");
-JSON nested deeper than the decoder can follow is one "document:" problem.
+JSON nested deeper than the decoder can follow, or an integer literal
+longer than the interpreter converts, is one "document:" problem.  An id
+holding a lone surrogate (only a \\u escape makes one) is refused, since
+no UTF-8 output could print it.
 Structural soundness (colors in range, endpoints exist, square table laws)
 is the job of the validation pass behind KGraph.build.
 """
 
 import json
+import re
 
 from .errors import DocumentError
 from .factorization import KGraph, SquareTable
@@ -25,6 +29,7 @@ from .skeleton import Edge, Skeleton
 _TOP_KEYS = ("k", "vertices", "edges", "squares")
 _EDGE_KEYS = ("id", "color", "range", "source")
 _SQUARE_KEYS = ("pair", "image")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def _is_int(x):
@@ -123,15 +128,30 @@ def parse_graph_document(data):
     return Skeleton(k, vertices, edges.values()), SquareTable(entries)
 
 
+def _lone_surrogates(data):
+    """A problem for each id holding a lone surrogate, which no UTF-8 output can carry."""
+    fields = [(f"vertices[{i}]", v) for i, v in enumerate(data["vertices"])]
+    for i, row in enumerate(data["edges"]):
+        fields += [(f"edges[{i}].{key}", row[key]) for key in ("id", "range", "source")]
+    return [f"{where}: {val!r} holds a lone surrogate" for where, val in fields if _SURROGATE.search(val)]
+
+
 def load_graph_document(text):
     """JSON text -> (Skeleton, SquareTable); parse errors come back addressed."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError([f"line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
+    except ValueError:  # an integer literal over the interpreter's digit limit
+        raise DocumentError(["document: an integer has too many digits to parse"]) from None
     except RecursionError:
         raise DocumentError(["document: nested too deeply to parse"]) from None
-    return parse_graph_document(data)
+    parts = parse_graph_document(data)
+    # Only a \u escape decodes to a lone surrogate, so text without one skips the search.
+    problems = _lone_surrogates(data) if "\\u" in text else []
+    if problems:
+        raise DocumentError(problems)
+    return parts
 
 
 def graph_from_json(text):

@@ -118,7 +118,7 @@ def enumerate_sat_her(g):
         base = frontier.pop()
         for gen in generators:
             joined = base | gen
-            if joined not in found:
+            if base and joined not in found:  # a generator is closed already
                 joined = sat_her_closure(g, joined)
             if joined not in found:
                 if len(found) == ENUM_LIMIT:

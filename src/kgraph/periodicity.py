@@ -16,7 +16,9 @@ bounded-degree paths, so the space is finite: breadth-first search with
 memoization terminates, any reachable refutation yields a finite path
 witnessing aperiodicity (assembled by back-tracing and re-validated on
 construction), and if no refutation is reachable every revisited state
-is consistent, which is exactly periodicity.
+is consistent, which is exactly periodicity.  The decision returns its
+certificate either way: the witness, or the least tuple (mu, alpha, nu)
+with mu and alpha the first paths of their degrees in canonical order.
 
 The search is refute-first.  Seeds lam are taken one at a time in
 canonical order; each gets the range check as it is built and, if its
@@ -62,8 +64,9 @@ class AperiodicityWitness:
     not actually separate, so a witness object is always trustworthy.
     """
 
+    periodic = False
+
     def __init__(self, vertex, m, n, lam):
-        g = lam.graph
         j = join(m, n)
         if lam.range_vertex != vertex:
             raise ContractViolationError("witness path does not start at the claimed vertex")
@@ -99,6 +102,8 @@ class PeriodicityTuple:
     Construction re-derives nu and checks the degree inequality.
     """
 
+    periodic = True
+
     def __init__(self, vertex, m, n, mu, alpha):
         if mu.range_vertex != vertex:
             raise ContractViolationError("mu does not start at the claimed vertex")
@@ -131,34 +136,12 @@ class PeriodicityTuple:
         }
 
 
-class Periodic:
-    """Verdict: sigma^m = sigma^n on every infinite path from the vertex."""
-
-    def __init__(self, vertex, m, n):
-        self.vertex = vertex
-        self.m = m
-        self.n = n
-
-    periodic = True
-
-    def __repr__(self):
-        return f"Periodic({self.vertex!r}, {self.m!r}, {self.n!r})"
-
-
-class Aperiodic:
-    """Verdict: some infinite path separates the shifts; witness attached."""
-
-    def __init__(self, witness):
-        self.witness = witness
-
-    periodic = False
-
-    def __repr__(self):
-        return f"Aperiodic({self.witness.lam!r})"
-
-
 def local_periodicity_at(g, v, m, n):
-    """Exact decision for one (vertex, m, n) triple; m != n required."""
+    """Exact decision for one (vertex, m, n) triple; m != n required.
+
+    Returns the certificate: an AperiodicityWitness, or the least
+    PeriodicityTuple.  Either one's `periodic` attribute is the verdict.
+    """
     g.require_vertex(v)
     g.require_rank(m)
     g.require_rank(n)
@@ -174,7 +157,7 @@ def local_periodicity_at(g, v, m, n):
         _, left = factor(lam, m)
         _, right = factor(lam, n)
         if left.range_vertex != right.range_vertex:
-            return Aperiodic(AperiodicityWitness(v, m, n, lam))
+            return AperiodicityWitness(v, m, n, lam)
         seed = (left, right)
         if seed in parents:
             continue  # its closure is explored and consistent
@@ -191,12 +174,14 @@ def local_periodicity_at(g, v, m, n):
                 rk_head, rk_tail = g._cut(right.range_vertex, right.edges + kappa.edges, (block, b))
                 if lk_head != rk_head:
                     lam = _assemble(parents, state, kappa)
-                    return Aperiodic(AperiodicityWitness(v, m, n, lam))
+                    return AperiodicityWitness(v, m, n, lam)
                 succ = (lk_tail, rk_tail)
                 if succ not in parents:
                     parents[succ] = (state, kappa)
                     queue.append(succ)
-    return Periodic(v, m, n)
+    # No refutation is reachable: periodic, certified by the least mu and alpha.
+    mu = next(g.paths_from(v, m))
+    return PeriodicityTuple(v, m, n, mu, next(g.paths_from(mu.source_vertex, a)))
 
 
 def _assemble(parents, state, kappa):
@@ -231,13 +216,11 @@ class AperiodicReport:
 class PeriodicReport:
     """Scan outcome: first periodic hit in (vertex, p) lexicographic order."""
 
-    def __init__(self, bound, vertex, p, m, n, tup):
+    def __init__(self, bound, p, tup):
         self.bound = bound
-        self.vertex = vertex
         self.p = p
-        self.m = m
-        self.n = n
         self.tuple = tup
+        self.vertex, self.m, self.n = tup.vertex, tup.m, tup.n
 
     periodic = True
 
@@ -297,24 +280,6 @@ def scan_aperiodicity(g, bound=None):
             m, n = positive_part(p)
             res = local_periodicity_at(g, v, m, n)
             if res.periodic:
-                return PeriodicReport(bound, v, p, m, n, _least_tuple(g, v, m, n))
-            entries.append((v, p, res.witness))
+                return PeriodicReport(bound, p, res)
+            entries.append((v, p, res))
     return AperiodicReport(bound, entries)
-
-
-def periodicity_tuple(g, v, m, n):
-    """Canonically least certificate tuple for a periodic triple."""
-    res = local_periodicity_at(g, v, m, n)
-    if not res.periodic:
-        raise ContractViolationError(
-            f"triple ({v!r}, {m!r}, {n!r}) is aperiodic; no tuple exists"
-        )
-    return _least_tuple(g, v, m, n)
-
-
-def _least_tuple(g, v, m, n):
-    # The least mu and alpha; the caller has decided that (v, m, n) is periodic.
-    j = join(m, n)
-    mu = next(g.paths_from(v, m))
-    alpha = next(g.paths_from(mu.source_vertex, subtract(j, m)))
-    return PeriodicityTuple(v, m, n, mu, alpha)

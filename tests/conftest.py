@@ -10,7 +10,7 @@ CRITERIA = {
     3: "periodicity decision vs brute-force oracle, entries <= 2, depth 4 (+ twisted products)",
     4: "emitted tuples annihilate on all eventually periodic paths, entries <= 3",
     5: "cofinality vs oracle (depth 3); D NotCofinal({u}), T2/F Cofinal",
-    6: "is_simple end-to-end: T2 LocallyPeriodic, D NotCofinal, F Simple at B=2",
+    6: "is_simple end-to-end: T2 locally periodic, D NotCofinal, F simple at B=2",
     7: "defect elements annihilate the depth-3 sample family on periodic fixtures",
     8: "gauge invariance: D2 offender {u} with tuple, F all-invariant at B=2",
     9: "join((10,2),(5,6)) = (10,6) and (m v n)+(2,3) = (12,9), exact",

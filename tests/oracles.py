@@ -3,8 +3,8 @@
 The periodicity oracle enumerates finite paths outright (no pair
 propagation, no memoization) and looks for a separating pair of segments.
 Finding a witness proves aperiodicity; exhausting the depth box proves
-nothing, so the test harness treats oracle-no-witness plus a Periodic
-verdict as agreement.  Paths are generated without calling the library's
+nothing, so the test harness treats oracle-no-witness plus a periodic
+verdict (a PeriodicityTuple) as agreement.  Paths are generated without calling the library's
 enumerator so a bug there cannot mask itself; `paths_from_by_levels`
 builds vLambda^n in canonical order by filling levels bottom-up, which
 pins the order of `KGraph.paths_from`'s depth-first walk.
@@ -705,5 +705,5 @@ def aperiodic_prefix(g, v, pairs):
             raise ContractViolationError(
                 f"pair #{idx} {(m, n)!r} is periodic at {eta.source_vertex!r}"
             )
-        eta = compose(eta, res.witness.lam)
+        eta = compose(eta, res.lam)
     return eta

@@ -42,7 +42,6 @@ from kgraph.periodicity import (
     AperiodicityWitness,
     PeriodicityTuple,
     local_periodicity_at,
-    periodicity_tuple,
 )
 
 FIXTURE_NAMES = ("T2", "F", "D", "D2")
@@ -120,12 +119,12 @@ def periodicity_survey(graph_list):
                         continue
                     mu = next(g.paths_from(v, m))
                     alpha = next(g.paths_from(mu.source_vertex, subtract(join(m, n), m)))
-                    emitted.setdefault(gi, []).append(
-                        PeriodicityTuple(v, m, n, mu, alpha)
-                    )
+                    tup = PeriodicityTuple(v, m, n, mu, alpha)
+                    # the decision's own certificate is this least tuple
+                    assert res.to_json() == tup.to_json()
+                    emitted.setdefault(gi, []).append(tup)
                 else:
-                    w = res.witness
-                    AperiodicityWitness(w.vertex, w.m, w.n, w.lam)
+                    AperiodicityWitness(res.vertex, res.m, res.n, res.lam)
                     if lam is not None:
                         AperiodicityWitness(v, m, n, lam)
     return time.monotonic() - t0, decided, disagreements, emitted
@@ -224,10 +223,11 @@ def test_criterion_7():
         found = 0
         for v in g.vertices:
             for m, n in pairs_up_to(g.k, 2):
-                if not local_periodicity_at(g, v, m, n).periodic:
+                res = local_periodicity_at(g, v, m, n)
+                if not res.periodic:
                     continue
                 found += 1
-                elem = RepElement.from_tuple(periodicity_tuple(g, v, m, n))
+                elem = RepElement.from_tuple(res)
                 assert elem.mu_alpha.degree != elem.nu_alpha.degree
                 assert verify_annihilation(g, elem, sample_family(g, 3))
         assert found == expected[name]

@@ -13,7 +13,7 @@ from kgraph import (
     ep_equal,
     ep_samples,
     is_simple,
-    periodicity_tuple,
+    local_periodicity_at,
     rep_apply,
     rep_apply_adjoint,
     sample_family,
@@ -35,7 +35,7 @@ def ep(g, vertex, prefix_edges, loop_edges):
 
 class TestRepElement:
     def test_from_tuple(self, t2):
-        tup = periodicity_tuple(t2, "v", deg(1, 0), deg(0, 1))
+        tup = local_periodicity_at(t2, "v", deg(1, 0), deg(0, 1))
         elem = RepElement.from_tuple(tup)
         assert elem.mu_alpha == tup.mu_alpha
         assert elem.nu_alpha == tup.nu_alpha
@@ -51,7 +51,7 @@ class TestRepElement:
             RepElement(d2.path("w", ["cb"]), d2.path("w", ["bw", "rw"]))
 
     def test_json_shape(self, t2):
-        tup = periodicity_tuple(t2, "v", deg(1, 0), deg(0, 1))
+        tup = local_periodicity_at(t2, "v", deg(1, 0), deg(0, 1))
         assert set(RepElement.from_tuple(tup).to_json()) == {"mu_alpha", "nu_alpha"}
 
 
@@ -93,7 +93,7 @@ class TestAction:
 
 class TestAnnihilation:
     def test_genuine_tuple_annihilates(self, t2):
-        tup = periodicity_tuple(t2, "v", deg(1, 0), deg(0, 1))
+        tup = local_periodicity_at(t2, "v", deg(1, 0), deg(0, 1))
         elem = RepElement.from_tuple(tup)
         assert verify_annihilation(t2, elem, ep_samples(t2, "v", 2, 2))
 
@@ -108,7 +108,7 @@ class TestAnnihilation:
         assert annihilates(d2, elem, x)
 
     def test_vacuous_on_empty_samples(self, t2):
-        tup = periodicity_tuple(t2, "v", deg(1, 0), deg(0, 1))
+        tup = local_periodicity_at(t2, "v", deg(1, 0), deg(0, 1))
         assert verify_annihilation(t2, RepElement.from_tuple(tup), [])
 
     def test_sample_family_covers_all_vertices(self, d):

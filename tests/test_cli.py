@@ -380,6 +380,65 @@ def test_deep_nesting_exits_3_without_a_traceback(capsys, tmp_path):
     assert err == "error: document: nested too deeply to parse\n"
 
 
+SURROGATE_ID = (
+    r'{"k": 1, "vertices": ["\ud800"], "squares": [],'
+    r' "edges": [{"id": "e", "color": 1, "range": "\ud800", "source": "\ud800"}]}'
+)
+UNUSABLE_DOCUMENTS = {
+    # json.loads refuses an integer literal over the interpreter's digit limit with a ValueError.
+    "long_integer": (
+        '{"k": ' + "1" * 5000 + ', "vertices": [], "edges": [], "squares": []}',
+        "error: document: an integer has too many digits to parse\n",
+    ),
+    # A lone surrogate decodes from JSON but cannot be written as UTF-8 by --text.
+    "lone_surrogate": (
+        SURROGATE_ID,
+        "error: vertices[0]: '\\ud800' holds a lone surrogate\n"
+        "error: edges[0].range: '\\ud800' holds a lone surrogate\n"
+        "error: edges[0].source: '\\ud800' holds a lone surrogate\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", READING_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("name", sorted(UNUSABLE_DOCUMENTS))
+def test_unusable_document_exits_3(capsys, tmp_path, name, command):
+    text, expected = UNUSABLE_DOCUMENTS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command[0], str(path), *command[1:], "--text")
+    assert code == 3
+    assert out == ""
+    assert err == expected
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_DOCUMENTS))
+def test_unusable_document_exits_3_in_a_process(tmp_path, name):
+    # The --text crash happened when writing to a real UTF-8 standard output.
+    path = tmp_path / "bad.json"
+    path.write_text(UNUSABLE_DOCUMENTS[name][0])
+    for argv in (["validate", str(path)], ["ideals", str(path), "--text"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgraph.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
+def test_surrogate_pair_is_one_character(capsys, tmp_path):
+    # An escaped pair decodes to one astral character, which prints.
+    path = tmp_path / "astral.json"
+    path.write_text(SURROGATE_ID.replace(r"\ud800", r"\ud83d\ude00"))
+    code, out, err = run(capsys, "ideals", str(path), "--text")
+    assert code == 0
+    assert err == ""
+    assert "\U0001f600" in out
+
+
 class TestTextRendering:
     def test_mirrors_the_json_object(self, capsys):
         _, data, _ = run_json(capsys, "simple", fixture_path("F"), "--bound", "2")

@@ -188,4 +188,4 @@ class TestOneRewritePerCut:
         assert seed == [(m, (0, 1)), (n, (1, 0))]
         assert steps and len(steps) % 2 == 0
         assert steps == [(block, (0, 1)), (block, (1, 0))] * (len(steps) // 2)
-        assert witness == [(res.witness.lam.degree,), (m, (1, 1), (0, 1)), (n, (1, 1), (1, 0))]
+        assert witness == [(res.lam.degree,), (m, (1, 1), (0, 1)), (n, (1, 1), (1, 0))]

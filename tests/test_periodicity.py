@@ -5,18 +5,15 @@ import tracemalloc
 import pytest
 
 from kgraph import (
-    Aperiodic,
     AperiodicityWitness,
     ContractViolationError,
     Degree,
     KGraph,
-    Periodic,
     PeriodicityTuple,
     Skeleton,
     SquareTable,
     fixture,
     local_periodicity_at,
-    periodicity_tuple,
     scan_aperiodicity,
     segment,
 )
@@ -44,14 +41,14 @@ class TestLocalDecision:
     def test_t2_is_periodic_everywhere(self, t2):
         for m, n in [((1, 0), (0, 1)), ((1, 1), (0, 0)), ((2, 1), (0, 2))]:
             res = local_periodicity_at(t2, "v", deg(*m), deg(*n))
-            assert isinstance(res, Periodic)
+            assert isinstance(res, PeriodicityTuple)
             assert res.periodic
             assert (res.m, res.n) == (deg(*m), deg(*n))
 
     def test_f_is_aperiodic(self, f):
         for m, n in [((1, 0), (0, 0)), ((2, 0), (0, 0)), ((0, 1), (0, 2)), ((1, 0), (0, 1))]:
             res = local_periodicity_at(f, "v", deg(*m), deg(*n))
-            assert isinstance(res, Aperiodic)
+            assert isinstance(res, AperiodicityWitness)
             assert not res.periodic
 
     def test_equal_degrees_rejected(self, t2):
@@ -77,7 +74,7 @@ class TestLocalDecision:
         res = local_periodicity_at(f, "v", (1, 0), (0, 1))
         assert not res.periodic
         same = local_periodicity_at(f, "v", deg(1, 0), deg(0, 1))
-        assert res.witness.to_json() == same.witness.to_json()
+        assert res.to_json() == same.to_json()
         assert local_periodicity_at(t2, "v", (1, 0), (0, 1)).periodic
 
 
@@ -110,7 +107,7 @@ class TestRefuteFirst:
                 for p in signed_vectors(g.k, 3):
                     m, n = positive_part(p)
                     res = local_periodicity_at(g, v, m, n)
-                    got = None if res.periodic else res.witness.lam
+                    got = None if res.periodic else res.lam
                     assert got == refute_first_witness(g, v, m, n), (g.k, v, p)
                     outcomes.add(res.periodic)
         assert outcomes == {True, False}
@@ -119,7 +116,7 @@ class TestRefuteFirst:
 class TestWitness:
     def test_witness_separates_by_construction(self, f):
         res = local_periodicity_at(f, "v", deg(1, 0), deg(0, 0))
-        w = res.witness
+        w = res
         assert w.vertex == "v"
         assert w.segment_m != w.segment_n
         # independent recomputation from the carried path
@@ -148,7 +145,7 @@ class TestWitness:
 
 class TestTuple:
     def test_t2_canonical_tuple(self, t2):
-        tup = periodicity_tuple(t2, "v", deg(1, 0), deg(0, 1))
+        tup = local_periodicity_at(t2, "v", deg(1, 0), deg(0, 1))
         assert tup.mu.edges == ("b",)
         assert tup.alpha.edges == ("r",)
         assert tup.nu.edges == ("r",)
@@ -156,13 +153,13 @@ class TestTuple:
         assert tup.mu_alpha.source_vertex == tup.nu_alpha.source_vertex
 
     def test_tuple_json_fields(self, t2):
-        data = periodicity_tuple(t2, "v", deg(1, 1), deg(0, 0)).to_json()
+        data = local_periodicity_at(t2, "v", deg(1, 1), deg(0, 0)).to_json()
         assert set(data) == {"vertex", "m", "n", "mu", "alpha", "nu"}
         assert data["m"] == [1, 1]
 
     def test_aperiodic_triple_has_no_tuple(self, f):
-        with pytest.raises(ContractViolationError):
-            periodicity_tuple(f, "v", deg(1, 0), deg(0, 0))
+        res = local_periodicity_at(f, "v", deg(1, 0), deg(0, 0))
+        assert isinstance(res, AperiodicityWitness)
 
     def test_validation_rejects_wrong_alpha(self, t2):
         mu = t2.edge_path("b")
@@ -266,7 +263,7 @@ class TestBlockSupportRegression:
         g = flip_red_graph()
         res = local_periodicity_at(g, "v", deg(1, 0), deg(2, 0))
         assert not res.periodic
-        w = res.witness
+        w = res
         blue = [e for e in w.segment_m.edges if g.edge(e).color == 1]
         assert blue == [e for e in w.segment_n.edges if g.edge(e).color == 1]
         assert w.segment_m != w.segment_n
