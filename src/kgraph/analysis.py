@@ -98,10 +98,9 @@ def annihilates(g, elem, x, cycle_cache=None):
     y = rep_apply_adjoint(g, elem.mu_alpha, x)
     if y is ZERO:
         return True
+    # y starts at s(mu.alpha) = s(nu.alpha), so neither prepend is zero.
     t1 = rep_apply(g, elem.mu_alpha, y)
     t2 = rep_apply(g, elem.nu_alpha, y)
-    if t1 is ZERO or t2 is ZERO:
-        return t1 is t2
     return ep_equal(t1, t2, cycle_cache)
 
 

@@ -2,10 +2,11 @@
 
 Exit codes are uniform across commands: 0 the property holds (or the
 command simply succeeded), 1 it fails and the report carries the
-certificate, 3 the input could not be used.  No command exits 2.  Each
-`cmd_*` returns its report and whether the property holds, and raises
-on unusable input; `main` alone turns that into an exit code.  Exit 3,
-with one `error:` line per problem on standard error, covers:
+certificate, 3 the input could not be used or the report could not be
+written.  No command exits 2.  Each `cmd_*` returns its report and
+whether the property holds, and raises on unusable input; `main` alone
+turns that into an exit code.  Exit 3, with one `error:` line per
+problem on standard error, covers:
 
 - bad flags (argparse usage errors);
 - a file that cannot be read, or bytes that are not UTF-8;
@@ -18,7 +19,9 @@ with one `error:` line per problem on standard error, covers:
   such as `--bound=--`, which argparse before Python 3.13 stores as [];
 - a `quotient --set` name that is not a vertex, `--set=--` included;
 - an `ideals` lattice of more than `ENUM_LIMIT` sets (`LimitExceededError`);
-- input too big to fit in memory (`MemoryError`).
+- input too big to fit in memory (`MemoryError`);
+- a report that cannot be written, such as to a closed pipe or a full
+  disk (`OSError`).
 
 Reports are JSON on standard output with sorted keys; --text renders the
 same object line for line as indented `key: value` text.
@@ -26,6 +29,7 @@ same object line for line as indented `key: value` text.
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import is_simple
@@ -192,8 +196,16 @@ def main(argv=None):
         # No allocation in the handler; the report waits until the traceback's frames are freed.
         problems = _OUT_OF_MEMORY
     else:
-        sys.stdout.write(out)
-        return 0 if holds else 1
+        try:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+            return 0 if holds else 1
+        except OSError as exc:
+            # Python's closed-pipe recipe: stdout to devnull, so the flush at exit is silent.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            problems = [f"cannot write the report: {exc.strerror or exc}"]
     for p in problems:
         sys.stderr.write(f"error: {p}\n")
     return 3

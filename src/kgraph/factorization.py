@@ -105,7 +105,7 @@ def validate_squares(skeleton, table):
     # Totality and bijectivity, color pair by color pair.  Each kind of
     # violation is reported once, by its first instance and its count, so
     # the report stays bounded in k.
-    no_square, not_image, not_pair = [], [], []
+    no_square, not_image = [], []
     by_color = {}  # edges of each color, sorted by id: one index for every color pair
     for eid in sorted(skeleton.edges):
         by_color.setdefault(skeleton.edges[eid].color, []).append(skeleton.edges[eid])
@@ -115,12 +115,9 @@ def validate_squares(skeleton, table):
             images = _composable_pairs(skeleton, by_color.get(cj, ()), ci)
             no_square += [(ci, cj, p) for p in pairs if p not in table.forward]
             not_image += [(ci, cj, q) for q in images if q not in table.backward]
-            claimed = {table.forward[p] for p in pairs if p in table.forward}
-            not_pair += [(ci, cj, img) for img in sorted(claimed - set(images))]
     for instances, kind in (
         (no_square, "composable pair {!r} has no square"),
         (not_image, "composable pair {!r} is not the image of any square"),
-        (not_pair, "square image {!r} is not a composable pair"),
     ):
         if instances:
             ci, cj, first = instances[0]
@@ -141,9 +138,9 @@ def validate_cubes(skeleton, table):
     around the hexagon at any order is conjugate to the loop at the
     ascending order, and it is the identity at one order exactly when it
     is at all six.  From the ascending order every swap is of an
-    ascending pair, a plain `table.forward` lookup.  Called without the
-    precondition, a missing lookup is reported, not raised.  Trivially
-    true for k < 3.
+    ascending composable pair, a plain `table.forward` lookup that
+    totality guarantees: `validation_reports`, the one caller, runs this
+    check only after `validate_squares` passes.  Trivially true for k < 3.
     """
     skeleton.require_validated()
     problems = []
@@ -153,18 +150,12 @@ def validate_cubes(skeleton, table):
             for e2 in by_range.get((edges[e1].source, color2), ()):
                 for color3 in range(color2 + 1, k + 1):
                     for e3 in by_range.get((edges[e2].source, color3), ()):
-                        try:
-                            b1, c1 = fwd[(e2, e3)]
-                            a1, b2 = fwd[(e1, b1)]
-                            c2, b3 = fwd[(b2, c1)]
-                            x1, y1 = fwd[(e1, e2)]
-                            y2, z1 = fwd[(y1, e3)]
-                            x2, y3 = fwd[(x1, y2)]
-                        except KeyError as missing:
-                            problems.append(
-                                f"cube ({e1},{e2},{e3}): square lookup failed for {missing}"
-                            )
-                            continue
+                        b1, c1 = fwd[(e2, e3)]
+                        a1, b2 = fwd[(e1, b1)]
+                        c2, b3 = fwd[(b2, c1)]
+                        x1, y1 = fwd[(e1, e2)]
+                        y2, z1 = fwd[(y1, e3)]
+                        x2, y3 = fwd[(x1, y2)]
                         if (a1, c2, b3) != (x2, y3, z1):
                             problems.append(
                                 f"cube ({e1},{e2},{e3}): swap schedules disagree "
@@ -269,10 +260,7 @@ class KGraph:
 
     def _swap(self, a, b):
         """Apply the square to adjacent edge ids (a, b); colors must differ."""
-        ca, cb = self._colors[a], self._colors[b]
-        if ca == cb:
-            raise ContractViolationError("cannot swap edges of equal color")
-        if ca < cb:
+        if self._colors[a] < self._colors[b]:
             return self.squares.forward[(a, b)]
         return self.squares.backward[(a, b)]
 

@@ -63,9 +63,6 @@ class EventuallyPeriodicPath:
     def __repr__(self):
         return f"EP<{self.prefix!r}.({self.loop!r})^inf>"
 
-    def to_json(self):
-        return {"prefix": self.prefix.to_json(), "loop": self.loop.to_json()}
-
     def minimized(self):
         """Peel whole loop copies off the prefix tail; same infinite path."""
         rho, gam = self.prefix, self.loop

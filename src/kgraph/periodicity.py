@@ -53,7 +53,7 @@ from collections import deque
 from itertools import product as _iproduct
 
 from .degrees import MAX_ENTRY, add, join, leq, ones, positive_part, subtract
-from .errors import CompositionError, ContractViolationError
+from .errors import ContractViolationError
 from .factorization import compose, factor, segment
 
 
@@ -165,9 +165,7 @@ def local_periodicity_at(g, v, m, n):
         queue = deque([seed])
         while queue:
             state = queue.popleft()
-            left, right = state
-            if right.source_vertex != left.source_vertex:
-                raise CompositionError("the two tails of a state must share a source")
+            left, right = state  # both tails end at s(lam), or at s(kappa) after a step
             for kappa in g.paths_from(left.source_vertex, block):
                 # L.kappa cut at the block; the tail keeps d(L) = a (d(R) = b).
                 lk_head, lk_tail = g._cut(left.range_vertex, left.edges + kappa.edges, (block, a))

@@ -50,6 +50,10 @@ class TestRepElement:
         with pytest.raises(ContractViolationError):
             RepElement(d2.path("w", ["cb"]), d2.path("w", ["bw", "rw"]))
 
+    def test_paths_from_different_graphs_refused(self, t2, f):
+        with pytest.raises(ContractViolationError, match="different graphs"):
+            RepElement(t2.path("v", ["b"]), f.path("v", ["b0", "r0"]))
+
     def test_json_shape(self, t2):
         tup = local_periodicity_at(t2, "v", deg(1, 0), deg(0, 1))
         assert set(RepElement.from_tuple(tup).to_json()) == {"mu_alpha", "nu_alpha"}
@@ -89,6 +93,8 @@ class TestAction:
         x = ep(t2, "v", [], ["b", "r"])
         with pytest.raises(ContractViolationError):
             rep_apply(t2, f.edge_path("b0"), x)
+        with pytest.raises(ContractViolationError):
+            rep_apply_adjoint(t2, f.edge_path("b0"), x)
 
 
 class TestAnnihilation:

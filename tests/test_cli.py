@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, report shapes, text rendering."""
 
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +83,19 @@ class TestValidate:
         assert data["verdict"] == "invalid"
         # skeleton report passed, square report did not, cubes never ran
         assert len(data["reports"]) == 2
+
+    def test_junk_square_image(self, capsys, tmp_path):
+        doc = json.loads((FIXDIR / "T2.json").read_text())
+        doc["squares"][0]["image"] = ["q", "q"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, data, _ = run_json(capsys, "validate", str(bad))
+        assert code == 1
+        assert data["verdict"] == "invalid"
+        assert data["reports"][1]["violations"] == [
+            "colors (1,2): composable pair ('r', 'b') is not the image of any square (first of 1)",
+            "square ('b', 'r'): unknown edge id(s) ['q', 'q']",
+        ]
 
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -242,6 +257,18 @@ class TestQuotient:
         code, data, _ = run_json(capsys, "quotient", fixture_path("T2"), "--set", "v")
         assert code == 1
         assert data["verdict"] == "error"
+
+    def test_non_saturated_set(self, capsys, tmp_path):
+        # l: a <- a and e: b <- a; {a} is hereditary, but b's one edge comes from a.
+        edges = [
+            {"id": "l", "color": 1, "range": "a", "source": "a"},
+            {"id": "e", "color": 1, "range": "b", "source": "a"},
+        ]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"k": 1, "vertices": ["a", "b"], "edges": edges, "squares": []}))
+        code, data, _ = run_json(capsys, "quotient", str(path), "--set", "a")
+        assert code == 1
+        assert data == {"message": "['a'] is not saturated", "verdict": "error"}
 
     def test_unknown_vertex_is_unusable_input(self, capsys):
         code, out, err = run(capsys, "quotient", fixture_path("D"), "--set", "zz,u,yy")
@@ -437,6 +464,65 @@ def test_surrogate_pair_is_one_character(capsys, tmp_path):
     assert code == 0
     assert err == ""
     assert "\U0001f600" in out
+
+
+class _FailingStdout:
+    """A standard output whose writes raise `error`; its descriptor is a scratch file's."""
+
+    def __init__(self, error, target):
+        self.error = error
+        self.target = target
+
+    def write(self, text):
+        raise self.error
+
+    def fileno(self):
+        return self.target.fileno()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left on device")],
+    ids=["closed-pipe", "full-disk"],
+)
+def test_unwritable_report_exits_3(capsys, monkeypatch, tmp_path, error):
+    # F is cofinal: exit 1 would claim it is not, with no report to show.
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(error, target))
+        code = main(["cofinal", fixture_path("F")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: cannot write the report: {error.strerror}\n"
+
+
+@pytest.mark.parametrize(
+    "sink, reason",
+    [
+        ("closed-pipe", "Broken pipe"),
+        pytest.param(
+            "/dev/full",
+            "No space left on device",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+    ids=["closed-pipe", "full-disk"],
+)
+def test_unwritable_report_exits_3_in_a_process(sink, reason):
+    if sink == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)  # no reader from the start, so the first write fails
+    else:
+        stdout = os.open(sink, os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgraph.cli", "cofinal", fixture_path("F")],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: cannot write the report: {reason}\n"
 
 
 class TestTextRendering:

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from kgraph import Degree, add, join, leq, meet, ones, positive_part, subtract, unit, zero
+from kgraph.degrees import MAX_ENTRY
 from kgraph.errors import DegreeError, RankMismatchError
 
 
@@ -52,6 +53,22 @@ def test_non_int_entries_rejected(make, coords):
     # bool is an int subclass and float truncates; neither is a degree entry
     with pytest.raises(DegreeError):
         make(coords)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: unit(2, 0),
+        lambda: unit(2, 3),
+        lambda: add((MAX_ENTRY, 0), (1, 0)),
+        lambda: positive_part(()),
+        lambda: positive_part((-MAX_ENTRY - 1, 0)),
+    ],
+    ids=["color-0", "color-past-k", "add-overflow", "signed-empty", "signed-past-cap"],
+)
+def test_out_of_range_rejected(call):
+    with pytest.raises(DegreeError):
+        call()
 
 
 def test_rank_mismatch():

@@ -14,7 +14,7 @@ from kgraph import (
     segment,
     zero,
 )
-from kgraph.errors import CompositionError, DegreeError, ValidationError
+from kgraph.errors import CompositionError, ContractViolationError, DegreeError, ValidationError
 from kgraph.factorization import validate_cubes, validate_squares
 
 from generators import corpus, exchanged_tables, k3_products
@@ -34,6 +34,17 @@ def test_build_refuses_invalid_squares():
     skel, _ = fixture_parts("T2")
     with pytest.raises(ValidationError):
         KGraph.build(skel, SquareTable([]))  # missing the only square
+
+
+def test_constructor_refuses_to_skip_validation():
+    skel, squares = fixture_parts("T2")
+    with pytest.raises(ContractViolationError, match="use KGraph.build"):
+        KGraph(skel, squares)
+
+
+def test_unknown_fixture_name():
+    with pytest.raises(KeyError, match="unknown fixture 'T3'"):
+        fixture_parts("T3")
 
 
 def test_build_refuses_non_bijective_table():
@@ -72,6 +83,104 @@ def test_missing_squares_reported_once_per_kind(k):
     ]
 
 
+# Each case drops the squares of some pairs from a fixture's table and adds
+# others; the report lists every violation, sorted.  The junk-image case
+# pins that an image which is not a composable pair needs no check of its
+# own: the per-square checks and the missing image name it.
+SQUARE_VIOLATIONS = {
+    "duplicated-pair": (
+        "F",
+        [],
+        [(("b0", "r0"), ("r1", "b0"))],
+        [
+            "square ('b0', 'r0'): pair listed more than once",
+            "square image ('r1', 'b0'): hit by more than one pair",
+        ],
+    ),
+    "unknown-id": (
+        "T2",
+        [("b", "r")],
+        [(("b", "x"), ("r", "b"))],
+        [
+            "colors (1,2): composable pair ('b', 'r') has no square (first of 1)",
+            "square ('b', 'x'): unknown edge id(s) ['x']",
+        ],
+    ),
+    "descending-pair": (
+        "T2",
+        [],
+        [(("r", "b"), ("b", "r"))],
+        ["square ('r', 'b'): pair colors (2,1) not ascending"],
+    ),
+    "pair-not-composable": (
+        "D2",
+        [("bw", "cr")],
+        [(("bw", "ru0"), ("rw", "cb"))],
+        [
+            "colors (1,2): composable pair ('bw', 'cr') has no square (first of 1)",
+            "square ('bw', 'ru0'): pair not composable (s(bw)=w, r(ru0)=u)",
+        ],
+    ),
+    "image-colors": (
+        "F",
+        [("b0", "r0")],
+        [(("b0", "r0"), ("r0", "r1"))],
+        [
+            "colors (1,2): composable pair ('r0', 'b1') is not the image of any square (first of 1)",
+            "square ('b0', 'r0'): image colors (2,2) do not mirror (2,1)",
+        ],
+    ),
+    "junk-image": (
+        "T2",
+        [("b", "r")],
+        [(("b", "r"), ("q", "q"))],
+        [
+            "colors (1,2): composable pair ('r', 'b') is not the image of any square (first of 1)",
+            "square ('b', 'r'): unknown edge id(s) ['q', 'q']",
+        ],
+    ),
+    "image-not-composable": (
+        "D2",
+        [("bw", "rw")],
+        [(("bw", "rw"), ("rw", "bu0"))],
+        [
+            "colors (1,2): composable pair ('rw', 'bw') is not the image of any square (first of 1)",
+            "square ('bw', 'rw'): image not composable",
+            "square ('bw', 'rw'): image source 'u' != pair source 'w'",
+        ],
+    ),
+    "image-range": (
+        "D2",
+        [("cb", "ru0")],
+        [(("cb", "ru0"), ("ru0", "bu0"))],
+        [
+            "colors (1,2): composable pair ('cr', 'bu0') is not the image of any square (first of 1)",
+            "square ('cb', 'ru0'): image range 'u' != pair range 'w'",
+            "square image ('ru0', 'bu0'): hit by more than one pair",
+        ],
+    ),
+    "image-source": (
+        "D2",
+        [("bw", "cr")],
+        [(("bw", "cr"), ("rw", "bw"))],
+        [
+            "colors (1,2): composable pair ('rw', 'cb') is not the image of any square (first of 1)",
+            "square ('bw', 'cr'): image source 'w' != pair source 'u'",
+            "square image ('rw', 'bw'): hit by more than one pair",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SQUARE_VIOLATIONS))
+def test_square_violations_named(case):
+    name, dropped, added, expected = SQUARE_VIOLATIONS[case]
+    skel, table = fixture_parts(name)
+    assert skel.validate().ok
+    entries = [e for e in table.entries if e[0] not in dropped] + added
+    assert validate_squares(skel, SquareTable(entries)).violations == expected
+
+
 def test_vertex_and_edge_paths(t2):
     v = t2.vertex_path("v")
     assert v.degree == zero(2)
@@ -93,6 +202,14 @@ def test_compose_requires_matching_endpoints(d):
     bu, bw = d.edge_path("bu"), d.edge_path("bw")
     with pytest.raises(CompositionError):
         compose(bu, bw)
+    with pytest.raises(CompositionError, match="has range 'w', expected 'u'"):
+        d.path("u", ["bw"])
+
+
+def test_compose_requires_one_graph(t2, f):
+    # both graphs have a vertex v, so only the graph check tells them apart
+    with pytest.raises(CompositionError, match="different graphs"):
+        compose(t2.edge_path("b"), f.edge_path("b0"))
 
 
 def test_factor_flip_square(f):
@@ -252,6 +369,10 @@ def test_plain_tuple_degrees_checked_at_entry(f):
         f.paths_from("v", (0, -1))
     with pytest.raises(DegreeError):
         factor(lam, (-1, 1))
+    with pytest.raises(DegreeError, match="exceeds path degree"):
+        factor(lam, (2, 0))
+    with pytest.raises(DegreeError, match="segment needs m <= n"):
+        segment(lam, (1, 0), (0, 0))
     with pytest.raises(DegreeError):
         f.paths_from("v", (1,))
     with pytest.raises(DegreeError):

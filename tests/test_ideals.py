@@ -274,6 +274,11 @@ class TestQuotient:
         with pytest.raises(ContractViolationError):
             quotient(d2, fs("w"))
 
+    def test_non_saturated_refused(self):
+        g = one_graph(["a", "b"], ["a", "a"])  # as in test_certificate_must_be_saturated
+        with pytest.raises(ContractViolationError, match=r"\['a'\] is not saturated"):
+            quotient(g, fs("a"))
+
     def test_quotient_revalidates(self, d):
         # the result is a fully built graph, so its paths factor correctly
         q = quotient(d, fs("u"))

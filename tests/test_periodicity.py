@@ -167,6 +167,16 @@ class TestTuple:
         with pytest.raises(ContractViolationError):
             PeriodicityTuple("v", deg(1, 0), deg(0, 1), mu, bad_alpha)
 
+    def test_validation_rejects_mu_at_another_vertex(self, d2):
+        mu = d2.edge_path("bu0")  # range u
+        with pytest.raises(ContractViolationError, match="claimed vertex"):
+            PeriodicityTuple("w", deg(1, 0), deg(0, 1), mu, d2.edge_path("ru0"))
+
+    def test_validation_rejects_wrong_mu_degree(self, t2):
+        mu = t2.edge_path("r")  # degree (0,1), not (1,0)
+        with pytest.raises(ContractViolationError, match=r"d\(mu\) != m"):
+            PeriodicityTuple("v", deg(1, 0), deg(0, 1), mu, t2.edge_path("r"))
+
     def test_validation_rejects_equal_degrees(self, t2):
         mu = t2.vertex_path("v")
         alpha = t2.vertex_path("v")
