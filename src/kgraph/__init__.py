@@ -7,7 +7,6 @@ lattice, and bounded-scan analyses with re-validating certificates.
 """
 
 from .analysis import (
-    ZERO,
     RepElement,
     all_ideals_gauge_invariant,
     analyze,
@@ -49,8 +48,6 @@ from .infinite import (
     ep_compose,
     ep_equal,
     ep_samples,
-    ep_segment,
-    ep_shift,
 )
 from .periodicity import (
     AperiodicityWitness,
@@ -79,7 +76,6 @@ __all__ = [
     "Skeleton",
     "SquareTable",
     "ValidationError",
-    "ZERO",
     "add",
     "all_ideals_gauge_invariant",
     "analyze",
@@ -91,8 +87,6 @@ __all__ = [
     "ep_compose",
     "ep_equal",
     "ep_samples",
-    "ep_segment",
-    "ep_shift",
     "factor",
     "fixture",
     "fixture_parts",

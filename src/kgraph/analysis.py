@@ -2,10 +2,11 @@
 
 The headline results are conditional on bounded scans, and every verdict
 says so: "Simple (up to bound B)" means cofinal plus no locally periodic
-pair with difference entries bounded by B.  Every certificate a verdict
-carries (aperiodicity witness, periodicity tuple, cofinality obstruction)
-re-validates in its constructor, so a verdict does not rest on trusting
-the search that found it.  Nothing reads a stored report back yet.
+pair with difference entries bounded by B.  A verdict holds the
+certificates it was decided from (cofinality obstruction, scan report)
+and derives its text and JSON from them; each certificate re-validates
+in its constructor, so a verdict does not rest on trusting the search
+that found it.  Nothing reads a stored report back yet.
 
 Gauge invariance scans the quotient by every proper saturated
 hereditary set, so `all_ideals_gauge_invariant` and `analyze` run on any
@@ -13,13 +14,13 @@ graph whose ideal lattice has at most `ideals.ENUM_LIMIT` sets, however
 many vertices it has.
 
 The representation-theoretic spot check works on the basis of eventually
-periodic infinite paths.  A path eta acts by prepending (zero when the
-range does not match) and its adjoint by peeling eta off the front (zero
-when the prefix disagrees).  For a periodicity tuple, the defect element
-built from mu.alpha and nu.alpha annihilates every basis vector exactly
-because mu.alpha.y = nu.alpha.y for all y; the degree inequality
-d(mu.alpha) != d(nu.alpha) is the finite certificate that the element is
-nevertheless a nonzero obstruction.
+periodic infinite paths, with None as the zero vector.  A path eta acts
+by prepending (zero when the range does not match) and its adjoint by
+peeling eta off the front (zero when the prefix disagrees).  For a
+periodicity tuple, the defect element built from mu.alpha and nu.alpha
+annihilates every basis vector exactly because mu.alpha.y = nu.alpha.y
+for all y; the degree inequality d(mu.alpha) != d(nu.alpha) is the
+finite certificate that the element is nevertheless a nonzero obstruction.
 """
 
 import time
@@ -28,23 +29,6 @@ from .errors import ContractViolationError
 from .ideals import enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
 from .infinite import EventuallyPeriodicPath, _unrolled_cut, ep_compose, ep_equal, ep_samples
 from .periodicity import resolve_bound, scan_aperiodicity
-
-
-class _Zero:
-    """Absorbing result of applying a generator off its domain."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Zero"
-
-
-ZERO = _Zero()
 
 
 class RepElement:
@@ -73,30 +57,30 @@ class RepElement:
 
 
 def rep_apply(g, eta, x):
-    """The generator for eta applied to the basis vector of x."""
+    """The generator for eta applied to the basis vector of x, or None."""
     if eta.graph is not g:
         raise ContractViolationError("eta belongs to a different graph")
     if x.range_vertex != eta.source_vertex:
-        return ZERO
+        return None
     return ep_compose(eta, x)
 
 
 def rep_apply_adjoint(g, eta, x):
-    """The adjoint generator: strips eta off the front of x, or zero."""
+    """The adjoint generator: strips eta off the front of x, or None."""
     if eta.graph is not g:
         raise ContractViolationError("eta belongs to a different graph")
     if x.range_vertex != eta.range_vertex:
-        return ZERO
+        return None
     head, rest = _unrolled_cut(x.prefix, x.loop, eta.degree)
     if head != eta:
-        return ZERO
+        return None
     return EventuallyPeriodicPath(rest, x.loop).minimized()
 
 
 def annihilates(g, elem, x, cycle_cache=None):
     """Whether the defect element sends the basis vector of x to zero."""
     y = rep_apply_adjoint(g, elem.mu_alpha, x)
-    if y is ZERO:
+    if y is None:
         return True
     # y starts at s(mu.alpha) = s(nu.alpha), so neither prepend is zero.
     t1 = rep_apply(g, elem.mu_alpha, y)
@@ -116,70 +100,60 @@ def sample_family(g, depth):
         yield from ep_samples(g, v, depth, depth)
 
 
-class SimplicityVerdict:
-    """Outcome of the simplicity test at a bound."""
+def _periodic_text(hit):
+    return f"locally periodic at {hit.vertex} for m={list(hit.m)}, n={list(hit.n)}"
 
-    def __init__(self, status, bound, reason=None, not_cofinal=None, periodic=None, scan=None):
-        self.status = status  # "simple" | "not_simple"
+
+class SimplicityVerdict:
+    """Simple = cofinal + no periodic hit, read off the two certificates.
+
+    `cofinality` is a Cofinal or NotCofinal, `scan` the scan report of the
+    graph itself, or None when the graph is not cofinal and was not scanned.
+    """
+
+    def __init__(self, bound, cofinality, scan):
         self.bound = bound
-        self.reason = reason  # None | "not_cofinal" | "locally_periodic"
-        self.not_cofinal = not_cofinal  # NotCofinal certificate set
-        self.periodic = periodic  # PeriodicReport
-        self.scan = scan  # AperiodicReport when simple
+        self.cofinality = cofinality
+        self.scan = scan
+        self.simple = cofinality.cofinal and not scan.periodic
 
     def text(self):
-        if self.status == "simple":
+        if self.simple:
             return f"Simple (up to bound {self.bound})"
-        if self.reason == "not_cofinal":
-            return f"Not simple: not cofinal, obstruction {sorted(self.not_cofinal)}"
-        hit = self.periodic
-        return (
-            f"Not simple: locally periodic at {hit.vertex} "
-            f"for m={list(hit.m)}, n={list(hit.n)}"
-        )
+        if not self.cofinality.cofinal:
+            return f"Not simple: not cofinal, obstruction {sorted(self.cofinality.certificate)}"
+        return f"Not simple: {_periodic_text(self.scan)}"
 
     def to_json(self):
         out = {
-            "verdict": self.status,
+            "verdict": "simple" if self.simple else "not_simple",
             "bound": self.bound,
-            "reason": self.reason,
+            "reason": None,
             "summary": self.text(),
         }
-        if self.not_cofinal is not None:
-            out["not_cofinal"] = vertex_set_to_json(self.not_cofinal)
-        if self.periodic is not None:
-            out["periodic"] = self.periodic.to_json()
+        if not self.cofinality.cofinal:
+            out["reason"] = "not_cofinal"
+            out["not_cofinal"] = vertex_set_to_json(self.cofinality.certificate)
+        elif self.scan.periodic:
+            out["reason"] = "locally_periodic"
+            out["periodic"] = self.scan.to_json()
         return out
-
-
-def _simplicity_verdict(bound, cof, scan):
-    """Simple = cofinal + no periodic hit; scan is unused when not cofinal."""
-    if not cof.cofinal:
-        return SimplicityVerdict(
-            "not_simple", bound, reason="not_cofinal", not_cofinal=cof.certificate
-        )
-    if scan.periodic:
-        return SimplicityVerdict(
-            "not_simple", bound, reason="locally_periodic", periodic=scan
-        )
-    return SimplicityVerdict("simple", bound, scan=scan)
 
 
 def is_simple(g, bound=None):
     """Cofinality first, then the bounded periodicity scan."""
     bound = resolve_bound(g, bound)
     cof = is_cofinal(g)
-    scan = scan_aperiodicity(g, bound) if cof.cofinal else None
-    return _simplicity_verdict(bound, cof, scan)
+    return SimplicityVerdict(bound, cof, scan_aperiodicity(g, bound) if cof.cofinal else None)
 
 
 class GaugeInvarianceReport:
-    """Periodicity scans of every proper quotient, and the verdict."""
+    """Periodicity scans of every proper quotient; the offender is the first periodic row."""
 
-    def __init__(self, bound, rows, offender):
+    def __init__(self, bound, rows):
         self.bound = bound
         self.rows = rows  # (H, scan result)
-        self.offender = offender  # (H, PeriodicReport) or None
+        self.offender = next(((h, scan) for h, scan in rows if scan.periodic), None)
 
     @property
     def all_invariant(self):
@@ -189,10 +163,7 @@ class GaugeInvarianceReport:
         if self.all_invariant:
             return f"All ideals gauge-invariant (up to bound {self.bound})"
         h, hit = self.offender
-        return (
-            f"Gauge invariance fails at H={sorted(h)}: quotient locally periodic "
-            f"at {hit.vertex} for m={list(hit.m)}, n={list(hit.n)}"
-        )
+        return f"Gauge invariance fails at H={sorted(h)}: quotient {_periodic_text(hit)}"
 
     def to_json(self):
         table = []
@@ -221,41 +192,39 @@ def all_ideals_gauge_invariant(g, bound=None):
 
     The empty set is included (the quotient is the graph itself); the
     full vertex set is not (no quotient remains).  Rows are ordered by
-    (size, contents), and the offender is the first periodic row.
+    (size, contents).
     """
     bound = resolve_bound(g, bound)
     rows = []
-    offender = None
     for h in enumerate_sat_her(g):
         if set(h) == set(g.vertices):
             continue
         sub = quotient(g, h) if h else g
-        scan = scan_aperiodicity(sub, bound)
-        rows.append((h, scan))
-        if scan.periodic and offender is None:
-            offender = (h, scan)
-    return GaugeInvarianceReport(bound, rows, offender)
+        rows.append((h, scan_aperiodicity(sub, bound)))
+    return GaugeInvarianceReport(bound, rows)
 
 
 class AnalysisReport:
     """Everything about one graph in a single document."""
 
-    def __init__(self, source, bound, cofinality, scan, simplicity, gauge, seconds):
+    def __init__(self, source, simplicity, gauge, seconds):
         self.source = source
-        self.bound = bound
-        self.cofinality = cofinality
-        self.scan = scan
         self.simplicity = simplicity
         self.gauge = gauge
         self.seconds = seconds
 
+    @property
+    def scan(self):
+        return self.simplicity.scan
+
     def to_json(self):
+        verdict = self.simplicity
         return {
             "graph": self.source,
-            "bound": self.bound,
-            "cofinality": self.cofinality.to_json(),
-            "aperiodicity": self.scan.to_json(),
-            "simplicity": self.simplicity.to_json(),
+            "bound": verdict.bound,
+            "cofinality": verdict.cofinality.to_json(),
+            "aperiodicity": verdict.scan.to_json(),
+            "simplicity": verdict.to_json(),
             "gauge_invariance": self.gauge.to_json(),
             "timing": {"seconds": self.seconds},
         }
@@ -265,10 +234,7 @@ def analyze(g, bound=None, source=None):
     """Run every decision at one bound and bundle the certificates."""
     start = time.monotonic()
     bound = resolve_bound(g, bound)
-    cof = is_cofinal(g)
     gauge = all_ideals_gauge_invariant(g, bound)
     # Row 0 is H = {}, whose quotient is g itself: that scan is g's scan.
-    _, scan = gauge.rows[0]
-    verdict = _simplicity_verdict(bound, cof, scan)
-    seconds = time.monotonic() - start
-    return AnalysisReport(source, bound, cof, scan, verdict, gauge, seconds)
+    verdict = SimplicityVerdict(bound, is_cofinal(g), gauge.rows[0][1])
+    return AnalysisReport(source, verdict, gauge, time.monotonic() - start)

@@ -109,7 +109,7 @@ def cmd_cofinal(args):
 
 def cmd_simple(args):
     verdict = is_simple(KGraph.build(*_read_document(args.file)), args.bound)
-    return verdict.to_json(), verdict.status == "simple"
+    return verdict.to_json(), verdict.simple
 
 
 def cmd_ideals(args):

@@ -83,22 +83,6 @@ def _unrolled_cut(rho, gam, *degrees):
     return rho.graph._cut(rho.range_vertex, rho.edges + gam.edges * t, degrees + (rest,))
 
 
-def ep_segment(x, m, n):
-    """x(m, n) for an eventually periodic x; any m <= n."""
-    if not leq(m, n):
-        raise DegreeError(f"segment needs m <= n, got {m!r}, {n!r}")
-    x.graph.require_rank(m)
-    x.graph.require_rank(n)
-    return _unrolled_cut(x.prefix, x.loop, m, subtract(n, m))[1]
-
-
-def ep_shift(x, p):
-    """The shifted path sigma^p(x), re-minimizing the prefix."""
-    x.graph.require_rank(p)
-    _, rho = _unrolled_cut(x.prefix, x.loop, p)
-    return EventuallyPeriodicPath(rho, x.loop).minimized()
-
-
 def ep_equal(x, y, cycle_cache=None):
     """Exact equality of the denoted infinite paths.
 

@@ -108,10 +108,6 @@ class Skeleton:
         self._validated = report.ok
         return report
 
-    @property
-    def validated(self):
-        return self._validated
-
     def require_validated(self):
         if not self._validated:
             raise ContractViolationError("skeleton has not passed validation")

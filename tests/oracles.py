@@ -40,7 +40,6 @@ from collections import deque
 from itertools import product
 
 from kgraph import (
-    ZERO,
     ContractViolationError,
     Degree,
     DegreeError,
@@ -53,7 +52,6 @@ from kgraph import (
     ep_compose,
     ep_equal,
     ep_samples,
-    ep_segment,
     factor,
     join,
     leq,
@@ -566,7 +564,7 @@ def cofinality_oracle(g, depth):
     for start in g.vertices:
         seen = set()
         for x in ep_samples(g, start, depth, depth):
-            lam = ep_segment(x, zero, top)
+            lam = ep_segment_by_compose(x, zero, top)
             if lam in seen:
                 continue
             seen.add(lam)
@@ -605,9 +603,9 @@ def ep_shift_by_compose(x, p):
 
 def rep_apply_adjoint_by_compose(g, eta, x):
     if x.range_vertex != eta.range_vertex:
-        return ZERO
+        return None
     if ep_segment_by_compose(x, Degree((0,) * g.k), eta.degree) != eta:
-        return ZERO
+        return None
     return ep_shift_by_compose(x, eta.degree)
 
 

@@ -25,7 +25,6 @@ from oracles import (
 )
 
 from kgraph.analysis import (
-    ZERO,
     RepElement,
     all_ideals_gauge_invariant,
     is_simple,
@@ -171,8 +170,8 @@ def test_criterion_4():
             for y in samples:
                 left = rep_apply(g, elem.mu_alpha, y)
                 right = rep_apply(g, elem.nu_alpha, y)
-                assert (left is ZERO) == (right is ZERO)
-                if left is not ZERO:
+                assert (left is None) == (right is None)
+                if left is not None:
                     assert ep_equal(left, right, cache)
                     checked += 1
     assert checked > 0
@@ -195,20 +194,24 @@ def test_criterion_6():
     t2, f, d = gl[0], gl[1], gl[2]
 
     v1 = is_simple(t2)
-    assert v1.status == "not_simple" and v1.reason == "locally_periodic"
-    hit = v1.periodic
+    assert not v1.simple and v1.cofinality.cofinal
+    assert (v1.to_json()["verdict"], v1.to_json()["reason"]) == ("not_simple", "locally_periodic")
+    hit = v1.scan
+    assert hit.periodic
     tup = hit.tuple
     PeriodicityTuple(tup.vertex, tup.m, tup.n, tup.mu, tup.alpha)
     assert local_periodicity_at(t2, hit.vertex, hit.m, hit.n).periodic
 
     v2 = is_simple(d)
-    assert v2.status == "not_simple" and v2.reason == "not_cofinal"
-    h = v2.not_cofinal
+    assert not v2.simple and not v2.cofinality.cofinal
+    assert (v2.to_json()["verdict"], v2.to_json()["reason"]) == ("not_simple", "not_cofinal")
+    h = v2.cofinality.certificate
     assert h and set(h) < set(d.vertices)
     assert is_hereditary(d, h) and is_saturated(d, h)
 
     v3 = is_simple(f, 2)
-    assert v3.status == "simple" and v3.bound == 2
+    assert v3.simple and v3.bound == 2
+    assert v3.to_json()["verdict"] == "simple"
     assert v3.text() == "Simple (up to bound 2)"
     assert v3.scan is not None and v3.scan.entries
     for vertex, p, wit in v3.scan.entries:

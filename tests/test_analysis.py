@@ -1,9 +1,9 @@
 """Representation spot checks, simplicity verdicts, gauge invariance."""
 
 import pytest
+from generators import corpus, k2_products
 
 from kgraph import (
-    ZERO,
     ContractViolationError,
     Degree,
     RepElement,
@@ -12,6 +12,7 @@ from kgraph import (
     annihilates,
     ep_equal,
     ep_samples,
+    fixture,
     is_simple,
     local_periodicity_at,
     rep_apply,
@@ -64,30 +65,30 @@ class TestAction:
         x = ep(f, "v", [], ["b0", "r0"])
         eta = f.edge_path("b1")
         y = rep_apply(f, eta, x)
-        assert y is not ZERO
+        assert y is not None
         assert y.prefix == eta
 
     def test_apply_off_domain_is_zero(self, d):
         x = ep(d, "w", [], ["bw", "rw"])
         eta = d.edge_path("bu")  # source u, x sits at w
-        assert rep_apply(d, eta, x) is ZERO
+        assert rep_apply(d, eta, x) is None
 
     def test_adjoint_strips_prefix(self, f):
         eta = f.path("v", ["b0", "r0"])
         x = ep(f, "v", ["b0", "r0"], ["b1", "r1"])
         y = rep_apply_adjoint(f, eta, x)
-        assert y is not ZERO
+        assert y is not None
         assert ep_equal(rep_apply(f, eta, y), x)
 
     def test_adjoint_wrong_prefix_is_zero(self, f):
         eta = f.path("v", ["b0"])
         x = ep(f, "v", ["b1"], ["b0", "r0"])
-        assert rep_apply_adjoint(f, eta, x) is ZERO
+        assert rep_apply_adjoint(f, eta, x) is None
 
     def test_adjoint_wrong_range_is_zero(self, d):
         eta = d.edge_path("bu")
         x = ep(d, "w", [], ["bw", "rw"])
-        assert rep_apply_adjoint(d, eta, x) is ZERO
+        assert rep_apply_adjoint(d, eta, x) is None
 
     def test_foreign_path_rejected(self, t2, f):
         x = ep(t2, "v", [], ["b", "r"])
@@ -126,30 +127,40 @@ class TestAnnihilation:
 class TestSimplicity:
     def test_t2_locally_periodic(self, t2):
         v = is_simple(t2)
-        assert v.status == "not_simple"
-        assert v.reason == "locally_periodic"
+        assert not v.simple
+        assert v.cofinality.cofinal and v.scan.periodic
         assert v.bound == 2
         assert v.text() == "Not simple: locally periodic at v for m=[2, 2], n=[0, 0]"
         data = v.to_json()
         assert data["verdict"] == "not_simple"
+        assert data["reason"] == "locally_periodic"
         assert data["bound"] == 2
         assert data["periodic"]["tuple"]["vertex"] == "v"
+        assert "not_cofinal" not in data
 
     def test_d_not_cofinal(self, d):
         v = is_simple(d)
-        assert v.status == "not_simple"
-        assert v.reason == "not_cofinal"
+        assert not v.simple
+        assert not v.cofinality.cofinal
+        assert v.scan is None  # not cofinal decides it; the scan is skipped
         assert v.text() == "Not simple: not cofinal, obstruction ['u']"
-        assert v.to_json()["not_cofinal"] == ["u"]
+        data = v.to_json()
+        assert data["verdict"] == "not_simple"
+        assert data["reason"] == "not_cofinal"
+        assert data["not_cofinal"] == ["u"]
+        assert "periodic" not in data
 
     def test_f_simple_at_two(self, f):
         v = is_simple(f, 2)
-        assert v.status == "simple"
+        assert v.simple
+        assert v.cofinality.cofinal and not v.scan.periodic
         assert v.text() == "Simple (up to bound 2)"
         data = v.to_json()
         assert data["verdict"] == "simple"
+        assert data["reason"] is None
         assert data["bound"] == 2
         assert data["summary"] == "Simple (up to bound 2)"
+        assert "periodic" not in data and "not_cofinal" not in data
 
     def test_bound_always_reported(self, t2, f):
         for verdict in (is_simple(t2, 1), is_simple(f, 1)):
@@ -226,3 +237,16 @@ class TestAnalyze:
         report = analyze(d2, bound=1)
         assert len(calls) == len(report.gauge.rows)
         assert report.scan is report.gauge.rows[0][1]
+
+
+def test_analyze_verdict_matches_is_simple():
+    # analyze hands the verdict g's scan even when g is not cofinal, where
+    # is_simple skips the scan: the JSON must not tell the two apart.
+    graphs = [fixture(name) for name in ("T2", "F", "D", "D2")] + corpus(40) + k2_products(3)
+    unscanned = 0
+    for g in graphs:
+        for bound in (1, 2):
+            verdict = analyze(g, bound).simplicity
+            assert verdict.to_json() == is_simple(g, bound).to_json()
+            unscanned += not verdict.cofinality.cofinal and verdict.scan.periodic
+    assert unscanned > 0

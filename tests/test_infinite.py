@@ -1,22 +1,15 @@
-"""Eventually periodic paths: representation, shifts, exact equality."""
-
-import itertools
+"""Eventually periodic paths: representation, minimization, exact equality."""
 
 import pytest
 
 from kgraph import (
     CompositionError,
     ContractViolationError,
-    Degree,
     DegreeError,
     EventuallyPeriodicPath,
-    add,
     ep_compose,
     ep_equal,
     ep_samples,
-    ep_segment,
-    ep_shift,
-    zero,
 )
 
 from oracles import ep_samples_unique
@@ -71,47 +64,6 @@ class TestMinimized:
     def test_same_infinite_path(self, f):
         x = ep(f, "v", ["b0", "r0", "b0", "r0"], ["b0", "r0"])
         assert ep_equal(x, x.minimized())
-
-
-class TestSegmentsAndShifts:
-    def test_t2_unique_path_segments(self, t2):
-        x = ep(t2, "v", [], ["b", "r"])
-        assert ep_segment(x, Degree((1, 0)), Degree((1, 1))).edges == ("r",)
-        assert ep_segment(x, Degree((0, 0)), Degree((2, 1))).edges == ("b", "b", "r")
-
-    def test_segment_needs_ordered_degrees(self, t2):
-        x = ep(t2, "v", [], ["b", "r"])
-        with pytest.raises(DegreeError):
-            ep_segment(x, Degree((1, 1)), Degree((0, 0)))
-
-    def test_zero_shift_is_identity(self, f):
-        x = ep(f, "v", [], ["b0", "r1"])
-        assert ep_shift(x, zero(2)) == x
-
-    def test_shift_consumes_prefix(self, f):
-        x = ep(f, "v", ["b1", "r0"], ["b0", "r0"])
-        y = ep_shift(x, Degree((1, 1)))
-        assert y.prefix.is_vertex()
-        assert y.loop == x.loop
-
-    def test_shift_then_segment_matches_offset_segment(self, f, d2):
-        cases = [
-            ep(f, "v", ["b1"], ["b0", "r0"]),
-            ep(f, "v", [], ["b0", "b1", "r1"]),
-            ep(d2, "w", ["cb"], ["bu0", "ru0"]),
-            ep(d2, "u", [], ["bu0", "ru1"]),
-        ]
-        small = [Degree(t) for t in itertools.product(range(3), repeat=2)]
-        for x in cases:
-            for p in small:
-                shifted = ep_shift(x, p)
-                for m in small:
-                    for n in small:
-                        if not all(a <= b for a, b in zip(m, n)):
-                            continue
-                        assert ep_segment(shifted, m, n) == ep_segment(
-                            x, add(p, m), add(p, n)
-                        )
 
 
 class TestEquality:

@@ -15,7 +15,7 @@ def test_valid_skeleton_passes():
     skel = Skeleton(2, ["v"], _loops(2))
     report = skel.validate()
     assert report.ok
-    assert skel.validated
+    skel.require_validated()
 
 
 def test_duplicate_edge_id_rejected_at_construction():
