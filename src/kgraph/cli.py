@@ -24,7 +24,9 @@ problem on standard error, covers:
   disk (`OSError`).
 
 Reports are JSON on standard output with sorted keys; --text renders the
-same object line for line as indented `key: value` text.
+same object line for line as indented `key: value` text; a string leaf
+that does not print as itself (`str.isprintable`: a line break, say) is
+written as a JSON string, so an id cannot forge a line.
 """
 
 import argparse
@@ -51,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _scalar(v):
-    return v if isinstance(v, str) else json.dumps(v)
+    return v if isinstance(v, str) and v.isprintable() else json.dumps(v)
 
 
 def render_text(obj, indent=0):

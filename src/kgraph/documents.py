@@ -17,10 +17,17 @@ holding a lone surrogate (only a \\u escape makes one) is refused, since
 no UTF-8 output could print it.
 Structural soundness (colors in range, endpoints exist, square table laws)
 is the job of the validation pass behind KGraph.build.
+
+`canonical_json` writes the bytes of `json.dumps(obj, indent=2,
+sort_keys=True) + "\\n"` (ASCII only), pinned by the test oracle
+`canonical_json_reference`.  It does not call that, because `indent` turns
+CPython's C encoder off; it writes strings (through the C escaper), ints,
+lists and str-keyed dicts itself and hands any other value to that call.
 """
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DocumentError
 from .factorization import KGraph, SquareTable
@@ -173,5 +180,30 @@ def dump_graph_document(skel, squares):
     }
 
 
+def _dumps(x, pad):
+    """x as indented JSON; `pad` is a line break and the indent of x's depth."""
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is dict and all(type(key) is str for key in x):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [_quote(key) + ": " + _dumps(x[key], inner) for key in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        if all(type(item) is str for item in x):
+            items = map(_quote, x)
+        else:
+            items = [_dumps(item, inner) for item in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def canonical_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _dumps(obj, "\n") + "\n"

@@ -258,12 +258,6 @@ class KGraph:
         e = self.edge(eid)
         return Path(self, e.range, e.source, unit(self.k, e.color), (eid,))
 
-    def _swap(self, a, b):
-        """Apply the square to adjacent edge ids (a, b); colors must differ."""
-        if self._colors[a] < self._colors[b]:
-            return self.squares.forward[(a, b)]
-        return self.squares.backward[(a, b)]
-
     def _rewrite(self, seq, *degrees):
         """Swap a composable edge sequence into the color word of `degrees`.
 
@@ -272,14 +266,21 @@ class KGraph:
         """
         arr = list(seq)
         colors = self._colors
-        word = [c for d in degrees for c, count in enumerate(d, 1) for _ in range(count)]
-        for i, color in enumerate(word):
-            j = i
-            while colors[arr[j]] != color:
-                j += 1
-            while j > i:
-                arr[j - 1], arr[j] = self._swap(arr[j - 1], arr[j])
-                j -= 1
+        forward, backward = self.squares.forward, self.squares.backward
+        i = 0
+        for d in degrees:
+            for color, count in enumerate(d, 1):
+                for _ in range(count):
+                    j = i
+                    while colors[arr[j]] != color:
+                        j += 1
+                    e = arr[j]
+                    while j > i:
+                        a = arr[j - 1]
+                        e, arr[j] = (forward if colors[a] < color else backward)[a, e]
+                        j -= 1
+                    arr[i] = e
+                    i += 1
         return tuple(arr)
 
     def _cut(self, range_vertex, seq, degrees):

@@ -26,7 +26,9 @@ the cube check run from every one of a triple's six color orders, with
 backward square lookups for descending pairs.
 `parse_graph_document_reference` is the document parser with its key
 and row checks written out once per section, as they were before the
-library shared them.
+library shared them.  `canonical_json_reference` is the standard
+library's indented, key-sorted JSON, whose bytes `canonical_json` must
+reproduce.
 
 The rest are test helpers that the library does not need.
 `vertex_matrices` gives the commuting vertex matrices of Kumjian and
@@ -36,6 +38,7 @@ sampled infinite paths, and `aperiodic_prefix` chains one separating
 witness per pair, the way the paper's proof builds an aperiodic path.
 """
 
+import json
 from collections import deque
 from itertools import product
 
@@ -328,6 +331,7 @@ def normalize_by_schedule(g, edge_ids, schedule):
 
     `schedule` picks which out-of-order adjacent position to swap next,
     given the list of current positions; normalization must not care.
+    Only descending pairs are swapped, so each swap reads `backward`.
     """
     arr = list(edge_ids)
     colors = g._colors
@@ -336,7 +340,7 @@ def normalize_by_schedule(g, edge_ids, schedule):
         if not spots:
             break
         i = schedule(spots)
-        arr[i], arr[i + 1] = g._swap(arr[i], arr[i + 1])
+        arr[i], arr[i + 1] = g.squares.backward[arr[i], arr[i + 1]]
     return tuple(arr)
 
 
@@ -397,6 +401,11 @@ def _check_id_pair(row, key, problems, where):
         problems.append(f"{where}.{key}: expected a pair of edge ids, got {val!r}")
         return None
     return tuple(val)
+
+
+def canonical_json_reference(obj):
+    """Indented, key-sorted JSON from the standard library's encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def parse_graph_document_reference(data):

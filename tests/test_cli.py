@@ -466,6 +466,30 @@ def test_surrogate_pair_is_one_character(capsys, tmp_path):
     assert "\U0001f600" in out
 
 
+FORGING_ID = "a\nerror: x"
+
+
+@pytest.mark.parametrize("command", [["ideals"], ["quotient", "--set=b"]], ids=lambda c: c[0])
+def test_text_quotes_an_id_holding_a_line_break(capsys, tmp_path, command):
+    # {b} is hereditary: the only edge with range b is b's loop.
+    doc = {
+        "k": 1,
+        "vertices": [FORGING_ID, "b"],
+        "edges": [
+            {"id": "e", "color": 1, "range": FORGING_ID, "source": FORGING_ID},
+            {"id": "f", "color": 1, "range": "b", "source": "b"},
+            {"id": "g", "color": 1, "range": FORGING_ID, "source": "b"},
+        ],
+        "squares": [],
+    }
+    path = tmp_path / "forging.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], str(path), *command[1:], "--text")
+    assert (code, err) == (0, "")
+    assert not [line for line in out.splitlines() if line.lstrip().startswith("error:")]
+    assert '- "a\\nerror: x"' in out
+
+
 class _FailingStdout:
     """A standard output whose writes raise `error`; its descriptor is a scratch file's."""
 
@@ -540,6 +564,8 @@ class TestTextRendering:
     def test_scalar_roundtrip(self):
         assert render_text(True) == ["true"]
         assert render_text("plain") == ["plain"]
+        assert render_text(["plain id", "\u00e9t\u00e9"]) == ["- plain id", "- \u00e9t\u00e9"]
+        assert render_text({"id": "a\rb\x1b"}) == ['id: "a\\rb\\u001b"']
 
 
 FIXTURE_NAMES = ("T2", "F", "D", "D2")

@@ -19,7 +19,7 @@ from kgraph import (
     parse_graph_document,
 )
 
-from oracles import parse_graph_document_reference
+from oracles import canonical_json_reference, parse_graph_document_reference
 
 
 def t2_doc():
@@ -251,8 +251,77 @@ class TestDump:
         assert a == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
         assert a.endswith("\n")
 
+    def test_canonical_json_refuses_what_json_refuses(self):
+        for bad in ({1, 2}, b"ab"):
+            for doc in (bad, {"a": [0, {"b": bad}]}):
+                with pytest.raises(TypeError):
+                    canonical_json(doc)
+                with pytest.raises(TypeError):
+                    canonical_json_reference(doc)
+
     def test_parse_dump_fixed_point(self, t2, f):
         for g in (t2, f):
             doc = dump_graph_document(g.skeleton, g.squares)
             skel, squares = parse_graph_document(doc)
             assert dump_graph_document(skel, squares) == doc
+
+
+class KeyedDict(dict):
+    """A dict subclass: canonical_json must treat it as the encoder does."""
+
+
+# Characters the C string escaper handles specially: quotes, backslashes,
+# control characters, non-ASCII, astral and lone surrogates.
+_SPECIAL = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff"]
+)
+_TEXT = st.text(st.characters(exclude_categories=()) | _SPECIAL, max_size=6)
+_LEAVES = (
+    _TEXT
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.integers(max_value=-1)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")])
+)
+
+
+def _json_containers(kids):
+    return (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.lists(_TEXT, max_size=4)
+        | st.dictionaries(_TEXT, kids, max_size=4)
+        | st.dictionaries(_TEXT, kids, max_size=3).map(KeyedDict)
+        | st.dictionaries(st.integers(), kids, max_size=3)
+    )
+
+
+_VALUES = st.recursive(_LEAVES, _json_containers, max_leaves=20)
+
+
+@st.composite
+def json_values(draw):
+    """A random value, wrapped at least 5 levels deep half the time."""
+    value = draw(_VALUES)
+    if draw(st.booleans()):
+        for key in draw(st.lists(_TEXT, min_size=5, max_size=8)):
+            value = {key: value} if draw(st.booleans()) else [draw(_LEAVES), value]
+    if draw(st.integers(0, 9)) == 0:  # an unserializable leaf after the value
+        value = [value, {"x": draw(st.sampled_from([{1, 2}, b"ab"]))}]
+    return value
+
+
+def _outcome(writer, obj):
+    try:
+        return "ok", writer(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(json_values())
+def test_canonical_json_matches_the_standard_library(obj):
+    assert _outcome(canonical_json, obj) == _outcome(canonical_json_reference, obj)
