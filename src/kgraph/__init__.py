@@ -17,7 +17,7 @@ from .analysis import (
     sample_family,
     verify_annihilation,
 )
-from .degrees import Degree, add, join, leq, meet, ones, positive_part, subtract, unit, zero
+from .degrees import add, join, leq, ones, positive_part, subtract, zero
 from .documents import (
     canonical_json,
     dump_graph_document,
@@ -63,7 +63,6 @@ __all__ = [
     "AperiodicityWitness",
     "CompositionError",
     "ContractViolationError",
-    "Degree",
     "DegreeError",
     "DocumentError",
     "Edge",
@@ -99,7 +98,6 @@ __all__ = [
     "leq",
     "load_graph_document",
     "local_periodicity_at",
-    "meet",
     "ones",
     "parse_graph_document",
     "positive_part",
@@ -111,7 +109,6 @@ __all__ = [
     "scan_aperiodicity",
     "segment",
     "subtract",
-    "unit",
     "verify_annihilation",
     "zero",
 ]

@@ -19,7 +19,8 @@ by prepending (zero when the range does not match) and its adjoint by
 peeling eta off the front (zero when the prefix disagrees).  For a
 periodicity tuple, the defect element built from mu.alpha and nu.alpha
 annihilates every basis vector exactly because mu.alpha.y = nu.alpha.y
-for all y; the degree inequality d(mu.alpha) != d(nu.alpha) is the
+for all y, so `annihilates` peels mu.alpha off x and compares x with
+nu.alpha.y; the degree inequality d(mu.alpha) != d(nu.alpha) is the
 finite certificate that the element is nevertheless a nonzero obstruction.
 """
 
@@ -52,9 +53,6 @@ class RepElement:
     def from_tuple(cls, tup):
         return cls(tup.mu_alpha, tup.nu_alpha)
 
-    def to_json(self):
-        return {"mu_alpha": self.mu_alpha.to_json(), "nu_alpha": self.nu_alpha.to_json()}
-
 
 def rep_apply(g, eta, x):
     """The generator for eta applied to the basis vector of x, or None."""
@@ -82,10 +80,8 @@ def annihilates(g, elem, x, cycle_cache=None):
     y = rep_apply_adjoint(g, elem.mu_alpha, x)
     if y is None:
         return True
-    # y starts at s(mu.alpha) = s(nu.alpha), so neither prepend is zero.
-    t1 = rep_apply(g, elem.mu_alpha, y)
-    t2 = rep_apply(g, elem.nu_alpha, y)
-    return ep_equal(t1, t2, cycle_cache)
+    # mu.alpha.y denotes x, and y starts at s(nu.alpha), so that prepend is not zero.
+    return ep_equal(x, rep_apply(g, elem.nu_alpha, y), cycle_cache)
 
 
 def verify_annihilation(g, elem, samples):

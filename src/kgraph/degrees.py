@@ -6,31 +6,16 @@ degrees, so all of the bookkeeping about "how far" a path extends in each
 color lives here.  Compare degrees with `leq`, never with `<=`: tuple
 order is lexicographic, not the lattice order.
 
-`Degree(coords)` is the one validating constructor, for coordinates that
-come from outside; the operations below trust their operands apart from
-a rank check.  Entries are capped below 2**31 and addition is
+`KGraph.require_rank` validates a caller's degree where it enters the
+path calculus; the operations below trust their operands apart from a
+rank check.  Entries are capped below 2**31 and addition is
 overflow-checked; the cap is far beyond anything the decision procedures
 produce, it just keeps serialized certificates inside plain 32-bit range.
 """
 
-from .errors import DegreeError, RankMismatchError
+from .errors import DegreeError
 
 MAX_ENTRY = 2**31 - 1
-
-
-def Degree(coords):
-    """Validated degree tuple: nonempty, plain int entries in 0..MAX_ENTRY."""
-    coords = tuple(coords)
-    if not coords:
-        raise DegreeError("degree needs at least one coordinate")
-    for c in coords:
-        if type(c) is not int:
-            raise DegreeError(f"degree entry {c!r} is not an int")
-        if c < 0:
-            raise DegreeError(f"negative degree entry {c}")
-        if c > MAX_ENTRY:
-            raise DegreeError(f"degree entry {c} exceeds {MAX_ENTRY}")
-    return coords
 
 
 def zero(k):
@@ -41,16 +26,9 @@ def ones(k):
     return (1,) * k
 
 
-def unit(k, color):
-    """Standard basis vector for a 1-based color index."""
-    if not 1 <= color <= k:
-        raise DegreeError(f"color {color} outside 1..{k}")
-    return tuple(1 if i == color - 1 else 0 for i in range(k))
-
-
 def _paired(m, n):
     if len(m) != len(n):
-        raise RankMismatchError(f"rank {len(m)} vs {len(n)}")
+        raise DegreeError(f"rank {len(m)} vs {len(n)}")
     return zip(m, n)
 
 
@@ -61,10 +39,6 @@ def leq(m, n):
 
 def join(m, n):
     return tuple(max(a, b) for a, b in _paired(m, n))
-
-
-def meet(m, n):
-    return tuple(min(a, b) for a, b in _paired(m, n))
 
 
 def add(m, n):
@@ -86,9 +60,9 @@ def subtract(m, n):
 def positive_part(p):
     """Split a signed integer vector p into (minus, plus) with plus - minus = p.
 
-    The two parts have disjoint support (their meet is zero), so they form
-    the canonical minimal pair for the difference vector p.  The zero
-    vector has no such pair and is rejected.
+    The two parts have disjoint support (no coordinate is nonzero in
+    both), so they form the canonical minimal pair for the difference
+    vector p.  The zero vector has no such pair and is rejected.
     """
     p = tuple(p)
     if any(type(c) is not int for c in p):

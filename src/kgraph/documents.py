@@ -13,8 +13,8 @@ This layer checks shape and types only and reports every problem it finds
 at once, each addressed to the field it concerns ("edges[3].color: ...");
 JSON nested deeper than the decoder can follow, or an integer literal
 longer than the interpreter converts, is one "document:" problem.  An id
-holding a lone surrogate (only a \\u escape makes one) is refused, since
-no UTF-8 output could print it.
+holding a lone surrogate (from a \\u escape, or from a non-UTF-8 byte on
+stdin decoded with surrogateescape) is refused: no UTF-8 output prints it.
 Structural soundness (colors in range, endpoints exist, square table laws)
 is the job of the validation pass behind KGraph.build.
 
@@ -154,8 +154,9 @@ def load_graph_document(text):
     except RecursionError:
         raise DocumentError(["document: nested too deeply to parse"]) from None
     parts = parse_graph_document(data)
-    # Only a \u escape decodes to a lone surrogate, so text without one skips the search.
-    problems = _lone_surrogates(data) if "\\u" in text else []
+    # A \u escape or a byte decoded with surrogateescape makes a lone
+    # surrogate; ASCII text without an escape holds none, so it skips the search.
+    problems = _lone_surrogates(data) if "\\u" in text or not text.isascii() else []
     if problems:
         raise DocumentError(problems)
     return parts

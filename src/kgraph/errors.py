@@ -5,12 +5,8 @@ class KGraphError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class RankMismatchError(KGraphError, ValueError):
-    """Two degree vectors of different rank were mixed in one operation."""
-
-
 class DegreeError(KGraphError, ValueError):
-    """A degree operation left its domain (negative entry, overflow, bad bounds)."""
+    """A degree left its domain (negative entry, overflow, mixed ranks, bad bounds)."""
 
 
 class CompositionError(KGraphError, ValueError):

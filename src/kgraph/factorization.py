@@ -34,7 +34,7 @@ range end first: edges[0] has range r(lambda) and edges[-1] has source
 s(lambda), and compose(mu, nu) requires s(mu) = r(nu).
 """
 
-from .degrees import MAX_ENTRY, add, subtract, unit, zero
+from .degrees import MAX_ENTRY, add, subtract, zero
 from .errors import CompositionError, ContractViolationError, DegreeError, ValidationError
 from .skeleton import ValidationReport
 
@@ -178,7 +178,7 @@ def validation_reports(skeleton, squares):
 class Path:
     """A path in canonical (colors ascending) form.  Treat as immutable."""
 
-    __slots__ = ("graph", "range_vertex", "source_vertex", "degree", "edges", "_hash")
+    __slots__ = ("graph", "range_vertex", "source_vertex", "degree", "edges")
 
     def __init__(self, graph, range_vertex, source_vertex, degree, edges):
         self.graph = graph
@@ -186,7 +186,6 @@ class Path:
         self.source_vertex = source_vertex
         self.degree = degree
         self.edges = tuple(edges)
-        self._hash = hash((range_vertex, self.edges))
 
     def is_vertex(self):
         return not self.edges
@@ -200,7 +199,7 @@ class Path:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.range_vertex, self.edges))
 
     def __repr__(self):
         if self.is_vertex():
@@ -248,15 +247,11 @@ class KGraph:
             raise DegreeError(f"degree rank {len(n)} does not match graph rank {self.k}")
         for c in n:
             if type(c) is not int or c < 0 or c > MAX_ENTRY:
-                raise DegreeError(f"degree {n!r} needs int entries in 0..{MAX_ENTRY}; see Degree()")
+                raise DegreeError(f"degree {n!r} needs int entries in 0..{MAX_ENTRY}")
 
     def vertex_path(self, v):
         self.require_vertex(v)
         return Path(self, v, v, zero(self.k), ())
-
-    def edge_path(self, eid):
-        e = self.edge(eid)
-        return Path(self, e.range, e.source, unit(self.k, e.color), (eid,))
 
     def _rewrite(self, seq, *degrees):
         """Swap a composable edge sequence into the color word of `degrees`.

@@ -26,7 +26,7 @@ from .factorization import compose, factor
 
 
 class EventuallyPeriodicPath:
-    """Value type for rho.gamma^infinity; structural equality only."""
+    """The representation rho.gamma^infinity; compare denoted paths with `ep_equal`."""
 
     __slots__ = ("prefix", "loop")
 
@@ -49,16 +49,6 @@ class EventuallyPeriodicPath:
     @property
     def range_vertex(self):
         return self.prefix.range_vertex
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EventuallyPeriodicPath)
-            and self.prefix == other.prefix
-            and self.loop == other.loop
-        )
-
-    def __hash__(self):
-        return hash((self.prefix, self.loop))
 
     def __repr__(self):
         return f"EP<{self.prefix!r}.({self.loop!r})^inf>"

@@ -44,7 +44,6 @@ from itertools import product
 
 from kgraph import (
     ContractViolationError,
-    Degree,
     DegreeError,
     DocumentError,
     EventuallyPeriodicPath,
@@ -61,7 +60,6 @@ from kgraph import (
     local_periodicity_at,
     segment,
     subtract,
-    unit,
 )
 from kgraph.skeleton import Edge, Skeleton, ValidationReport
 
@@ -105,7 +103,7 @@ def paths_from_by_levels(g, v, n):
     deg, todo = n, [v]
     while any(deg):
         color = next(i + 1 for i, c in enumerate(deg) if c > 0)
-        rest = subtract(deg, unit(g.k, color))
+        rest = subtract(deg, tuple(int(i == color - 1) for i in range(g.k)))
         levels.append((deg, color, rest, todo))
         todo = list(dict.fromkeys(
             g.edge(eid).source for u in todo for eid in g.skeleton.out_edges(u, color)
@@ -126,7 +124,7 @@ def paths_from_by_levels(g, v, n):
 def degrees_up_to(max_degree):
     """All degrees <= max_degree, sorted by total size then coordinates."""
     spans = [range(c + 1) for c in max_degree]
-    return sorted((Degree(t) for t in product(*spans)), key=lambda d: (sum(d), d))
+    return sorted(product(*spans), key=lambda d: (sum(d), d))
 
 
 def _separating_path(g, v, m, n, total):
@@ -151,13 +149,13 @@ def brute_force_witness(g, v, m, n, depth):
     factorization then makes the longer segments differ whenever the
     shorter ones do.
     """
-    return _separating_path(g, v, m, n, add(join(m, n), Degree((depth,) * g.k)))
+    return _separating_path(g, v, m, n, add(join(m, n), (depth,) * g.k))
 
 
 def brute_force_witness_full_box(g, v, m, n, depth):
     """Reference search: every q with entries <= depth, smallest |q| first."""
     j = join(m, n)
-    for q in degrees_up_to(Degree((depth,) * g.k)):
+    for q in degrees_up_to((depth,) * g.k):
         lam = _separating_path(g, v, m, n, add(j, q))
         if lam is not None:
             return lam
@@ -177,8 +175,8 @@ def refute_first_witness(g, v, m, n):
     of L.kappa and R.kappa differ ends the search with lam.kappa_1...kappa_t.
     """
     j = join(m, n)
-    block = join(join(subtract(j, m), subtract(j, n)), Degree((1,) * g.k))
-    zero = Degree((0,) * g.k)
+    block = join(join(subtract(j, m), subtract(j, n)), (1,) * g.k)
+    zero = (0,) * g.k
     for lam in iter_paths(g, v, j):
         seed = (segment(lam, m, j), segment(lam, n, j))
         if seed[0].range_vertex != seed[1].range_vertex:
@@ -250,7 +248,7 @@ def k1_scan_finds_periodicity(g, bound):
 
 def pairs_up_to(k, entry_bound):
     """Unordered {m, n} pairs with entries <= entry_bound, m != n, as a list."""
-    degrees = [Degree(t) for t in product(range(entry_bound + 1), repeat=k)]
+    degrees = list(product(range(entry_bound + 1), repeat=k))
     return [(m, n) for i, m in enumerate(degrees) for n in degrees[i + 1 :]]
 
 
@@ -519,7 +517,7 @@ def condition_b_oracle(g, v, depth):
     for n in product(range(depth + 1), repeat=g.k):
         if sum(n) <= depth:
             for u in g.vertices:
-                into.extend(p for p in iter_paths(g, u, Degree(n)) if p.source_vertex == v)
+                into.extend(p for p in iter_paths(g, u, n) if p.source_vertex == v)
     cache = {}
     for x in ep_samples(g, v, depth, depth):
         ok = True
@@ -567,9 +565,9 @@ def cofinality_oracle(g, depth):
     need = [v for v in g.vertices if len(reach[v]) < len(g.vertices)]
     if not need:
         return True
-    zero = Degree((0,) * g.k)
-    top = Degree((depth,) * g.k)
-    boxes = [Degree(t) for t in product(range(depth + 1), repeat=g.k)]
+    zero = (0,) * g.k
+    top = (depth,) * g.k
+    boxes = list(product(range(depth + 1), repeat=g.k))
     for start in g.vertices:
         seen = set()
         for x in ep_samples(g, start, depth, depth):
@@ -613,7 +611,7 @@ def ep_shift_by_compose(x, p):
 def rep_apply_adjoint_by_compose(g, eta, x):
     if x.range_vertex != eta.range_vertex:
         return None
-    if ep_segment_by_compose(x, Degree((0,) * g.k), eta.degree) != eta:
+    if ep_segment_by_compose(x, (0,) * g.k, eta.degree) != eta:
         return None
     return ep_shift_by_compose(x, eta.degree)
 
@@ -623,7 +621,7 @@ def ep_equal_by_compose(x, y):
     if x.graph is not y.graph or x.range_vertex != y.range_vertex:
         return False
     cut = join(x.prefix.degree, y.prefix.degree)
-    zero = Degree((0,) * len(cut))
+    zero = (0,) * len(cut)
     if ep_segment_by_compose(x, zero, cut) != ep_segment_by_compose(y, zero, cut):
         return False
     cx = ep_segment_by_compose(x, cut, add(cut, x.loop.degree))
@@ -641,7 +639,7 @@ def cycles_equal_by_compose(cx, cy):
         xa = EventuallyPeriodicPath(a.graph.vertex_path(a.range_vertex), a)
         xb = EventuallyPeriodicPath(b.graph.vertex_path(b.range_vertex), b)
         block = add(a.degree, b.degree)
-        zero = Degree((0,) * len(block))
+        zero = (0,) * len(block)
         if ep_segment_by_compose(xa, zero, block) != ep_segment_by_compose(xb, zero, block):
             return False
         state = (

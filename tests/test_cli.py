@@ -456,6 +456,28 @@ def test_unusable_document_exits_3_in_a_process(tmp_path, name):
         assert proc.stderr.startswith("error: ")
 
 
+def test_undecodable_standard_input_exits_3_in_a_process():
+    # In UTF-8 mode (as in the C and POSIX locales) standard input decodes
+    # with surrogateescape: byte 0xff arrives as a lone surrogate, no \u escape.
+    data = SURROGATE_ID.replace(r"\ud800", "\udcff").encode("utf-8", "surrogateescape")
+    assert b"\xff" in data and b"\\u" not in data
+    env = dict(os.environ, PYTHONUTF8="1")
+    for argv in (["validate", "-"], ["ideals", "-", "--text"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgraph.cli", *argv],
+            input=data,
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"error: vertices[0]: '\\udcff' holds a lone surrogate\n"
+            b"error: edges[0].range: '\\udcff' holds a lone surrogate\n"
+            b"error: edges[0].source: '\\udcff' holds a lone surrogate\n"
+        )
+
+
 def test_surrogate_pair_is_one_character(capsys, tmp_path):
     # An escaped pair decodes to one astral character, which prints.
     path = tmp_path / "astral.json"

@@ -155,6 +155,20 @@ class TestLoad:
                 load_graph_document(text)
             assert info.value.problems == ["document: nested too deeply to parse"]
 
+    def test_lone_surrogate_without_an_escape_is_refused(self):
+        # What standard input decoded with surrogateescape makes of byte 0xff.
+        doc = t2_doc()
+        doc["vertices"] = ["\udcff"]
+        doc["edges"][0]["id"] = "\udcff"
+        text = json.dumps(doc, ensure_ascii=False)
+        assert "\\u" not in text
+        with pytest.raises(DocumentError) as info:
+            load_graph_document(text)
+        assert info.value.problems == [
+            "vertices[0]: '\\udcff' holds a lone surrogate",
+            "edges[0].id: '\\udcff' holds a lone surrogate",
+        ]
+
     def test_graph_from_json_validates(self):
         g = graph_from_json(json.dumps(t2_doc()))
         assert list(g.vertices) == ["v"]

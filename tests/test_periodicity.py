@@ -7,7 +7,6 @@ import pytest
 from kgraph import (
     AperiodicityWitness,
     ContractViolationError,
-    Degree,
     KGraph,
     PeriodicityTuple,
     Skeleton,
@@ -33,47 +32,43 @@ from oracles import (
 )
 
 
-def deg(*coords):
-    return Degree(coords)
-
-
 class TestLocalDecision:
     def test_t2_is_periodic_everywhere(self, t2):
         for m, n in [((1, 0), (0, 1)), ((1, 1), (0, 0)), ((2, 1), (0, 2))]:
-            res = local_periodicity_at(t2, "v", deg(*m), deg(*n))
+            res = local_periodicity_at(t2, "v", m, n)
             assert isinstance(res, PeriodicityTuple)
             assert res.periodic
-            assert (res.m, res.n) == (deg(*m), deg(*n))
+            assert (res.m, res.n) == (m, n)
 
     def test_f_is_aperiodic(self, f):
         for m, n in [((1, 0), (0, 0)), ((2, 0), (0, 0)), ((0, 1), (0, 2)), ((1, 0), (0, 1))]:
-            res = local_periodicity_at(f, "v", deg(*m), deg(*n))
+            res = local_periodicity_at(f, "v", m, n)
             assert isinstance(res, AperiodicityWitness)
             assert not res.periodic
 
     def test_equal_degrees_rejected(self, t2):
         with pytest.raises(ContractViolationError):
-            local_periodicity_at(t2, "v", deg(1, 0), deg(1, 0))
+            local_periodicity_at(t2, "v", (1, 0), (1, 0))
 
     def test_unknown_vertex_rejected(self, t2):
         with pytest.raises(ContractViolationError):
-            local_periodicity_at(t2, "x", deg(1, 0), deg(0, 1))
+            local_periodicity_at(t2, "x", (1, 0), (0, 1))
 
     def test_d2_vertices_disagree(self, d2):
         # red shifts at w escape through the connector into the u part
-        at_u = local_periodicity_at(d2, "u", deg(0, 1), deg(0, 2))
-        at_w = local_periodicity_at(d2, "w", deg(0, 1), deg(0, 2))
+        at_u = local_periodicity_at(d2, "u", (0, 1), (0, 2))
+        at_w = local_periodicity_at(d2, "w", (0, 1), (0, 2))
         assert not at_u.periodic
         assert not at_w.periodic
 
     def test_d_w_vertex_is_periodic(self, d):
-        res = local_periodicity_at(d, "w", deg(1, 0), deg(0, 1))
+        res = local_periodicity_at(d, "w", (1, 0), (0, 1))
         assert res.periodic
 
     def test_plain_tuple_degrees_decide(self, f, t2):
         res = local_periodicity_at(f, "v", (1, 0), (0, 1))
         assert not res.periodic
-        same = local_periodicity_at(f, "v", deg(1, 0), deg(0, 1))
+        same = local_periodicity_at(f, "v", (1, 0), (0, 1))
         assert res.to_json() == same.to_json()
         assert local_periodicity_at(t2, "v", (1, 0), (0, 1)).periodic
 
@@ -115,7 +110,7 @@ class TestRefuteFirst:
 
 class TestWitness:
     def test_witness_separates_by_construction(self, f):
-        res = local_periodicity_at(f, "v", deg(1, 0), deg(0, 0))
+        res = local_periodicity_at(f, "v", (1, 0), (0, 0))
         w = res
         assert w.vertex == "v"
         assert w.segment_m != w.segment_n
@@ -130,22 +125,22 @@ class TestWitness:
     def test_non_separating_path_refused(self, t2):
         lam = t2.path("v", ["b", "r"])
         with pytest.raises(ContractViolationError):
-            AperiodicityWitness("v", deg(1, 0), deg(0, 1), lam)
+            AperiodicityWitness("v", (1, 0), (0, 1), lam)
 
     def test_short_path_refused(self, f):
-        lam = f.edge_path("b0")
+        lam = f.path("v", ["b0"])
         with pytest.raises(ContractViolationError):
-            AperiodicityWitness("v", deg(1, 1), deg(0, 0), lam)
+            AperiodicityWitness("v", (1, 1), (0, 0), lam)
 
     def test_wrong_vertex_refused(self, d2):
         lam = d2.path("u", ["bu0", "ru0"])
         with pytest.raises(ContractViolationError):
-            AperiodicityWitness("w", deg(1, 0), deg(0, 0), lam)
+            AperiodicityWitness("w", (1, 0), (0, 0), lam)
 
 
 class TestTuple:
     def test_t2_canonical_tuple(self, t2):
-        tup = local_periodicity_at(t2, "v", deg(1, 0), deg(0, 1))
+        tup = local_periodicity_at(t2, "v", (1, 0), (0, 1))
         assert tup.mu.edges == ("b",)
         assert tup.alpha.edges == ("r",)
         assert tup.nu.edges == ("r",)
@@ -153,35 +148,35 @@ class TestTuple:
         assert tup.mu_alpha.source_vertex == tup.nu_alpha.source_vertex
 
     def test_tuple_json_fields(self, t2):
-        data = local_periodicity_at(t2, "v", deg(1, 1), deg(0, 0)).to_json()
+        data = local_periodicity_at(t2, "v", (1, 1), (0, 0)).to_json()
         assert set(data) == {"vertex", "m", "n", "mu", "alpha", "nu"}
         assert data["m"] == [1, 1]
 
     def test_aperiodic_triple_has_no_tuple(self, f):
-        res = local_periodicity_at(f, "v", deg(1, 0), deg(0, 0))
+        res = local_periodicity_at(f, "v", (1, 0), (0, 0))
         assert isinstance(res, AperiodicityWitness)
 
     def test_validation_rejects_wrong_alpha(self, t2):
-        mu = t2.edge_path("b")
+        mu = t2.path("v", ["b"])
         bad_alpha = t2.path("v", ["b", "r"])  # degree (1,1), not (0,1)
         with pytest.raises(ContractViolationError):
-            PeriodicityTuple("v", deg(1, 0), deg(0, 1), mu, bad_alpha)
+            PeriodicityTuple("v", (1, 0), (0, 1), mu, bad_alpha)
 
     def test_validation_rejects_mu_at_another_vertex(self, d2):
-        mu = d2.edge_path("bu0")  # range u
+        mu = d2.path("u", ["bu0"])  # range u
         with pytest.raises(ContractViolationError, match="claimed vertex"):
-            PeriodicityTuple("w", deg(1, 0), deg(0, 1), mu, d2.edge_path("ru0"))
+            PeriodicityTuple("w", (1, 0), (0, 1), mu, d2.path("u", ["ru0"]))
 
     def test_validation_rejects_wrong_mu_degree(self, t2):
-        mu = t2.edge_path("r")  # degree (0,1), not (1,0)
+        mu = t2.path("v", ["r"])  # degree (0,1), not (1,0)
         with pytest.raises(ContractViolationError, match=r"d\(mu\) != m"):
-            PeriodicityTuple("v", deg(1, 0), deg(0, 1), mu, t2.edge_path("r"))
+            PeriodicityTuple("v", (1, 0), (0, 1), mu, t2.path("v", ["r"]))
 
     def test_validation_rejects_equal_degrees(self, t2):
         mu = t2.vertex_path("v")
         alpha = t2.vertex_path("v")
         with pytest.raises(ContractViolationError):
-            PeriodicityTuple("v", deg(0, 0), deg(0, 0), mu, alpha)
+            PeriodicityTuple("v", (0, 0), (0, 0), mu, alpha)
 
 
 class TestScan:
@@ -203,8 +198,8 @@ class TestScan:
         assert rep.bound == 1
         assert rep.vertex == "v"
         assert rep.p == (-1, -1)
-        assert rep.m == deg(1, 1)
-        assert rep.n == deg(0, 0)
+        assert rep.m == (1, 1)
+        assert rep.n == (0, 0)
         assert rep.tuple.mu.edges == ("b", "r")
         data = rep.to_json()
         assert data["verdict"] == "periodic"
@@ -271,7 +266,7 @@ class TestBlockSupportRegression:
 
     def test_difference_is_red_only(self):
         g = flip_red_graph()
-        res = local_periodicity_at(g, "v", deg(1, 0), deg(2, 0))
+        res = local_periodicity_at(g, "v", (1, 0), (2, 0))
         assert not res.periodic
         w = res
         blue = [e for e in w.segment_m.edges if g.edge(e).color == 1]
@@ -280,7 +275,7 @@ class TestBlockSupportRegression:
 
     def test_double_blue_shift_is_identity(self):
         g = flip_red_graph()
-        res = local_periodicity_at(g, "v", deg(2, 0), deg(0, 0))
+        res = local_periodicity_at(g, "v", (2, 0), (0, 0))
         assert res.periodic
         rep = scan_aperiodicity(g, 2)
         assert rep.periodic
@@ -290,11 +285,11 @@ class TestBlockSupportRegression:
 class TestOracleAgreement:
     def test_fixture_spot_checks(self, t2, f, d2):
         cases = [
-            (t2, "v", deg(1, 0), deg(0, 1)),
-            (t2, "v", deg(2, 0), deg(0, 0)),
-            (f, "v", deg(1, 0), deg(0, 0)),
-            (f, "v", deg(0, 2), deg(0, 1)),
-            (d2, "w", deg(0, 1), deg(0, 2)),
+            (t2, "v", (1, 0), (0, 1)),
+            (t2, "v", (2, 0), (0, 0)),
+            (f, "v", (1, 0), (0, 0)),
+            (f, "v", (0, 2), (0, 1)),
+            (d2, "w", (0, 1), (0, 2)),
         ]
         for g, v, m, n in cases:
             res = local_periodicity_at(g, v, m, n)
@@ -320,7 +315,7 @@ class TestOracleAgreement:
 
     def test_pairs_up_to_shape(self):
         pairs = pairs_up_to(2, 1)
-        assert (deg(0, 0), deg(0, 0)) not in pairs
+        assert ((0, 0), (0, 0)) not in pairs
         for m, n in pairs:
             assert m != n
             assert (n, m) not in pairs
@@ -348,11 +343,11 @@ class TestConditionB:
 
 class TestAperiodicPrefix:
     def test_chains_witnesses(self, f):
-        pairs = [(deg(1, 0), deg(0, 0)), (deg(0, 1), deg(0, 0))]
+        pairs = [((1, 0), (0, 0)), ((0, 1), (0, 0))]
         eta = aperiodic_prefix(f, "v", pairs)
         assert eta.range_vertex == "v"
         assert sum(eta.degree) > 0
 
     def test_periodic_pair_refused(self, t2):
         with pytest.raises(ContractViolationError):
-            aperiodic_prefix(t2, "v", [(deg(1, 0), deg(0, 1))])
+            aperiodic_prefix(t2, "v", [((1, 0), (0, 1))])
