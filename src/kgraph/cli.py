@@ -83,7 +83,12 @@ def render_text(obj, indent=0):
 def _read_document(path):
     """(Skeleton, SquareTable) from a file, or from standard input for `-`."""
     try:
-        if path == "-":
+        if path == "-" and hasattr(sys.stdin, "buffer"):
+            # UTF-8 whatever the locale's encoding.  A byte that is not UTF-8 fails
+            # here, or under surrogateescape (C locale, UTF-8 mode) in the loader.
+            errors = "surrogateescape" if sys.stdin.errors == "surrogateescape" else "strict"
+            text = sys.stdin.buffer.read().decode("utf-8", errors)
+        elif path == "-":  # io.StringIO, which has no buffer
             text = sys.stdin.read()
         else:
             with open(path, encoding="utf-8") as fh:

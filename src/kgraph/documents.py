@@ -10,13 +10,15 @@ The document shape is fixed:
     }
 
 This layer checks shape and types only and reports every problem it finds
-at once, each addressed to the field it concerns ("edges[3].color: ...");
-JSON nested deeper than the decoder can follow, or an integer literal
-longer than the interpreter converts, is one "document:" problem.  An id
-holding a lone surrogate (from a \\u escape, or from a non-UTF-8 byte on
-stdin decoded with surrogateescape) is refused: no UTF-8 output prints it.
-Structural soundness (colors in range, endpoints exist, square table laws)
-is the job of the validation pass behind KGraph.build.
+at once, each addressed to the field it concerns ("edges[3].color: ...").
+A row is accepted by one test of its key set and one of its field types;
+only a row that fails them is examined for its problems, and only a
+problem builds an address.  JSON nested deeper than the decoder can
+follow, or an integer literal longer than the interpreter converts, is
+one "document:" problem.  An id holding a lone surrogate (from a \\u
+escape, or from a non-UTF-8 byte on stdin) is refused: no UTF-8 output
+prints it.  Structural soundness (colors in range, endpoints exist, square
+table laws) is the job of the validation pass behind KGraph.build.
 
 `canonical_json` writes the bytes of `json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"` (ASCII only), pinned by the test oracle
@@ -36,6 +38,9 @@ from .skeleton import Edge, Skeleton
 _TOP_KEYS = ("k", "vertices", "edges", "squares")
 _EDGE_KEYS = ("id", "color", "range", "source")
 _SQUARE_KEYS = ("pair", "image")
+_EDGE_KEY_SET = frozenset(_EDGE_KEYS)
+_SQUARE_KEY_SET = frozenset(_SQUARE_KEYS)
+_ID_KEYS = ("id", "range", "source")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
@@ -45,7 +50,10 @@ def _is_int(x):
 
 
 def _has_keys(obj, keys, where, problems):
-    """Report each key of `keys` that obj lacks and each it has beyond them."""
+    """Whether obj is an object with exactly `keys`; reports each way it is not."""
+    if not isinstance(obj, dict):
+        problems.append(f"{where}: expected an object")
+        return False
     ok = True
     for key in keys:
         if key not in obj:
@@ -57,18 +65,13 @@ def _has_keys(obj, keys, where, problems):
     return ok
 
 
-def _rows(data, name, keys, problems):
-    """Yield (address, row) for each row of data[name] that is an object with exactly `keys`."""
+def _rows(data, name, problems):
+    """data[name] if it is a list; otherwise report it and give no rows."""
     rows = data[name]
-    if not isinstance(rows, list):
-        problems.append(f"{name}: expected a list")
-        return
-    for i, row in enumerate(rows):
-        where = f"{name}[{i}]"
-        if not isinstance(row, dict):
-            problems.append(f"{where}: expected an object")
-        elif _has_keys(row, keys, where, problems):
-            yield where, row
+    if isinstance(rows, list):
+        return rows
+    problems.append(f"{name}: expected a list")
+    return ()
 
 
 def parse_graph_document(data):
@@ -96,30 +99,40 @@ def parse_graph_document(data):
             seen.add(v)
 
     edges = {}
-    for where, row in _rows(data, "edges", _EDGE_KEYS, problems):
-        eid, color, rng, src = row["id"], row["color"], row["range"], row["source"]
+    for i, row in enumerate(_rows(data, "edges", problems)):
+        if type(row) is dict and row.keys() == _EDGE_KEY_SET:
+            eid, color, rng, src = row["id"], row["color"], row["range"], row["source"]
+            if type(eid) is type(rng) is type(src) is str and type(color) is int and eid not in edges:
+                edges[eid] = Edge(eid, color, rng, src)
+                continue
+        where = f"edges[{i}]"
+        if not _has_keys(row, _EDGE_KEYS, where, problems):
+            continue
         bad = False
-        if not isinstance(eid, str):
-            problems.append(f"{where}.id: expected a string, got {eid!r}")
-            bad = True
-        if not _is_int(color):
-            problems.append(f"{where}.color: expected an integer, got {color!r}")
-            bad = True
-        if not isinstance(rng, str):
-            problems.append(f"{where}.range: expected a string, got {rng!r}")
-            bad = True
-        if not isinstance(src, str):
-            problems.append(f"{where}.source: expected a string, got {src!r}")
-            bad = True
+        for key in _EDGE_KEYS:
+            val = row[key]
+            if not (_is_int(val) if key == "color" else isinstance(val, str)):
+                kind = "an integer" if key == "color" else "a string"
+                problems.append(f"{where}.{key}: expected {kind}, got {val!r}")
+                bad = True
         if bad:
             continue
-        if eid in edges:
-            problems.append(f"{where}.id: duplicate edge id {eid!r}")
-            continue
-        edges[eid] = Edge(eid, color, rng, src)
+        if row["id"] in edges:
+            problems.append(f"{where}.id: duplicate edge id {row['id']!r}")
+        else:
+            edges[row["id"]] = Edge(row["id"], row["color"], row["range"], row["source"])
 
     entries = []
-    for where, row in _rows(data, "squares", _SQUARE_KEYS, problems):
+    for i, row in enumerate(_rows(data, "squares", problems)):
+        if type(row) is dict and row.keys() == _SQUARE_KEY_SET:
+            pair, image = row["pair"], row["image"]
+            if (type(pair) is type(image) is list and len(pair) == len(image) == 2
+                    and type(pair[0]) is type(pair[1]) is type(image[0]) is type(image[1]) is str):
+                entries.append(((pair[0], pair[1]), (image[0], image[1])))
+                continue
+        where = f"squares[{i}]"
+        if not _has_keys(row, _SQUARE_KEYS, where, problems):
+            continue
         bad = False
         for key in _SQUARE_KEYS:
             val = row[key]
@@ -137,10 +150,10 @@ def parse_graph_document(data):
 
 def _lone_surrogates(data):
     """A problem for each id holding a lone surrogate, which no UTF-8 output can carry."""
-    fields = [(f"vertices[{i}]", v) for i, v in enumerate(data["vertices"])]
+    found = [(f"vertices[{i}]", v) for i, v in enumerate(data["vertices"]) if _SURROGATE.search(v)]
     for i, row in enumerate(data["edges"]):
-        fields += [(f"edges[{i}].{key}", row[key]) for key in ("id", "range", "source")]
-    return [f"{where}: {val!r} holds a lone surrogate" for where, val in fields if _SURROGATE.search(val)]
+        found += [(f"edges[{i}].{key}", row[key]) for key in _ID_KEYS if _SURROGATE.search(row[key])]
+    return [f"{where}: {val!r} holds a lone surrogate" for where, val in found]
 
 
 def load_graph_document(text):

@@ -43,12 +43,12 @@ class SquareTable:
     """The square bijections, keyed by ordered edge-id pairs.
 
     `forward` maps an ascending-color pair (f, g) to its image (g', f');
-    `backward` is the inverse.  Entries are kept as given so an invalid
-    table can still be serialized and reported on.
+    `backward` is the inverse.  `entries` keeps the (pair, image) tuples as
+    given, so an invalid table can still be serialized and reported on.
     """
 
     def __init__(self, entries):
-        self.entries = tuple((tuple(pair), tuple(image)) for pair, image in entries)
+        self.entries = tuple(entries)
         self.forward = {}
         self.backward = {}
         self.duplicate_keys = []
@@ -74,20 +74,35 @@ def _composable_pairs(skeleton, edges, cj):
 
 
 def validate_squares(skeleton, table):
-    """Exhaustively check the square table against the skeleton."""
+    """Check the square table against the skeleton, every violation named.
+
+    Each square passes one combined test of its edges' ids, colors and
+    endpoints, or is examined for the reasons.  If every square passes and
+    no pair or image repeats, the keys of `forward` are distinct ascending
+    composable pairs and those of `backward` distinct descending ones.  A
+    subset of a finite set is all of it exactly when the sizes agree, so
+    the table is total both ways exactly when len(forward) is the sum over
+    edges e and colors c > color(e) of |out_edges(s(e), c)|, the number of
+    ascending pairs, and len(backward) the same sum over c < color(e).
+    Otherwise the pairs are listed, to name the first missing and the count.
+    """
     skeleton.require_validated()
     problems = []
     for pair in table.duplicate_keys:
         problems.append(f"square {pair!r}: pair listed more than once")
     for image in table.duplicate_images:
         problems.append(f"square image {image!r}: hit by more than one pair")
+    edges = skeleton.edges
     for (fid, gid), (g2id, f2id) in table.forward.items():
-        missing = [eid for eid in (fid, gid, g2id, f2id) if eid not in skeleton.edges]
+        f, g, g2, f2 = edges.get(fid), edges.get(gid), edges.get(g2id), edges.get(f2id)
+        if (f and g and g2 and f2 and f.color < g.color == g2.color and f2.color == f.color
+                and f.source == g.range and g2.source == f2.range
+                and g2.range == f.range and f2.source == g.source):
+            continue
+        missing = [eid for eid in (fid, gid, g2id, f2id) if eid not in edges]
         if missing:
             problems.append(f"square {(fid, gid)!r}: unknown edge id(s) {missing!r}")
             continue
-        f, g = skeleton.edge(fid), skeleton.edge(gid)
-        g2, f2 = skeleton.edge(g2id), skeleton.edge(f2id)
         if not f.color < g.color:
             problems.append(f"square {(fid, gid)!r}: pair colors ({f.color},{g.color}) not ascending")
             continue
@@ -102,6 +117,13 @@ def validate_squares(skeleton, table):
             problems.append(f"square {(fid, gid)!r}: image range {g2.range!r} != pair range {f.range!r}")
         if f2.source != g.source:
             problems.append(f"square {(fid, gid)!r}: image source {f2.source!r} != pair source {g.source!r}")
+    if not problems:
+        k = skeleton.k  # widths[v][c - 1] is |out_edges(v, c)|
+        widths = {v: [len(skeleton.out_edges(v, c)) for c in range(1, k + 1)] for v in skeleton.vertices}
+        ascending = sum(sum(widths[e.source][e.color:]) for e in edges.values())
+        descending = sum(sum(widths[e.source][:e.color - 1]) for e in edges.values())
+        if len(table.forward) == ascending and len(table.backward) == descending:
+            return ValidationReport("squares", problems)
     # Totality and bijectivity, color pair by color pair.  Each kind of
     # violation is reported once, by its first instance and its count, so
     # the report stays bounded in k.

@@ -21,9 +21,12 @@ one per strongly connected component.
 The `*_by_compose` functions are the path layers' definitions one cut
 at a time: a segment from two `factor` calls, an eventually periodic
 path unrolled one `compose` per loop copy, and cycle equality stepped
-on `EventuallyPeriodicPath` wrappers.  `validate_cubes_all_orders` is
-the cube check run from every one of a triple's six color orders, with
-backward square lookups for descending pairs.
+on `EventuallyPeriodicPath` wrappers.  `validate_squares_reference` is
+the square check as first written: it lists every composable pair of
+every color pair and looks each one up, where the library counts them.
+`validate_cubes_all_orders` is the cube check run from every one of a
+triple's six color orders, with backward square lookups for descending
+pairs.
 `parse_graph_document_reference` is the document parser with its key
 and row checks written out once per section, as they were before the
 library shared them.  `canonical_json_reference` is the standard
@@ -340,6 +343,63 @@ def normalize_by_schedule(g, edge_ids, schedule):
         i = schedule(spots)
         arr[i], arr[i + 1] = g.squares.backward[arr[i], arr[i + 1]]
     return tuple(arr)
+
+
+def _composable_pairs(skeleton, edges, cj):
+    """All (e1, e2) with e1 in `edges`, e2 of color cj and s(e1) = r(e2), in order."""
+    return [(e.id, gid) for e in edges for gid in skeleton.out_edges(e.source, cj)]
+
+
+def validate_squares_reference(skeleton, table):
+    """Exhaustively check the square table against the skeleton."""
+    skeleton.require_validated()
+    problems = []
+    for pair in table.duplicate_keys:
+        problems.append(f"square {pair!r}: pair listed more than once")
+    for image in table.duplicate_images:
+        problems.append(f"square image {image!r}: hit by more than one pair")
+    for (fid, gid), (g2id, f2id) in table.forward.items():
+        missing = [eid for eid in (fid, gid, g2id, f2id) if eid not in skeleton.edges]
+        if missing:
+            problems.append(f"square {(fid, gid)!r}: unknown edge id(s) {missing!r}")
+            continue
+        f, g = skeleton.edge(fid), skeleton.edge(gid)
+        g2, f2 = skeleton.edge(g2id), skeleton.edge(f2id)
+        if not f.color < g.color:
+            problems.append(f"square {(fid, gid)!r}: pair colors ({f.color},{g.color}) not ascending")
+            continue
+        if f.source != g.range:
+            problems.append(f"square {(fid, gid)!r}: pair not composable (s({fid})={f.source}, r({gid})={g.range})")
+        if (g2.color, f2.color) != (g.color, f.color):
+            problems.append(f"square {(fid, gid)!r}: image colors ({g2.color},{f2.color}) do not mirror ({g.color},{f.color})")
+            continue
+        if g2.source != f2.range:
+            problems.append(f"square {(fid, gid)!r}: image not composable")
+        if g2.range != f.range:
+            problems.append(f"square {(fid, gid)!r}: image range {g2.range!r} != pair range {f.range!r}")
+        if f2.source != g.source:
+            problems.append(f"square {(fid, gid)!r}: image source {f2.source!r} != pair source {g.source!r}")
+    # Totality and bijectivity, color pair by color pair.  Each kind of
+    # violation is reported once, by its first instance and its count, so
+    # the report stays bounded in k.
+    no_square, not_image = [], []
+    by_color = {}  # edges of each color, sorted by id: one index for every color pair
+    for eid in sorted(skeleton.edges):
+        by_color.setdefault(skeleton.edges[eid].color, []).append(skeleton.edges[eid])
+    for ci in range(1, skeleton.k + 1):
+        for cj in range(ci + 1, skeleton.k + 1):
+            pairs = _composable_pairs(skeleton, by_color.get(ci, ()), cj)
+            images = _composable_pairs(skeleton, by_color.get(cj, ()), ci)
+            no_square += [(ci, cj, p) for p in pairs if p not in table.forward]
+            not_image += [(ci, cj, q) for q in images if q not in table.backward]
+    for instances, kind in (
+        (no_square, "composable pair {!r} has no square"),
+        (not_image, "composable pair {!r} is not the image of any square"),
+    ):
+        if instances:
+            ci, cj, first = instances[0]
+            problems.append(f"colors ({ci},{cj}): {kind.format(first)} (first of {len(instances)})")
+    return ValidationReport("squares", problems)
 
 
 def validate_cubes_all_orders(skeleton, table):

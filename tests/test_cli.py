@@ -478,6 +478,26 @@ def test_undecodable_standard_input_exits_3_in_a_process():
         )
 
 
+def test_standard_input_is_utf_8_under_any_locale_encoding():
+    # Decoded as Latin-1, byte 0xff would be the id "\xff" and the document
+    # valid; the same file given by path exits 3, and so must standard input.
+    data = SURROGATE_ID.replace(r"\ud800", "\udcff").encode("utf-8", "surrogateescape")
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUTF8"}
+    env["PYTHONIOENCODING"] = "latin-1"
+    for argv in (["validate", "-"], ["ideals", "-", "--text"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgraph.cli", *argv],
+            input=data,
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines and all(line.startswith(b"error: ") for line in lines)
+
+
 def test_surrogate_pair_is_one_character(capsys, tmp_path):
     # An escaped pair decodes to one astral character, which prints.
     path = tmp_path / "astral.json"

@@ -19,6 +19,7 @@ from kgraph import (
     parse_graph_document,
 )
 
+from generators import disjoint_union, k3_products
 from oracles import canonical_json_reference, parse_graph_document_reference
 
 
@@ -192,7 +193,11 @@ def test_any_json_value_gives_a_graph_or_a_reported_problem(value):
     assert isinstance(g, KGraph)
 
 
+# The product union has 382 rows, so most edits land in a long run of rows
+# that the parser accepts by its one-test path.
+LARGE = disjoint_union(k3_products(8))
 FIXTURE_DOCS = [dump_graph_document(*fixture_parts(n)) for n in ("T2", "F", "D", "D2")]
+FIXTURE_DOCS.append(dump_graph_document(LARGE.skeleton, LARGE.squares))
 ODD_VALUES = [None, True, 1, 2.5, "x", [], ["a"], ["a", 1], {}]
 ADDED_KEYS = ["extra", "k", "id", "color", "pair", "image"]
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraph import (
     Edge,
@@ -16,7 +18,7 @@ from kgraph import (
 from kgraph.errors import CompositionError, ContractViolationError, DegreeError, ValidationError
 from kgraph.factorization import validate_cubes, validate_squares
 
-from generators import corpus, exchanged_tables, k3_products
+from generators import corpus, exchanged_tables, k2_products, k3_products, wide_graph
 from oracles import (
     degrees_up_to,
     iter_paths,
@@ -25,6 +27,7 @@ from oracles import (
     normalize_by_schedule,
     paths_from_by_levels,
     validate_cubes_all_orders,
+    validate_squares_reference,
     vertex_matrices,
 )
 
@@ -317,6 +320,65 @@ def test_normalization_idempotent_and_schedule_independent():
                 fwd = normalize_by_schedule(g, scrambled, min)
                 rev = normalize_by_schedule(g, scrambled, max)
                 assert fwd == rev == lam.edges
+
+
+SQUARE_GRAPHS = [fixture(n) for n in ("T2", "F", "D", "D2")] + k2_products(4) + k3_products(4)
+SQUARE_GRAPHS += [wide_graph()] + [g for g in corpus(30) if g.k > 1]
+SQUARE_EDITS = ["drop", "duplicate", "exchange images", "reverse", "unknown id", "other color", "other end", "parallel edge"]
+
+
+@st.composite
+def edited_tables(draw):
+    """A generated graph's skeleton and square table after up to three edits.
+
+    An edit drops, duplicates or reverses one entry, exchanges the images
+    of two, or puts in one of an entry's four places an unknown id, an
+    edge of another color, or an edge of the same color that differs in
+    one endpoint.  A parallel edge, added to the skeleton with no square,
+    can leave the pairs counted one way and not the other.
+    """
+    g = draw(st.sampled_from(SQUARE_GRAPHS))
+    edges, entries = dict(g.skeleton.edges), list(g.squares.entries)
+    for n in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(SQUARE_EDITS))
+        if how == "parallel edge":
+            e = edges[draw(st.sampled_from(sorted(edges)))]
+            edges[f"new{n}"] = Edge(f"new{n}", e.color, e.range, e.source)
+            continue
+        if not entries:
+            continue
+        i = draw(st.integers(0, len(entries) - 1))
+        pair, image = entries[i]
+        if how == "drop":
+            del entries[i]
+        elif how == "duplicate":
+            entries.insert(draw(st.integers(0, len(entries))), entries[i])
+        elif how == "exchange images":
+            j = draw(st.integers(0, len(entries) - 1))
+            entries[i], entries[j] = (pair, entries[j][1]), (entries[j][0], image)
+        elif how == "reverse":
+            entries[i] = (image, pair)
+        else:
+            ends = list(pair + image)
+            place = draw(st.integers(0, 3))
+            old = edges.get(ends[place])
+            others = [
+                eid for eid, e in sorted(edges.items())
+                if old and (e.color != old.color if how == "other color"
+                            else e.color == old.color and (e.range == old.range) != (e.source == old.source))
+            ]
+            ends[place] = draw(st.sampled_from(others)) if how != "unknown id" and others else "unknown"
+            entries[i] = (tuple(ends[:2]), tuple(ends[2:]))
+    skel = Skeleton(g.k, g.vertices, edges.values())
+    assert skel.validate().ok
+    return skel, SquareTable(entries)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(edited_tables())
+def test_square_check_matches_the_reference_on_edited_tables(case):
+    skel, table = case
+    assert validate_squares(skel, table).violations == validate_squares_reference(skel, table).violations
 
 
 def test_k3_products_have_non_trivial_cubes():

@@ -7,6 +7,12 @@ reports (`scan_aperiodicity`, `is_simple`, `analyze` without its
 A change that alters a verdict, a witness, a tuple or a byte of JSON
 fails here; a change that alters them on purpose updates the table.
 
+`BUILD_DIGESTS` covers the build side at size: the stdout of `kgraph
+validate`, `kgraph cofinal` and `kgraph quotient --set <least
+obstruction, or empty>` on generated products with hundreds of rows,
+each document read from standard input, and the stdout of `kgraph
+validate` on three of them after one edit of the square table.
+
 `STRIPPED` digests the same 56 documents with each aperiodicity
 witness's `lambda`, `segment_m` and `segment_n` replaced by a
 placeholder.  A change of search order that picks other witnesses
@@ -20,12 +26,16 @@ import functools
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from kgraph import analyze, canonical_json, fixture, is_simple, scan_aperiodicity
+from kgraph import analyze, canonical_json, dump_graph_document, fixture, is_simple, scan_aperiodicity
 from kgraph.cli import main
+
+from generators import cycle_product, disjoint_union, k2_products, k3_products, wide_graph
+from oracles import least_singleton_obstruction
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -153,6 +163,42 @@ STRIPPED = {
     "kgraph ideals D2": "c0fec4db8f376ce7baba3f6ac4801abcc5800c32c64ed8fae45c7dfee506ea0b",
 }
 
+BUILD_GRAPHS = {
+    "cycle 12x16": lambda: cycle_product(12, 16),
+    "k2 union 12": lambda: disjoint_union(k2_products(12)),
+    "k3 union 8": lambda: disjoint_union(k3_products(8)),
+    "wide": wide_graph,
+}
+
+
+def _exchange_first_and_last_images(squares):
+    squares[0]["image"], squares[-1]["image"] = squares[-1]["image"], squares[0]["image"]
+
+
+BROKEN_TABLES = {
+    "cycle 12x16 less its first square": ("cycle 12x16", lambda squares: squares.pop(0)),
+    "k2 union 12 with a square twice": ("k2 union 12", lambda squares: squares.append(squares[5])),
+    "k3 union 8 with first and last images exchanged": ("k3 union 8", _exchange_first_and_last_images),
+}
+
+BUILD_DIGESTS = {
+    "kgraph validate cycle 12x16": "a633fe60484c6d208546fdeaa80c5864a7e58c8629a16974a690cf43fff64c7f",
+    "kgraph cofinal cycle 12x16": "28b95fdd7f1fa73b90ce25f2dfa9cf225d1827555c8ec113154e425cceef89b8",
+    "kgraph quotient cycle 12x16": "8ab44caa2b58c6ce5a66a5d72c448b0f9796621c3c4ceac0f701ed72c236b6ba",
+    "kgraph validate k2 union 12": "a633fe60484c6d208546fdeaa80c5864a7e58c8629a16974a690cf43fff64c7f",
+    "kgraph cofinal k2 union 12": "b958e8f45a7cbece7e690a4ff0fca79fca08461d0a835ebdfbc4fe00c7a86444",
+    "kgraph quotient k2 union 12": "c124522c3dcecd3e5ff2b6e07be863905d96f073cb524016135090a866e5de69",
+    "kgraph validate k3 union 8": "a633fe60484c6d208546fdeaa80c5864a7e58c8629a16974a690cf43fff64c7f",
+    "kgraph cofinal k3 union 8": "9648637ff7c7199d04867e330e517ce1c70340ee3d289c4436667d725d240adf",
+    "kgraph quotient k3 union 8": "c2ddad79ebf48789bc63416147a34a2d3c4c0dc0e7fbced45d3adea393ca6ebe",
+    "kgraph validate wide": "a633fe60484c6d208546fdeaa80c5864a7e58c8629a16974a690cf43fff64c7f",
+    "kgraph cofinal wide": "8bb7b433ba6d03e3a4c881e0ede0684aba94f152f67b8f79e518fd004c7f2733",
+    "kgraph quotient wide": "1007ffa01d3021dab59018cdd733e3ce96ef38b024b9d5001c5a24a7284238a3",
+    "kgraph validate cycle 12x16 less its first square": "0b44c0d4dc0e2af065327570a73fa9a64637599110faa1487a620737c75a73ca",
+    "kgraph validate k2 union 12 with a square twice": "478bf33b3e94fe2d3d9b70a9509d150857cec2e50ca9350ca8e52128f16c129e",
+    "kgraph validate k3 union 8 with first and last images exchanged": "5843c9c561d1166bc88387563b1c65c91d62aa90ec078556c65f3d8edda3598d",
+}
+
 
 WITNESS_KEYS = ("lambda", "segment_m", "segment_n")
 
@@ -217,3 +263,43 @@ def test_library_output_unchanged_but_witnesses(func, name, bound):
 @pytest.mark.parametrize("command,name", CLI_CASES)
 def test_cli_output_unchanged_but_witnesses(command, name):
     assert stripped_digest(cli_text(command, name)) == STRIPPED[f"kgraph {command} {name}"]
+
+
+def stdin_text(argv, text):
+    out = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            main(argv)
+    finally:
+        sys.stdin = stdin
+    return out.getvalue()
+
+
+@functools.cache
+def generated(name):
+    """A generated product and its interchange document."""
+    g = BUILD_GRAPHS[name]()
+    return g, dump_graph_document(g.skeleton, g.squares)
+
+
+def build_text(command, name):
+    if name in BROKEN_TABLES:
+        source, edit = BROKEN_TABLES[name]
+        doc = json.loads(json.dumps(generated(source)[1]))
+        edit(doc["squares"])
+        return stdin_text([command, "-"], canonical_json(doc))
+    g, doc = generated(name)
+    argv = [command, "-"]
+    if command == "quotient":
+        argv += ["--set", ",".join(sorted(least_singleton_obstruction(g) or ()))]
+    return stdin_text(argv, canonical_json(doc))
+
+
+BUILD_CASES = [(c, n) for n in BUILD_GRAPHS for c in ("validate", "cofinal", "quotient")]
+BUILD_CASES += [("validate", n) for n in BROKEN_TABLES]
+
+
+@pytest.mark.parametrize("command,name", BUILD_CASES)
+def test_build_side_output_unchanged(command, name):
+    assert _sha(build_text(command, name)) == BUILD_DIGESTS[f"kgraph {command} {name}"]
