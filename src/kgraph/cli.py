@@ -6,10 +6,11 @@ certificate, 3 the input could not be used or the report could not be
 written.  No command exits 2.  Each `cmd_*` returns its report and
 whether the property holds, and raises on unusable input; `main` alone
 turns that into an exit code.  Exit 3, with one `error:` line per
-problem on standard error, covers:
+problem on standard error (unless it is closed), covers:
 
 - bad flags (argparse usage errors);
-- a file that cannot be read, or bytes that are not UTF-8;
+- a file that cannot be read, standard input closed, or bytes that are
+  not UTF-8;
 - malformed JSON, JSON nested too deeply to parse, or an integer
   literal with more digits than the interpreter converts;
 - a document of the wrong shape (`DocumentError`), or an id holding a
@@ -20,8 +21,9 @@ problem on standard error, covers:
 - a `quotient --set` name that is not a vertex, `--set=--` included;
 - an `ideals` lattice of more than `ENUM_LIMIT` sets (`LimitExceededError`);
 - input too big to fit in memory (`MemoryError`);
-- a report that cannot be written, such as to a closed pipe or a full
-  disk (`OSError`).
+- a report that cannot be written: to a closed pipe or a full disk
+  (`OSError`), to a standard output the process started with closed, or
+  a --text report holding a character the output encoding cannot hold.
 
 Reports are JSON on standard output with sorted keys; --text renders the
 same object line for line as indented `key: value` text; a string leaf
@@ -82,6 +84,8 @@ def render_text(obj, indent=0):
 
 def _read_document(path):
     """(Skeleton, SquareTable) from a file, or from standard input for `-`."""
+    if path == "-" and sys.stdin is None:  # the process started with it closed
+        raise DocumentError(["-: standard input is closed"])
     try:
         if path == "-" and hasattr(sys.stdin, "buffer"):
             # UTF-8 whatever the locale's encoding.  A byte that is not UTF-8 fails
@@ -187,6 +191,25 @@ def build_parser():
     return parser
 
 
+def _write_report(out):
+    """Write `out` to standard output; the problems that kept it from being written."""
+    if sys.stdout is None:  # the process started with it closed
+        return ["cannot write the report: standard output is closed"]
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except UnicodeEncodeError as exc:  # only --text: JSON reports are ASCII
+        return [f"cannot write the report: the output encoding {exc.encoding} cannot hold "
+                f"{exc.object[exc.start:exc.end]!r}"]
+    except OSError as exc:
+        # Python's closed-pipe recipe: stdout to devnull, so the flush at exit is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return [f"cannot write the report: {exc.strerror or exc}"]
+    return []
+
+
 def main(argv=None):
     """Run one command and return its exit code: 0 holds, 1 fails, 3 unusable input."""
     args = build_parser().parse_args(argv)
@@ -203,18 +226,12 @@ def main(argv=None):
         # No allocation in the handler; the report waits until the traceback's frames are freed.
         problems = _OUT_OF_MEMORY
     else:
-        try:
-            sys.stdout.write(out)
-            sys.stdout.flush()
+        problems = _write_report(out)
+        if not problems:
             return 0 if holds else 1
-        except OSError as exc:
-            # Python's closed-pipe recipe: stdout to devnull, so the flush at exit is silent.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            problems = [f"cannot write the report: {exc.strerror or exc}"]
-    for p in problems:
-        sys.stderr.write(f"error: {p}\n")
+    if sys.stderr is not None:  # started with it closed, only the exit code tells
+        for p in problems:
+            sys.stderr.write(f"error: {p}\n")
     return 3
 
 

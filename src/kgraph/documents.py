@@ -11,14 +11,17 @@ The document shape is fixed:
 
 This layer checks shape and types only and reports every problem it finds
 at once, each addressed to the field it concerns ("edges[3].color: ...").
-A row is accepted by one test of its key set and one of its field types;
-only a row that fails them is examined for its problems, and only a
-problem builds an address.  JSON nested deeper than the decoder can
-follow, or an integer literal longer than the interpreter converts, is
-one "document:" problem.  An id holding a lone surrogate (from a \\u
-escape, or from a non-UTF-8 byte on stdin) is refused: no UTF-8 output
-prints it.  Structural soundness (colors in range, endpoints exist, square
-table laws) is the job of the validation pass behind KGraph.build.
+A document is what `json.loads` makes: every type test is exact (`type(x)
+is dict`), so a subclass of dict, list, str or int, a bool included, is
+refused.  A row is accepted in one place, by one test of its key set and
+its field types; a row that fails it is only reported, with at least one
+addressed problem, and only a problem builds an address.  JSON nested
+deeper than the decoder can follow, or an integer literal longer than the
+interpreter converts, is one "document:" problem.  An id holding a lone
+surrogate (from a \\u escape, or from a non-UTF-8 byte on stdin) is
+refused: no UTF-8 output prints it.  Structural soundness (colors in
+range, endpoints exist, square table laws) is the job of the validation
+pass behind KGraph.build.
 
 `canonical_json` writes the bytes of `json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"` (ASCII only), pinned by the test oracle
@@ -44,14 +47,9 @@ _ID_KEYS = ("id", "range", "source")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-def _is_int(x):
-    # bool is an int subclass; a color of `true` must not slip through.
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _has_keys(obj, keys, where, problems):
     """Whether obj is an object with exactly `keys`; reports each way it is not."""
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         problems.append(f"{where}: expected an object")
         return False
     ok = True
@@ -68,7 +66,7 @@ def _has_keys(obj, keys, where, problems):
 def _rows(data, name, problems):
     """data[name] if it is a list; otherwise report it and give no rows."""
     rows = data[name]
-    if isinstance(rows, list):
+    if type(rows) is list:
         return rows
     problems.append(f"{name}: expected a list")
     return ()
@@ -76,19 +74,19 @@ def _rows(data, name, problems):
 
 def parse_graph_document(data):
     """Dict -> (Skeleton, SquareTable), or DocumentError listing every problem."""
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise DocumentError([f"document: expected a JSON object, got {type(data).__name__}"])
     problems = []
     if not _has_keys(data, _TOP_KEYS, "document", problems):
         raise DocumentError(problems)
 
     k = data["k"]
-    if not _is_int(k):
+    if type(k) is not int:
         problems.append(f"k: expected an integer, got {k!r}")
         k = 0
 
     vertices = data["vertices"]
-    if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
+    if not (type(vertices) is list and all(type(v) is str for v in vertices)):
         problems.append("vertices: expected a list of strings")
         vertices = []
     else:
@@ -105,22 +103,16 @@ def parse_graph_document(data):
             if type(eid) is type(rng) is type(src) is str and type(color) is int and eid not in edges:
                 edges[eid] = Edge(eid, color, rng, src)
                 continue
+        # Refused, so only reported: keys and types that pass leave a duplicate id.
         where = f"edges[{i}]"
-        if not _has_keys(row, _EDGE_KEYS, where, problems):
-            continue
-        bad = False
-        for key in _EDGE_KEYS:
-            val = row[key]
-            if not (_is_int(val) if key == "color" else isinstance(val, str)):
+        if _has_keys(row, _EDGE_KEYS, where, problems):
+            wrong = [key for key in _EDGE_KEYS
+                     if type(row[key]) is not (int if key == "color" else str)]
+            for key in wrong:
                 kind = "an integer" if key == "color" else "a string"
-                problems.append(f"{where}.{key}: expected {kind}, got {val!r}")
-                bad = True
-        if bad:
-            continue
-        if row["id"] in edges:
-            problems.append(f"{where}.id: duplicate edge id {row['id']!r}")
-        else:
-            edges[row["id"]] = Edge(row["id"], row["color"], row["range"], row["source"])
+                problems.append(f"{where}.{key}: expected {kind}, got {row[key]!r}")
+            if not wrong:
+                problems.append(f"{where}.id: duplicate edge id {row['id']!r}")
 
     entries = []
     for i, row in enumerate(_rows(data, "squares", problems)):
@@ -130,18 +122,13 @@ def parse_graph_document(data):
                     and type(pair[0]) is type(pair[1]) is type(image[0]) is type(image[1]) is str):
                 entries.append(((pair[0], pair[1]), (image[0], image[1])))
                 continue
+        # Refused, so only reported: keys that pass leave a field that is not an id pair.
         where = f"squares[{i}]"
-        if not _has_keys(row, _SQUARE_KEYS, where, problems):
-            continue
-        bad = False
-        for key in _SQUARE_KEYS:
-            val = row[key]
-            if not (isinstance(val, list) and len(val) == 2
-                    and isinstance(val[0], str) and isinstance(val[1], str)):
-                problems.append(f"{where}.{key}: expected a pair of edge ids, got {val!r}")
-                bad = True
-        if not bad:
-            entries.append((tuple(row["pair"]), tuple(row["image"])))
+        if _has_keys(row, _SQUARE_KEYS, where, problems):
+            for key in _SQUARE_KEYS:
+                val = row[key]
+                if not (type(val) is list and len(val) == 2 and type(val[0]) is type(val[1]) is str):
+                    problems.append(f"{where}.{key}: expected a pair of edge ids, got {val!r}")
 
     if problems:
         raise DocumentError(problems)
@@ -190,7 +177,7 @@ def dump_graph_document(skel, squares):
             {"id": e.id, "color": e.color, "range": e.range, "source": e.source}
             for e in (skel.edges[eid] for eid in sorted(skel.edges))
         ],
-        "squares": squares.to_json()["squares"],
+        "squares": [{"pair": list(p), "image": list(i)} for p, i in sorted(squares.entries)],
     }
 
 
@@ -211,10 +198,7 @@ def _dumps(x, pad):
         if not x:
             return "[]"
         inner = pad + "  "
-        if all(type(item) is str for item in x):
-            items = map(_quote, x)
-        else:
-            items = [_dumps(item, inner) for item in x]
+        items = [_dumps(item, inner) for item in x]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(x, indent=2, sort_keys=True).replace("\n", pad)
 

@@ -63,10 +63,6 @@ class SquareTable:
             else:
                 self.backward[image] = pair
 
-    def to_json(self):
-        rows = sorted(self.entries)
-        return {"squares": [{"pair": list(p), "image": list(i)} for p, i in rows]}
-
 
 def _composable_pairs(skeleton, edges, cj):
     """All (e1, e2) with e1 in `edges`, e2 of color cj and s(e1) = r(e2), in order."""
@@ -256,9 +252,6 @@ class KGraph:
     def vertices(self):
         return self.skeleton.vertices
 
-    def edge(self, eid):
-        return self.skeleton.edge(eid)
-
     def require_vertex(self, v):
         if not self.skeleton.has_vertex(v):
             raise ContractViolationError(f"unknown vertex {v!r}")
@@ -306,7 +299,7 @@ class KGraph:
         pieces, at, start = [], range_vertex, 0
         for d in degrees:
             end = start + sum(d)
-            source = self.edge(edges[end - 1]).source if end > start else at
+            source = self.skeleton.edges[edges[end - 1]].source if end > start else at
             pieces.append(Path(self, at, source, d, edges[start:end]))
             at, start = source, end
         return pieces
@@ -318,7 +311,7 @@ class KGraph:
         at = range_vertex
         counts = [0] * self.k
         for eid in edge_ids:
-            e = self.edge(eid)
+            e = self.skeleton.edges[eid]
             if e.range != at:
                 raise CompositionError(f"edge {eid!r} has range {e.range!r}, expected {at!r}")
             at = e.source

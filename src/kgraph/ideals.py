@@ -69,7 +69,7 @@ def is_saturated(g, h):
         if v in h:
             continue
         for color in range(1, g.k + 1):
-            if all(g.edge(eid).source in h for eid in g.skeleton.out_edges(v, color)):
+            if all(g.skeleton.edges[eid].source in h for eid in g.skeleton.out_edges(v, color)):
                 return False
     return True
 

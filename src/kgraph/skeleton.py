@@ -52,7 +52,7 @@ class Skeleton:
     """k-colored multigraph with a (range vertex, color) edge index."""
 
     def __init__(self, k, vertices, edges):
-        self.k = int(k)
+        self.k = k
         self.vertices = tuple(sorted(set(vertices)))
         self._vertex_set = set(self.vertices)
         by_id = {}
@@ -69,9 +69,6 @@ class Skeleton:
         self.by_range = {key: tuple(v) for key, v in self.by_range.items()}
         self._validated = False
 
-    def edge(self, eid):
-        return self.edges[eid]
-
     def has_vertex(self, v):
         return v in self._vertex_set
 
@@ -82,12 +79,20 @@ class Skeleton:
     def validate(self):
         """Report dangling endpoints, bad colors, and missing out-colors."""
         problems = []
-        if self.k < 1:
-            problems.append(f"rank: expected k >= 1, got {self.k}")
+        # Exact ints, so a rank or color of 1.7 or True is reported, not read as 1.
+        # A rank that is not an int reads as 0: nothing is checked against it.
+        rank_ok = type(self.k) is int
+        k = self.k if rank_ok else 0
+        if not rank_ok:
+            problems.append(f"rank: expected an integer, got {self.k!r}")
+        elif k < 1:
+            problems.append(f"rank: expected k >= 1, got {k}")
         for eid in sorted(self.edges):
             e = self.edges[eid]
-            if not (isinstance(e.color, int) and 1 <= e.color <= self.k):
-                problems.append(f"edge {eid!r}: color {e.color!r} outside 1..{self.k}")
+            if type(e.color) is not int:
+                problems.append(f"edge {eid!r}: color {e.color!r} is not an integer")
+            elif rank_ok and not 1 <= e.color <= k:
+                problems.append(f"edge {eid!r}: color {e.color!r} outside 1..{k}")
             if e.range not in self._vertex_set:
                 problems.append(f"edge {eid!r}: range {e.range!r} is not a vertex")
             if e.source not in self._vertex_set:
@@ -97,11 +102,11 @@ class Skeleton:
         # Every vertex needs an outgoing edge of every color; sinks are fine.
         # With more colors than edges some color has none at all: say so
         # once, so the report stays bounded in k.
-        if self.k > len(self.edges) and self.vertices:
-            problems.append(f"rank: k = {self.k} but {len(self.edges)} edge(s), so some color has none")
-        elif self.k >= 1:
+        if k > len(self.edges) and self.vertices:
+            problems.append(f"rank: k = {k} but {len(self.edges)} edge(s), so some color has none")
+        elif k >= 1:
             for v in self.vertices:
-                for color in range(1, self.k + 1):
+                for color in range(1, k + 1):
                     if not self.out_edges(v, color):
                         problems.append(f"vertex {v!r}: no outgoing color-{color} edge")
         report = ValidationReport("skeleton", problems)

@@ -224,7 +224,7 @@ def exchanged_tables(g):
     skel, entries = g.skeleton, g.squares.entries
     blocks = {}
     for idx, ((a, b), _) in enumerate(entries):
-        key = (skel.edge(a).color, skel.edge(b).color, skel.edge(a).range, skel.edge(b).source)
+        key = (skel.edges[a].color, skel.edges[b].color, skel.edges[a].range, skel.edges[b].source)
         blocks.setdefault(key, []).append(idx)
     for ids in blocks.values():
         for i, j in combinations(ids, 2):

@@ -109,7 +109,7 @@ def paths_from_by_levels(g, v, n):
         rest = subtract(deg, tuple(int(i == color - 1) for i in range(g.k)))
         levels.append((deg, color, rest, todo))
         todo = list(dict.fromkeys(
-            g.edge(eid).source for u in todo for eid in g.skeleton.out_edges(u, color)
+            g.skeleton.edges[eid].source for u in todo for eid in g.skeleton.out_edges(u, color)
         ))
         deg = rest
     for w in todo:  # deg is zero here
@@ -119,7 +119,7 @@ def paths_from_by_levels(g, v, n):
             table[(u, level)] = tuple(
                 Path(g, u, tail.source_vertex, level, (eid,) + tail.edges)
                 for eid in g.skeleton.out_edges(u, color)
-                for tail in table[(g.edge(eid).source, rest)]
+                for tail in table[(g.skeleton.edges[eid].source, rest)]
             )
     return table[(v, n)]
 
@@ -289,7 +289,7 @@ def fixed_point_closure(g, seed):
             if v in h:
                 continue
             for color in range(1, g.k + 1):
-                if all(g.edge(eid).source in h for eid in g.skeleton.out_edges(v, color)):
+                if all(g.skeleton.edges[eid].source in h for eid in g.skeleton.out_edges(v, color)):
                     h.add(v)
                     changed = True
                     break
@@ -363,8 +363,8 @@ def validate_squares_reference(skeleton, table):
         if missing:
             problems.append(f"square {(fid, gid)!r}: unknown edge id(s) {missing!r}")
             continue
-        f, g = skeleton.edge(fid), skeleton.edge(gid)
-        g2, f2 = skeleton.edge(g2id), skeleton.edge(f2id)
+        f, g = skeleton.edges[fid], skeleton.edges[gid]
+        g2, f2 = skeleton.edges[g2id], skeleton.edges[f2id]
         if not f.color < g.color:
             problems.append(f"square {(fid, gid)!r}: pair colors ({f.color},{g.color}) not ascending")
             continue
@@ -421,11 +421,11 @@ def validate_cubes_all_orders(skeleton, table):
         for color2 in range(1, skeleton.k + 1):
             if color2 == colors[e1]:
                 continue
-            for e2 in skeleton.out_edges(skeleton.edge(e1).source, color2):
+            for e2 in skeleton.out_edges(skeleton.edges[e1].source, color2):
                 for color3 in range(1, skeleton.k + 1):
                     if color3 in (colors[e1], color2):
                         continue
-                    for e3 in skeleton.out_edges(skeleton.edge(e2).source, color3):
+                    for e3 in skeleton.out_edges(skeleton.edges[e2].source, color3):
                         try:
                             b1, c1 = swap(e2, e3)
                             a1, b2 = swap(e1, b1)
@@ -601,7 +601,7 @@ def _reachable_from(g, v):
         cur = stack.pop()
         for color in range(1, g.k + 1):
             for eid in g.skeleton.out_edges(cur, color):
-                nxt = g.edge(eid).source
+                nxt = g.skeleton.edges[eid].source
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)

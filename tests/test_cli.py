@@ -133,7 +133,7 @@ class TestValidate:
         assert not cubes_report["ok"]
         for problem in cubes_report["violations"]:
             triple = problem[len("cube (") : problem.index(")")].split(",")
-            assert [g.edge(e).color for e in triple] == [1, 2, 3], problem
+            assert [g.skeleton.edges[e].color for e in triple] == [1, 2, 3], problem
 
 
 class TestScans:
@@ -589,6 +589,51 @@ def test_unwritable_report_exits_3_in_a_process(sink, reason):
         os.close(stdout)
     assert proc.returncode == 3
     assert proc.stderr == f"error: cannot write the report: {reason}\n"
+
+
+ACCENTED_ID = {
+    "k": 1,
+    "vertices": ["\u00e9"],
+    "edges": [{"id": "e", "color": 1, "range": "\u00e9", "source": "\u00e9"}],
+    "squares": [],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, closed, env, expected",
+    [
+        (["validate", "-"], 0, {}, "error: -: standard input is closed\n"),
+        (
+            ["validate", fixture_path("F")],
+            1,
+            {},
+            "error: cannot write the report: standard output is closed\n",
+        ),
+        (
+            ["ideals", "{tmp}/accented.json", "--text"],
+            None,
+            {"PYTHONIOENCODING": "ascii"},
+            "error: cannot write the report: the output encoding ascii cannot hold '\\xe9'\n",
+        ),
+        (["validate", "{tmp}/missing.json"], 2, {}, ""),
+    ],
+    ids=["closed-stdin", "closed-stdout", "ascii-text-output", "closed-stderr"],
+)
+def test_unusable_standard_stream_exits_3_in_a_process(tmp_path, argv, closed, env, expected):
+    # Each of these once ended in a traceback and exit 1, which claims "fails";
+    # with standard error closed, the exit code is all that can tell.
+    (tmp_path / "accented.json").write_text(json.dumps(ACCENTED_ID))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgraph.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, **env),
+        preexec_fn=None if closed is None else lambda: os.close(closed),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == expected
 
 
 class TestTextRendering:

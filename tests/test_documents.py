@@ -1,7 +1,9 @@
 """JSON interchange: parsing with addressed problems, deterministic dumps."""
 
 import copy
+import enum
 import json
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,45 @@ class TestParse:
         probs = problems_of(doc)
         assert "edges: expected a list" in probs
         assert "squares: expected a list" in probs
+
+
+class _Str(str):
+    pass
+
+
+class _Color(enum.IntEnum):
+    BLUE = 1
+
+
+class TestExactTypes:
+    """A document is what `json.loads` makes; a subclass is refused at its address."""
+
+    def test_dict_subclass_as_the_document(self):
+        assert problems_of(OrderedDict(t2_doc())) == [
+            "document: expected a JSON object, got OrderedDict"
+        ]
+
+    def test_dict_subclass_as_a_row(self):
+        doc = t2_doc()
+        doc["edges"][0] = OrderedDict(doc["edges"][0])
+        doc["squares"][0] = OrderedDict(doc["squares"][0])
+        assert problems_of(doc) == ["edges[0]: expected an object", "squares[0]: expected an object"]
+
+    def test_str_subclass_as_an_id(self):
+        doc = t2_doc()
+        doc["edges"][1]["id"] = _Str("r")
+        assert problems_of(doc) == ["edges[1].id: expected a string, got 'r'"]
+
+    def test_color_that_is_not_exactly_an_int(self):
+        for color, shown in ((_Color.BLUE, "<_Color.BLUE: 1>"), (True, "True")):
+            doc = t2_doc()
+            doc["edges"][0]["color"] = color
+            assert problems_of(doc) == [f"edges[0].color: expected an integer, got {shown}"]
+
+    def test_str_subclass_in_a_square_pair(self):
+        doc = t2_doc()
+        doc["squares"][0]["pair"] = ["b", _Str("r")]
+        assert problems_of(doc) == ["squares[0].pair: expected a pair of edge ids, got ['b', 'r']"]
 
 
 class TestLoad:

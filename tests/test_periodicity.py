@@ -269,8 +269,8 @@ class TestBlockSupportRegression:
         res = local_periodicity_at(g, "v", (1, 0), (2, 0))
         assert not res.periodic
         w = res
-        blue = [e for e in w.segment_m.edges if g.edge(e).color == 1]
-        assert blue == [e for e in w.segment_n.edges if g.edge(e).color == 1]
+        blue = [e for e in w.segment_m.edges if g.skeleton.edges[e].color == 1]
+        assert blue == [e for e in w.segment_n.edges if g.skeleton.edges[e].color == 1]
         assert w.segment_m != w.segment_n
 
     def test_double_blue_shift_is_identity(self):

@@ -1,7 +1,7 @@
 import pytest
 
-from kgraph import Edge, Skeleton
-from kgraph.errors import ContractViolationError
+from kgraph import Edge, KGraph, Skeleton, SquareTable
+from kgraph.errors import ContractViolationError, ValidationError
 
 from generators import corpus
 from oracles import matmul, vertex_matrices
@@ -48,6 +48,22 @@ def test_more_colors_than_edges_reported_once():
     report = Skeleton(100_000, ["v", "w"], _loops(2)).validate()
     assert not report.ok
     assert report.violations == ["rank: k = 100000 but 2 edge(s), so some color has none"]
+
+
+@pytest.mark.parametrize("k", [1.7, True, "2"], ids=repr)
+def test_rank_that_is_not_exactly_an_int_is_a_violation(k):
+    # int() would read 1.7 and True as rank 1, and "2" as rank 2.
+    skel = Skeleton(k, ["v"], [Edge("e", 1, "v", "v")])
+    assert skel.validate().violations == [f"rank: expected an integer, got {k!r}"]
+    with pytest.raises(ValidationError):
+        KGraph.build(skel, SquareTable([]))
+
+
+def test_bool_color_is_a_violation():
+    skel = Skeleton(1, ["v"], [Edge("e", True, "v", "v")])
+    assert skel.validate().violations == ["edge 'e': color True is not an integer"]
+    with pytest.raises(ValidationError):
+        KGraph.build(skel, SquareTable([]))
 
 
 def test_empty_graph_is_invalid():
