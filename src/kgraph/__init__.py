@@ -1,9 +1,9 @@
 """Rank-k graphs: factorization calculus, periodicity, ideals, simplicity.
 
 A graph is built from a colored skeleton and a table of commuting squares
-(KGraph.build validates everything or refuses).  On top of the path
-calculus sit the exact local periodicity decision, the vertex-set ideal
-lattice, and bounded-scan analyses with re-validating certificates.
+(`KGraph(skeleton, squares)` validates everything or refuses).  On top of
+the path calculus sit the exact local periodicity decision, the vertex-set
+ideal lattice, and bounded-scan analyses with re-validating certificates.
 """
 
 from .analysis import (
@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .factorization import KGraph, Path, SquareTable, compose, factor, segment
-from .fixtures import fixture, fixture_parts
+from .fixtures import fixture_parts
 from .ideals import (
     enumerate_sat_her,
     is_cofinal,
@@ -87,7 +87,6 @@ __all__ = [
     "ep_equal",
     "ep_samples",
     "factor",
-    "fixture",
     "fixture_parts",
     "graph_from_json",
     "is_cofinal",

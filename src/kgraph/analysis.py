@@ -27,7 +27,7 @@ finite certificate that the element is nevertheless a nonzero obstruction.
 import time
 
 from .errors import ContractViolationError
-from .ideals import enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
+from .ideals import Cofinal, NotCofinal, enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
 from .infinite import EventuallyPeriodicPath, _unrolled_cut, ep_compose, ep_equal, ep_samples
 from .periodicity import resolve_bound, scan_aperiodicity
 
@@ -232,5 +232,9 @@ def analyze(g, bound=None, source=None):
     bound = resolve_bound(g, bound)
     gauge = all_ideals_gauge_invariant(g, bound)
     # Row 0 is H = {}, whose quotient is g itself: that scan is g's scan.
-    verdict = SimplicityVerdict(bound, is_cofinal(g), gauge.rows[0][1])
+    # Row 1 is the least nonempty proper saturated hereditary set.  It holds
+    # a terminal closure, which is one too, so it is that closure: the least
+    # terminal closure that is not all of V, is_cofinal's certificate.
+    cofinality = NotCofinal(g, gauge.rows[1][0]) if len(gauge.rows) > 1 else Cofinal()
+    verdict = SimplicityVerdict(bound, cofinality, gauge.rows[0][1])
     return AnalysisReport(source, verdict, gauge, time.monotonic() - start)

@@ -109,27 +109,27 @@ def cmd_validate(args):
 
 
 def cmd_aperiodic(args):
-    scan = scan_aperiodicity(KGraph.build(*_read_document(args.file)), args.bound)
+    scan = scan_aperiodicity(KGraph(*_read_document(args.file)), args.bound)
     return scan.to_json(), not scan.periodic
 
 
 def cmd_cofinal(args):
-    verdict = is_cofinal(KGraph.build(*_read_document(args.file)))
+    verdict = is_cofinal(KGraph(*_read_document(args.file)))
     return verdict.to_json(), verdict.cofinal
 
 
 def cmd_simple(args):
-    verdict = is_simple(KGraph.build(*_read_document(args.file)), args.bound)
+    verdict = is_simple(KGraph(*_read_document(args.file)), args.bound)
     return verdict.to_json(), verdict.simple
 
 
 def cmd_ideals(args):
-    sets = enumerate_sat_her(KGraph.build(*_read_document(args.file)))
+    sets = enumerate_sat_her(KGraph(*_read_document(args.file)))
     return {"count": len(sets), "sets": [vertex_set_to_json(h) for h in sets]}, True
 
 
 def cmd_quotient(args):
-    g = KGraph.build(*_read_document(args.file))
+    g = KGraph(*_read_document(args.file))
     # argparse before Python 3.13 drops the value of `--set=--` and stores [].
     text = "--" if args.set == [] else args.set
     names = [s.strip() for s in text.split(",") if s.strip()]

@@ -21,7 +21,7 @@ interpreter converts, is one "document:" problem.  An id holding a lone
 surrogate (from a \\u escape, or from a non-UTF-8 byte on stdin) is
 refused: no UTF-8 output prints it.  Structural soundness (colors in
 range, endpoints exist, square table laws) is the job of the validation
-pass behind KGraph.build.
+that `KGraph` runs on construction.
 
 `canonical_json` writes the bytes of `json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"` (ASCII only), pinned by the test oracle
@@ -57,7 +57,8 @@ def _has_keys(obj, keys, where, problems):
         if key not in obj:
             problems.append(f"{where}: missing key {key!r}")
             ok = False
-    for key in sorted(set(obj) - set(keys)):
+    # Str keys in order, then any other key (only a dict not from json.loads has one) by repr.
+    for key in sorted(set(obj) - set(keys), key=lambda key: (0, key) if type(key) is str else (1, repr(key))):
         problems.append(f"{where}: unknown key {key!r}")
         ok = False
     return ok
@@ -164,8 +165,7 @@ def load_graph_document(text):
 
 def graph_from_json(text):
     """JSON text -> validated KGraph (DocumentError or ValidationError)."""
-    skel, squares = load_graph_document(text)
-    return KGraph.build(skel, squares)
+    return KGraph(*load_graph_document(text))
 
 
 def dump_graph_document(skel, squares):
@@ -175,7 +175,7 @@ def dump_graph_document(skel, squares):
         "vertices": list(skel.vertices),
         "edges": [
             {"id": e.id, "color": e.color, "range": e.range, "source": e.source}
-            for e in (skel.edges[eid] for eid in sorted(skel.edges))
+            for e in skel.edges.values()
         ],
         "squares": [{"pair": list(p), "image": list(i)} for p, i in sorted(squares.entries)],
     }

@@ -1,6 +1,6 @@
 """Commuting squares, canonical path form, and unique factorization.
 
-A rank-k graph is presented by a validated skeleton plus one commuting
+A rank-k graph is presented by a valid skeleton plus one commuting
 square per composable two-color pair of edges: for colors i < j, the
 square table is a bijection sending each pair (f, g) with f of color i,
 g of color j and s(f) = r(g) to a pair (g', f') with the colors reversed,
@@ -66,7 +66,7 @@ class SquareTable:
 
 def _composable_pairs(skeleton, edges, cj):
     """All (e1, e2) with e1 in `edges`, e2 of color cj and s(e1) = r(e2), in order."""
-    return [(e.id, gid) for e in edges for gid in skeleton.out_edges(e.source, cj)]
+    return [(e.id, gid) for e in edges for gid in skeleton.by_range.get((e.source, cj), ())]
 
 
 def validate_squares(skeleton, table):
@@ -78,11 +78,12 @@ def validate_squares(skeleton, table):
     composable pairs and those of `backward` distinct descending ones.  A
     subset of a finite set is all of it exactly when the sizes agree, so
     the table is total both ways exactly when len(forward) is the sum over
-    edges e and colors c > color(e) of |out_edges(s(e), c)|, the number of
-    ascending pairs, and len(backward) the same sum over c < color(e).
+    edges e and colors c > color(e) of |by_range[(s(e), c)]|, the number
+    of ascending pairs, and len(backward) the same sum over c < color(e).
     Otherwise the pairs are listed, to name the first missing and the count.
+    Precondition: `skeleton.validate()` has passed, so every color and
+    endpoint indexes: `validation_reports` runs this check only then.
     """
-    skeleton.require_validated()
     problems = []
     for pair in table.duplicate_keys:
         problems.append(f"square {pair!r}: pair listed more than once")
@@ -114,8 +115,8 @@ def validate_squares(skeleton, table):
         if f2.source != g.source:
             problems.append(f"square {(fid, gid)!r}: image source {f2.source!r} != pair source {g.source!r}")
     if not problems:
-        k = skeleton.k  # widths[v][c - 1] is |out_edges(v, c)|
-        widths = {v: [len(skeleton.out_edges(v, c)) for c in range(1, k + 1)] for v in skeleton.vertices}
+        k, by_range = skeleton.k, skeleton.by_range  # widths[v][c - 1] is |by_range[(v, c)]|
+        widths = {v: [len(by_range.get((v, c), ())) for c in range(1, k + 1)] for v in skeleton.vertices}
         ascending = sum(sum(widths[e.source][e.color:]) for e in edges.values())
         descending = sum(sum(widths[e.source][:e.color - 1]) for e in edges.values())
         if len(table.forward) == ascending and len(table.backward) == descending:
@@ -124,9 +125,9 @@ def validate_squares(skeleton, table):
     # violation is reported once, by its first instance and its count, so
     # the report stays bounded in k.
     no_square, not_image = [], []
-    by_color = {}  # edges of each color, sorted by id: one index for every color pair
-    for eid in sorted(skeleton.edges):
-        by_color.setdefault(skeleton.edges[eid].color, []).append(skeleton.edges[eid])
+    by_color = {}  # edges of each color, in id order: one index for every color pair
+    for e in edges.values():
+        by_color.setdefault(e.color, []).append(e)
     for ci in range(1, skeleton.k + 1):
         for cj in range(ci + 1, skeleton.k + 1):
             pairs = _composable_pairs(skeleton, by_color.get(ci, ()), cj)
@@ -160,10 +161,9 @@ def validate_cubes(skeleton, table):
     totality guarantees: `validation_reports`, the one caller, runs this
     check only after `validate_squares` passes.  Trivially true for k < 3.
     """
-    skeleton.require_validated()
     problems = []
     k, edges, by_range, fwd = skeleton.k, skeleton.edges, skeleton.by_range, table.forward
-    for e1 in sorted(edges):
+    for e1 in edges:
         for color2 in range(edges[e1].color + 1, k + 1):
             for e2 in by_range.get((edges[e1].source, color2), ()):
                 for color3 in range(color2 + 1, k + 1):
@@ -229,24 +229,16 @@ class Path:
 
 
 class KGraph:
-    """A validated skeleton plus square table; the path calculus lives here."""
+    """Skeleton plus square table, refused by `ValidationError` unless every validation report passes."""
 
-    def __init__(self, skeleton, squares, _token=None):
-        if _token is not KGraph._build_token:
-            raise ContractViolationError("use KGraph.build so validation cannot be skipped")
+    def __init__(self, skeleton, squares):
+        for report in validation_reports(skeleton, squares):
+            if not report.ok:
+                raise ValidationError(report)
         self.skeleton = skeleton
         self.squares = squares
         self.k = skeleton.k
         self._colors = {eid: e.color for eid, e in skeleton.edges.items()}
-
-    _build_token = object()
-
-    @classmethod
-    def build(cls, skeleton, squares):
-        for report in validation_reports(skeleton, squares):
-            if not report.ok:
-                raise ValidationError(report)
-        return cls(skeleton, squares, _token=cls._build_token)
 
     @property
     def vertices(self):
@@ -328,7 +320,7 @@ class KGraph:
         time from a depth-first walk on an explicit stack (no recursion,
         memory linear in |n|), and nothing is kept between calls.  The
         order is lexicographic on the canonical edge-id sequence: each
-        position takes the least remaining color, then `out_edges` order.
+        position takes the least remaining color, then `by_range` (id) order.
         Downstream "canonically least" choices rely on it.
         """
         self.require_vertex(v)

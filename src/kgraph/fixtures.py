@@ -19,7 +19,7 @@ D2  a copy of F at u (loops bu*/ru*), a copy of T2 at w (bw/rw), and one
     hereditary (cb enters it from outside); D2 itself is aperiodic.
 """
 
-from .factorization import KGraph, SquareTable
+from .factorization import SquareTable
 from .skeleton import Edge, Skeleton
 
 FIXTURE_NAMES = ("T2", "F", "D", "D2")
@@ -123,9 +123,3 @@ def fixture_parts(name):
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}") from None
     return builder()
-
-
-def fixture(name):
-    """A fully validated KGraph for a fixture name."""
-    skel, squares = fixture_parts(name)
-    return KGraph.build(skel, squares)

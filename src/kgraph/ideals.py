@@ -69,7 +69,7 @@ def is_saturated(g, h):
         if v in h:
             continue
         for color in range(1, g.k + 1):
-            if all(g.skeleton.edges[eid].source in h for eid in g.skeleton.out_edges(v, color)):
+            if all(g.skeleton.edges[eid].source in h for eid in g.skeleton.by_range.get((v, color), ())):
                 return False
     return True
 
@@ -241,4 +241,4 @@ def quotient(g, h):
         if all(eid in keep_ids for eid in pair + image)
     ]
     skel = Skeleton(g.k, keep_vertices, keep_edges)
-    return KGraph.build(skel, SquareTable(entries))
+    return KGraph(skel, SquareTable(entries))

@@ -5,14 +5,14 @@ range and source vertex.  Paths traverse from source toward range, and
 edge sequences are written range end first, so the out-neighborhood used
 everywhere below is "edges whose range is v".
 
-Validation is a separate mandatory step: construction accepts whatever it
-is given, `validate` reports every violation, and the downstream layers
-refuse skeletons that have not passed it.
+Construction refuses only what it cannot index: a vertex or edge id that
+is not exactly a `str`, or a repeated edge id.  It keeps the edges in id
+order, so every pass over them and every report follows that order.
+`validate` reports every other violation, and `KGraph` runs it before
+anything reads the skeleton.
 """
 
 from dataclasses import dataclass
-
-from .errors import ContractViolationError
 
 
 @dataclass(frozen=True)
@@ -49,32 +49,36 @@ class ValidationReport:
 
 
 class Skeleton:
-    """k-colored multigraph with a (range vertex, color) edge index."""
+    """k-colored multigraph: `edges` in id order, indexed by (range vertex, color).
+
+    `by_range[(v, c)]` holds the ids of the color-c edges with range v, in
+    id order; a pair with no edge has no key.
+    """
 
     def __init__(self, k, vertices, edges):
         self.k = k
+        vertices = list(vertices)
+        for v in vertices:
+            if type(v) is not str:
+                raise ValueError(f"vertex id {v!r} is not a string")
         self.vertices = tuple(sorted(set(vertices)))
         self._vertex_set = set(self.vertices)
         by_id = {}
         for e in edges:
+            if type(e.id) is not str:
+                raise ValueError(f"edge id {e.id!r} is not a string")
             if e.id in by_id:
                 raise ValueError(f"duplicate edge id {e.id!r}")
             by_id[e.id] = e
-        self.edges = by_id
+        self.edges = {eid: by_id[eid] for eid in sorted(by_id)}
         # The index tolerates invalid colors/endpoints; validate() reports them.
-        self.by_range = {}
-        for eid in sorted(by_id):
-            e = by_id[eid]
-            self.by_range.setdefault((e.range, e.color), []).append(eid)
-        self.by_range = {key: tuple(v) for key, v in self.by_range.items()}
-        self._validated = False
+        by_range = {}
+        for eid, e in self.edges.items():
+            by_range.setdefault((e.range, e.color), []).append(eid)
+        self.by_range = {key: tuple(ids) for key, ids in by_range.items()}
 
     def has_vertex(self, v):
         return v in self._vertex_set
-
-    def out_edges(self, v, color):
-        """Edge ids with range v and the given color, sorted."""
-        return self.by_range.get((v, color), ())
 
     def validate(self):
         """Report dangling endpoints, bad colors, and missing out-colors."""
@@ -87,8 +91,7 @@ class Skeleton:
             problems.append(f"rank: expected an integer, got {self.k!r}")
         elif k < 1:
             problems.append(f"rank: expected k >= 1, got {k}")
-        for eid in sorted(self.edges):
-            e = self.edges[eid]
+        for eid, e in self.edges.items():
             if type(e.color) is not int:
                 problems.append(f"edge {eid!r}: color {e.color!r} is not an integer")
             elif rank_ok and not 1 <= e.color <= k:
@@ -107,12 +110,6 @@ class Skeleton:
         elif k >= 1:
             for v in self.vertices:
                 for color in range(1, k + 1):
-                    if not self.out_edges(v, color):
+                    if (v, color) not in self.by_range:
                         problems.append(f"vertex {v!r}: no outgoing color-{color} edge")
-        report = ValidationReport("skeleton", problems)
-        self._validated = report.ok
-        return report
-
-    def require_validated(self):
-        if not self._validated:
-            raise ContractViolationError("skeleton has not passed validation")
+        return ValidationReport("skeleton", problems)

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from kgraph import fixture
+from kgraph import KGraph, fixture_parts
 
 CRITERIA = {
     1: "factorization soundness (fixtures + random corpus, |d| <= 4)",
@@ -21,22 +21,22 @@ _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 
 @pytest.fixture(scope="session")
 def t2():
-    return fixture("T2")
+    return KGraph(*fixture_parts("T2"))
 
 
 @pytest.fixture(scope="session")
 def f():
-    return fixture("F")
+    return KGraph(*fixture_parts("F"))
 
 
 @pytest.fixture(scope="session")
 def d():
-    return fixture("D")
+    return KGraph(*fixture_parts("D"))
 
 
 @pytest.fixture(scope="session")
 def d2():
-    return fixture("D2")
+    return KGraph(*fixture_parts("D2"))
 
 
 def pytest_terminal_summary(terminalreporter):

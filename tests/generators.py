@@ -57,13 +57,13 @@ def _block_bijection(rng, skel):
     for eid, e in skel.edges.items():
         if e.color != 1:
             continue
-        for gid in skel.out_edges(e.source, 2):
+        for gid in skel.by_range.get((e.source, 2), ()):
             g = skel.edges[gid]
             lhs.setdefault((e.range, g.source), []).append((eid, gid))
     for gid, g in skel.edges.items():
         if g.color != 2:
             continue
-        for fid in skel.out_edges(g.source, 1):
+        for fid in skel.by_range.get((g.source, 1), ()):
             f = skel.edges[fid]
             rhs.setdefault((g.range, f.source), []).append((gid, fid))
     entries = []
@@ -98,9 +98,9 @@ def _functional_k3(rng, vertices):
                 f = skel.edges[eid]
                 if f.color != ci:
                     continue
-                (gid,) = skel.out_edges(f.source, cj)
-                (g2id,) = skel.out_edges(f.range, cj)
-                (f2id,) = skel.out_edges(skel.edges[g2id].source, ci)
+                (gid,) = skel.by_range.get((f.source, cj), ())
+                (g2id,) = skel.by_range.get((f.range, cj), ())
+                (f2id,) = skel.by_range.get((skel.edges[g2id].source, ci), ())
                 entries.append(((eid, gid), (g2id, f2id)))
     return skel, SquareTable(entries)
 
@@ -116,7 +116,7 @@ def random_kgraph(seed):
         shape = _random_shape(rng, vertices)
         skel = Skeleton(k, vertices, _copy_shape_edges(shape, k))
         squares = _block_bijection(rng, skel) if k == 2 else SquareTable([])
-    return KGraph.build(skel, squares)
+    return KGraph(skel, squares)
 
 
 def corpus(count, base_seed=20260819):
@@ -168,7 +168,7 @@ def _twisted_product(rng, factors):
                         pair = (at(p, {i: eid}), at(p, {i: es, j: fid}))
                         entries.append((pair, (at(p, {j: fid}), at(p, {i: e2, j: fs}))))
     skeleton = Skeleton(len(factors), [at(p, {}) for p in points], edges)
-    return KGraph.build(skeleton, SquareTable(entries))
+    return KGraph(skeleton, SquareTable(entries))
 
 
 def cycle_product(m, n):
@@ -249,4 +249,4 @@ def disjoint_union(graphs):
             (tuple(c + eid for eid in pair), tuple(c + eid for eid in image))
             for pair, image in g.squares.entries
         ]
-    return KGraph.build(Skeleton(k, vertices, edges), SquareTable(entries))
+    return KGraph(Skeleton(k, vertices, edges), SquareTable(entries))

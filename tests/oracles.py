@@ -72,7 +72,7 @@ def _chains(g, v, color, length):
     if length == 0:
         yield (), v
         return
-    for eid in g.skeleton.out_edges(v, color):
+    for eid in g.skeleton.by_range.get((v, color), ()):
         src = g.skeleton.edges[eid].source
         for rest, end in _chains(g, src, color, length - 1):
             yield (eid,) + rest, end
@@ -109,7 +109,7 @@ def paths_from_by_levels(g, v, n):
         rest = subtract(deg, tuple(int(i == color - 1) for i in range(g.k)))
         levels.append((deg, color, rest, todo))
         todo = list(dict.fromkeys(
-            g.skeleton.edges[eid].source for u in todo for eid in g.skeleton.out_edges(u, color)
+            g.skeleton.edges[eid].source for u in todo for eid in g.skeleton.by_range.get((u, color), ())
         ))
         deg = rest
     for w in todo:  # deg is zero here
@@ -118,7 +118,7 @@ def paths_from_by_levels(g, v, n):
         for u in verts:
             table[(u, level)] = tuple(
                 Path(g, u, tail.source_vertex, level, (eid,) + tail.edges)
-                for eid in g.skeleton.out_edges(u, color)
+                for eid in g.skeleton.by_range.get((u, color), ())
                 for tail in table[(g.skeleton.edges[eid].source, rest)]
             )
     return table[(v, n)]
@@ -235,7 +235,7 @@ def k1_scan_finds_periodicity(g, bound):
         raise ValueError("the cycle criterion is for 1-graphs")
     only = {}
     for u in g.vertices:
-        eids = g.skeleton.out_edges(u, 1)
+        eids = g.skeleton.by_range.get((u, 1), ())
         if len(eids) == 1:
             only[u] = g.skeleton.edges[eids[0]].source
     for u in only:
@@ -289,7 +289,7 @@ def fixed_point_closure(g, seed):
             if v in h:
                 continue
             for color in range(1, g.k + 1):
-                if all(g.skeleton.edges[eid].source in h for eid in g.skeleton.out_edges(v, color)):
+                if all(g.skeleton.edges[eid].source in h for eid in g.skeleton.by_range.get((v, color), ())):
                     h.add(v)
                     changed = True
                     break
@@ -347,12 +347,11 @@ def normalize_by_schedule(g, edge_ids, schedule):
 
 def _composable_pairs(skeleton, edges, cj):
     """All (e1, e2) with e1 in `edges`, e2 of color cj and s(e1) = r(e2), in order."""
-    return [(e.id, gid) for e in edges for gid in skeleton.out_edges(e.source, cj)]
+    return [(e.id, gid) for e in edges for gid in skeleton.by_range.get((e.source, cj), ())]
 
 
 def validate_squares_reference(skeleton, table):
-    """Exhaustively check the square table against the skeleton."""
-    skeleton.require_validated()
+    """Exhaustively check the square table against a skeleton that passes validation."""
     problems = []
     for pair in table.duplicate_keys:
         problems.append(f"square {pair!r}: pair listed more than once")
@@ -408,9 +407,9 @@ def validate_cubes_all_orders(skeleton, table):
     Every color order of every cube is checked: reversing the order by
     swaps at positions (1,2),(0,1),(1,2) must agree with swapping at
     (0,1),(1,2),(0,1).  A swap of a descending pair looks up
-    `table.backward`.  Trivially true for k < 3.
+    `table.backward`.  Needs a skeleton that passes validation.  Trivially
+    true for k < 3.
     """
-    skeleton.require_validated()
     problems = []
     colors = {eid: e.color for eid, e in skeleton.edges.items()}
 
@@ -421,11 +420,11 @@ def validate_cubes_all_orders(skeleton, table):
         for color2 in range(1, skeleton.k + 1):
             if color2 == colors[e1]:
                 continue
-            for e2 in skeleton.out_edges(skeleton.edges[e1].source, color2):
+            for e2 in skeleton.by_range.get((skeleton.edges[e1].source, color2), ()):
                 for color3 in range(1, skeleton.k + 1):
                     if color3 in (colors[e1], color2):
                         continue
-                    for e3 in skeleton.out_edges(skeleton.edges[e2].source, color3):
+                    for e3 in skeleton.by_range.get((skeleton.edges[e2].source, color3), ()):
                         try:
                             b1, c1 = swap(e2, e3)
                             a1, b2 = swap(e1, b1)
@@ -600,7 +599,7 @@ def _reachable_from(g, v):
     while stack:
         cur = stack.pop()
         for color in range(1, g.k + 1):
-            for eid in g.skeleton.out_edges(cur, color):
+            for eid in g.skeleton.by_range.get((cur, color), ()):
                 nxt = g.skeleton.edges[eid].source
                 if nxt not in seen:
                     seen.add(nxt)
@@ -713,9 +712,11 @@ def vertex_matrices(skeleton):
     """One matrix per color: entry (v, w) counts color-i edges v <- w.
 
     Rows and columns follow sorted vertex order; a matrix is a list of
-    rows of Python ints, so products are exact.
+    rows of Python ints, so products are exact.  A skeleton that fails
+    validation is refused.
     """
-    skeleton.require_validated()
+    if not skeleton.validate().ok:
+        raise ContractViolationError("skeleton fails validation")
     index = {v: i for i, v in enumerate(skeleton.vertices)}
     size = len(skeleton.vertices)
     mats = [[[0] * size for _ in range(size)] for _ in range(skeleton.k)]

@@ -33,8 +33,8 @@ from kgraph.analysis import (
     verify_annihilation,
 )
 from kgraph.degrees import add, join, subtract
-from kgraph.factorization import compose, factor, segment
-from kgraph.fixtures import fixture
+from kgraph.factorization import KGraph, compose, factor, segment
+from kgraph.fixtures import fixture_parts
 from kgraph.ideals import is_cofinal, is_hereditary, is_saturated, quotient
 from kgraph.infinite import ep_equal, ep_samples
 from kgraph.periodicity import (
@@ -49,7 +49,7 @@ FIXTURE_NAMES = ("T2", "F", "D", "D2")
 @lru_cache(maxsize=1)
 def graphs():
     # indices 0-3 are the named fixtures, 4-53 the random corpus
-    return [fixture(name) for name in FIXTURE_NAMES] + corpus(50)
+    return [KGraph(*fixture_parts(name)) for name in FIXTURE_NAMES] + corpus(50)
 
 
 def products():
@@ -151,7 +151,7 @@ def test_criterion_4():
     for gi, tuples in emitted.items():
         g = graphs()[gi]
         single = all(
-            len(g.skeleton.out_edges(v, c)) == 1
+            len(g.skeleton.by_range.get((v, c), ())) == 1
             for v in g.vertices
             for c in range(1, g.k + 1)
         )

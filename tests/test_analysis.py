@@ -1,17 +1,19 @@
 """Representation spot checks, simplicity verdicts, gauge invariance."""
 
 import pytest
-from generators import corpus, k2_products
+from generators import corpus, k2_products, k3_products
 
 from kgraph import (
     ContractViolationError,
+    KGraph,
     RepElement,
     all_ideals_gauge_invariant,
     analyze,
     annihilates,
     ep_equal,
     ep_samples,
-    fixture,
+    fixture_parts,
+    is_cofinal,
     is_simple,
     local_periodicity_at,
     rep_apply,
@@ -233,7 +235,7 @@ class TestAnalyze:
 def test_analyze_verdict_matches_is_simple():
     # analyze hands the verdict g's scan even when g is not cofinal, where
     # is_simple skips the scan: the JSON must not tell the two apart.
-    graphs = [fixture(name) for name in ("T2", "F", "D", "D2")] + corpus(40) + k2_products(3)
+    graphs = [KGraph(*fixture_parts(name)) for name in ("T2", "F", "D", "D2")] + corpus(40) + k2_products(3)
     unscanned = 0
     for g in graphs:
         for bound in (1, 2):
@@ -241,3 +243,16 @@ def test_analyze_verdict_matches_is_simple():
             assert verdict.to_json() == is_simple(g, bound).to_json()
             unscanned += not verdict.cofinality.cofinal and verdict.scan.periodic
     assert unscanned > 0
+
+
+def test_analyze_reads_cofinality_off_the_gauge_rows():
+    # The least nonempty proper saturated hereditary set is is_cofinal's
+    # certificate, the least terminal closure that is not all of V.
+    graphs = [KGraph(*fixture_parts(name)) for name in ("T2", "F", "D", "D2")]
+    graphs += corpus(200) + k2_products(3) + k3_products(2)
+    not_cofinal = 0
+    for g in graphs:
+        ours, theirs = analyze(g, 1).simplicity.cofinality, is_cofinal(g)
+        assert (type(ours), ours.to_json()) == (type(theirs), theirs.to_json())
+        not_cofinal += not theirs.cofinal
+    assert 0 < not_cofinal < len(graphs)

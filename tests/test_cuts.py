@@ -23,7 +23,7 @@ from kgraph import (
     EventuallyPeriodicPath,
     compose,
     ep_equal,
-    fixture,
+    fixture_parts,
     leq,
     local_periodicity_at,
     rep_apply_adjoint,
@@ -37,7 +37,7 @@ SAMPLES_PER_GRAPH = 12
 
 @cache
 def graphs():
-    named = [fixture(name) for name in ("T2", "F", "D", "D2")]
+    named = [KGraph(*fixture_parts(name)) for name in ("T2", "F", "D", "D2")]
     return named + corpus(40) + k3_products(4)
 
 

@@ -126,6 +126,11 @@ class TestParse:
         assert "vertices: duplicate id 'v'" in probs
         assert "edges[2].id: duplicate edge id 'b'" in probs
 
+    def test_unknown_keys_of_mixed_types(self):
+        # json.loads makes str keys only; another dict is refused, not a TypeError from sorting.
+        doc = {"k": 1, "vertices": [], "edges": [], "squares": [], 2: 0, "z": 0}
+        assert problems_of(doc) == ["document: unknown key 'z'", "document: unknown key 2"]
+
     def test_unknown_edge_key(self):
         doc = t2_doc()
         doc["edges"][0]["weight"] = 3

@@ -9,13 +9,12 @@ from kgraph import (
     SquareTable,
     compose,
     factor,
-    fixture,
     fixture_parts,
     leq,
     segment,
     zero,
 )
-from kgraph.errors import CompositionError, ContractViolationError, DegreeError, ValidationError
+from kgraph.errors import CompositionError, DegreeError, ValidationError
 from kgraph.factorization import validate_cubes, validate_squares
 
 from generators import corpus, exchanged_tables, k2_products, k3_products, wide_graph
@@ -35,13 +34,7 @@ from oracles import (
 def test_build_refuses_invalid_squares():
     skel, _ = fixture_parts("T2")
     with pytest.raises(ValidationError):
-        KGraph.build(skel, SquareTable([]))  # missing the only square
-
-
-def test_constructor_refuses_to_skip_validation():
-    skel, squares = fixture_parts("T2")
-    with pytest.raises(ContractViolationError, match="use KGraph.build"):
-        KGraph(skel, squares)
+        KGraph(skel, SquareTable([]))  # missing the only square
 
 
 def test_unknown_fixture_name():
@@ -60,7 +53,7 @@ def test_build_refuses_non_bijective_table():
         ]
     )
     with pytest.raises(ValidationError):
-        KGraph.build(skel, squares)
+        KGraph(skel, squares)
 
 
 def test_missing_square_named(t2):
@@ -243,7 +236,7 @@ def test_paths_from_t2_unique(t2):
 
 def test_paths_from_walks_in_level_order():
     box = {1: (6,), 2: (3, 3), 3: (2, 2, 2)}
-    graphs = [fixture(n) for n in ("T2", "F", "D", "D2")] + corpus(40) + k3_products(4)
+    graphs = [KGraph(*fixture_parts(n)) for n in ("T2", "F", "D", "D2")] + corpus(40) + k3_products(4)
     checked = 0
     for g in graphs:
         for n in degrees_up_to(box[g.k]):
@@ -254,7 +247,7 @@ def test_paths_from_walks_in_level_order():
 
 
 def _graph_corpus():
-    graphs = [fixture(n) for n in ("T2", "F", "D", "D2")]
+    graphs = [KGraph(*fixture_parts(n)) for n in ("T2", "F", "D", "D2")]
     graphs += corpus(8)
     return graphs
 
@@ -322,7 +315,7 @@ def test_normalization_idempotent_and_schedule_independent():
                 assert fwd == rev == lam.edges
 
 
-SQUARE_GRAPHS = [fixture(n) for n in ("T2", "F", "D", "D2")] + k2_products(4) + k3_products(4)
+SQUARE_GRAPHS = [KGraph(*fixture_parts(n)) for n in ("T2", "F", "D", "D2")] + k2_products(4) + k3_products(4)
 SQUARE_GRAPHS += [wide_graph()] + [g for g in corpus(30) if g.k > 1]
 SQUARE_EDITS = ["drop", "duplicate", "exchange images", "reverse", "unknown id", "other color", "other end", "parallel edge"]
 

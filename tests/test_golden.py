@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from kgraph import analyze, canonical_json, dump_graph_document, fixture, is_simple, scan_aperiodicity
+from kgraph import KGraph, analyze, canonical_json, dump_graph_document, fixture_parts, is_simple, scan_aperiodicity
 from kgraph.cli import main
 
 from generators import cycle_product, disjoint_union, k2_products, k3_products, wide_graph
@@ -209,7 +209,7 @@ def _sha(text):
 
 @functools.cache
 def library_text(func, name, bound):
-    return canonical_json(LIBRARY[func](fixture(name), bound))
+    return canonical_json(LIBRARY[func](KGraph(*fixture_parts(name)), bound))
 
 
 @functools.cache

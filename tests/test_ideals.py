@@ -59,7 +59,7 @@ def reference_graphs(fixtures):
 def one_graph(names, sources):
     """k = 1 graph on `names` with one edge names[i] <- sources[i] each."""
     edges = [Edge(f"e{v}", 1, v, s) for v, s in zip(names, sources)]
-    return KGraph.build(Skeleton(1, names, edges), SquareTable([]))
+    return KGraph(Skeleton(1, names, edges), SquareTable([]))
 
 
 def chain(n, ascending):

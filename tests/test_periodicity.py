@@ -11,7 +11,7 @@ from kgraph import (
     PeriodicityTuple,
     Skeleton,
     SquareTable,
-    fixture,
+    fixture_parts,
     local_periodicity_at,
     scan_aperiodicity,
     segment,
@@ -232,7 +232,7 @@ class TestScan:
 
     def test_deep_scan_memory_is_bounded(self):
         # vLambda^(8,8) of F holds 2^16 paths; the scan must not hold them.
-        f = fixture("F")
+        f = KGraph(*fixture_parts("F"))
         tracemalloc.start()
         try:
             rep = scan_aperiodicity(f, 8)
@@ -255,7 +255,7 @@ def flip_red_graph():
         [Edge("b", 1, "v", "v"), Edge("r0", 2, "v", "v"), Edge("r1", 2, "v", "v")],
     )
     squares = SquareTable([(("b", "r0"), ("r1", "b")), (("b", "r1"), ("r0", "b"))])
-    return KGraph.build(skel, squares)
+    return KGraph(skel, squares)
 
 
 class TestBlockSupportRegression:

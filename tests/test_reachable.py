@@ -6,9 +6,8 @@ command on the four fixtures (with and without `--text`, at the derived
 bound), plus one bad flag, one invalid graph and one lone-surrogate
 document; then `graph_from_json`, `analyze` and the benchmark's
 annihilation audit.  A function none of them enters is code only tests
-reach, and belongs in `tests/oracles.py` or nowhere.  The exceptions are
-the `__repr__`s, for debugging, and `fixture`, the library twin of
-`kgraph fixture`.
+reach, and belongs in `tests/oracles.py` or nowhere.  The one exception
+is the `__repr__`s, for debugging.
 """
 
 import contextlib
@@ -99,4 +98,4 @@ def test_every_function_is_reached_by_the_product(tmp_path):
     reprs = {name for name in defs.values() if name.endswith(".__repr__")}
     for code in entered:
         defs.pop((Path(code.co_filename).resolve(), code.co_firstlineno, code.co_name), None)
-    assert set(defs.values()) == reprs | {"fixtures.fixture"}
+    assert set(defs.values()) == reprs

@@ -1,9 +1,13 @@
-import pytest
+import re
 
-from kgraph import Edge, KGraph, Skeleton, SquareTable
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgraph import Edge, KGraph, Skeleton, SquareTable, canonical_json, dump_graph_document
 from kgraph.errors import ContractViolationError, ValidationError
 
-from generators import corpus
+from generators import corpus, k2_products, k3_products
 from oracles import matmul, vertex_matrices
 
 
@@ -15,12 +19,30 @@ def test_valid_skeleton_passes():
     skel = Skeleton(2, ["v"], _loops(2))
     report = skel.validate()
     assert report.ok
-    skel.require_validated()
 
 
 def test_duplicate_edge_id_rejected_at_construction():
     with pytest.raises(ValueError):
         Skeleton(1, ["v"], [Edge("e", 1, "v", "v"), Edge("e", 1, "v", "v")])
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (["v", 1], [Edge("e", 1, "v", "v")], "vertex id 1 is not a string"),
+        (["v", Name("w")], [Edge("e", 1, "v", "v")], "vertex id 'w' is not a string"),
+        (["v"], [Edge(2, 1, "v", "v")], "edge id 2 is not a string"),
+    ],
+)
+def test_id_that_is_not_exactly_a_string_rejected_at_construction(vertices, edges, message):
+    # Edges are kept in id order, so an id that does not sort with strings is
+    # refused by name rather than by a TypeError from sorting, or let through.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Skeleton(1, vertices, edges)
 
 
 def test_validation_reports_every_problem():
@@ -56,14 +78,14 @@ def test_rank_that_is_not_exactly_an_int_is_a_violation(k):
     skel = Skeleton(k, ["v"], [Edge("e", 1, "v", "v")])
     assert skel.validate().violations == [f"rank: expected an integer, got {k!r}"]
     with pytest.raises(ValidationError):
-        KGraph.build(skel, SquareTable([]))
+        KGraph(skel, SquareTable([]))
 
 
 def test_bool_color_is_a_violation():
     skel = Skeleton(1, ["v"], [Edge("e", True, "v", "v")])
     assert skel.validate().violations == ["edge 'e': color True is not an integer"]
     with pytest.raises(ValidationError):
-        KGraph.build(skel, SquareTable([]))
+        KGraph(skel, SquareTable([]))
 
 
 def test_empty_graph_is_invalid():
@@ -88,16 +110,45 @@ def test_indexes_sorted_and_consistent():
         ["v"],
         [Edge("z", 1, "v", "v"), Edge("a", 1, "v", "v")],
     )
-    assert skel.out_edges("v", 1) == ("a", "z")
-    assert skel.out_edges("v", 9) == ()
+    assert list(skel.edges) == ["a", "z"]
+    assert skel.by_range == {("v", 1): ("a", "z")}
+
+
+PERMUTED = corpus(20) + k2_products(2) + k3_products(2)
+
+
+@st.composite
+def permuted_edges(draw):
+    """A generated graph and its edges in any order, up to two of them dropped."""
+    g = draw(st.sampled_from(PERMUTED))
+    edges = draw(st.permutations(list(g.skeleton.edges.values())))
+    return g, edges[draw(st.integers(0, 2)):]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(permuted_edges())
+def test_edge_order_does_not_depend_on_the_input_order(case):
+    g, edges = case
+    skel = Skeleton(g.k, g.vertices, edges)
+    ref = Skeleton(g.k, g.vertices, sorted(edges, key=lambda e: e.id))
+    assert list(skel.edges) == sorted(e.id for e in edges)
+    index = {}
+    for e in sorted(edges, key=lambda e: e.id):
+        index[e.range, e.color] = index.get((e.range, e.color), ()) + (e.id,)
+    assert skel.by_range == ref.by_range == index
+    assert skel.validate().to_json() == ref.validate().to_json()
+    dumped = canonical_json(dump_graph_document(skel, g.squares))
+    assert dumped == canonical_json(dump_graph_document(ref, g.squares))
+    if len(edges) == len(g.skeleton.edges):
+        assert skel.validate().ok
+        assert dumped == canonical_json(dump_graph_document(g.skeleton, g.squares))
 
 
 def test_vertex_matrices_require_validation():
-    skel = Skeleton(2, ["v"], _loops(2))
+    # Color 3 has no matrix in rank 2: the skeleton is refused, not indexed.
     with pytest.raises(ContractViolationError):
-        vertex_matrices(skel)
-    skel.validate()
-    m1, m2 = vertex_matrices(skel)
+        vertex_matrices(Skeleton(2, ["v"], _loops(2) + [Edge("e3", 3, "v", "v")]))
+    m1, m2 = vertex_matrices(Skeleton(2, ["v"], _loops(2)))
     assert m1 == [[1]] and m2 == [[1]]
 
 
