@@ -64,11 +64,6 @@ class SquareTable:
                 self.backward[image] = pair
 
 
-def _composable_pairs(skeleton, edges, cj):
-    """All (e1, e2) with e1 in `edges`, e2 of color cj and s(e1) = r(e2), in order."""
-    return [(e.id, gid) for e in edges for gid in skeleton.by_range.get((e.source, cj), ())]
-
-
 def validate_squares(skeleton, table):
     """Check the square table against the skeleton, every violation named.
 
@@ -114,32 +109,32 @@ def validate_squares(skeleton, table):
             problems.append(f"square {(fid, gid)!r}: image range {g2.range!r} != pair range {f.range!r}")
         if f2.source != g.source:
             problems.append(f"square {(fid, gid)!r}: image source {f2.source!r} != pair source {g.source!r}")
+    k, by_range = skeleton.k, skeleton.by_range  # widths[v][c - 1] is |by_range[(v, c)]|
     if not problems:
-        k, by_range = skeleton.k, skeleton.by_range  # widths[v][c - 1] is |by_range[(v, c)]|
         widths = {v: [len(by_range.get((v, c), ())) for c in range(1, k + 1)] for v in skeleton.vertices}
         ascending = sum(sum(widths[e.source][e.color:]) for e in edges.values())
         descending = sum(sum(widths[e.source][:e.color - 1]) for e in edges.values())
         if len(table.forward) == ascending and len(table.backward) == descending:
             return ValidationReport("squares", problems)
-    # Totality and bijectivity, color pair by color pair.  Each kind of
-    # violation is reported once, by its first instance and its count, so
-    # the report stays bounded in k.
+    # Totality and bijectivity in one walk over the composable pairs (e, g),
+    # e in id order, then g's color, then g in id order: an ascending pair
+    # needs a square and a descending one must be an image.  Each kind of
+    # violation is reported once, by its least instance (first in color
+    # pair, then id, order) and its count, so the report stays bounded in k.
     no_square, not_image = [], []
-    by_color = {}  # edges of each color, in id order: one index for every color pair
     for e in edges.values():
-        by_color.setdefault(e.color, []).append(e)
-    for ci in range(1, skeleton.k + 1):
-        for cj in range(ci + 1, skeleton.k + 1):
-            pairs = _composable_pairs(skeleton, by_color.get(ci, ()), cj)
-            images = _composable_pairs(skeleton, by_color.get(cj, ()), ci)
-            no_square += [(ci, cj, p) for p in pairs if p not in table.forward]
-            not_image += [(ci, cj, q) for q in images if q not in table.backward]
+        for c in range(1, k + 1):
+            for gid in by_range.get((e.source, c), ()):
+                if c > e.color and (e.id, gid) not in table.forward:
+                    no_square.append((e.color, c, (e.id, gid)))
+                elif c < e.color and (e.id, gid) not in table.backward:
+                    not_image.append((c, e.color, (e.id, gid)))
     for instances, kind in (
         (no_square, "composable pair {!r} has no square"),
         (not_image, "composable pair {!r} is not the image of any square"),
     ):
         if instances:
-            ci, cj, first = instances[0]
+            ci, cj, first = min(instances)
             problems.append(f"colors ({ci},{cj}): {kind.format(first)} (first of {len(instances)})")
     return ValidationReport("squares", problems)
 
@@ -344,17 +339,10 @@ class KGraph:
                 stack.append((edges[f].source, depth + 1, f))
 
 
-def _same_graph(*paths):
-    g = paths[0].graph
-    for p in paths[1:]:
-        if p.graph is not g:
-            raise CompositionError("paths belong to different graphs")
-    return g
-
-
 def compose(mu, nu):
     """mu then nu; needs s(mu) = r(nu)."""
-    g = _same_graph(mu, nu)
+    if mu.graph is not nu.graph:
+        raise CompositionError("paths belong to different graphs")
     if mu.source_vertex != nu.range_vertex:
         raise CompositionError(
             f"cannot compose: s={mu.source_vertex!r} vs r={nu.range_vertex!r}"
@@ -363,7 +351,7 @@ def compose(mu, nu):
         return nu
     if nu.is_vertex():
         return mu
-    return g._cut(mu.range_vertex, mu.edges + nu.edges, (add(mu.degree, nu.degree),))[0]
+    return mu.graph._cut(mu.range_vertex, mu.edges + nu.edges, (add(mu.degree, nu.degree),))[0]
 
 
 def _rest_after(lam, m):

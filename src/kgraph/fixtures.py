@@ -22,104 +22,62 @@ D2  a copy of F at u (loops bu*/ru*), a copy of T2 at w (bw/rw), and one
 from .factorization import SquareTable
 from .skeleton import Edge, Skeleton
 
-FIXTURE_NAMES = ("T2", "F", "D", "D2")
+# name -> (vertices, edge rows (id, color, range, source), square rows (pair, image))
+_FIXTURES = {
+    "T2": (["v"], [
+        ("b", 1, "v", "v"),
+        ("r", 2, "v", "v"),
+    ], [
+        (("b", "r"), ("r", "b")),
+    ]),
+    "F": (["v"], [
+        ("b0", 1, "v", "v"),
+        ("b1", 1, "v", "v"),
+        ("r0", 2, "v", "v"),
+        ("r1", 2, "v", "v"),
+    ], [
+        (("b0", "r0"), ("r0", "b1")),
+        (("b0", "r1"), ("r1", "b1")),
+        (("b1", "r0"), ("r0", "b0")),
+        (("b1", "r1"), ("r1", "b0")),
+    ]),
+    "D": (["u", "w"], [
+        ("bu", 1, "u", "u"),
+        ("ru", 2, "u", "u"),
+        ("bw", 1, "w", "w"),
+        ("rw", 2, "w", "w"),
+    ], [
+        (("bu", "ru"), ("ru", "bu")),
+        (("bw", "rw"), ("rw", "bw")),
+    ]),
+    "D2": (["u", "w"], [
+        ("bu0", 1, "u", "u"),
+        ("bu1", 1, "u", "u"),
+        ("ru0", 2, "u", "u"),
+        ("ru1", 2, "u", "u"),
+        ("bw", 1, "w", "w"),
+        ("rw", 2, "w", "w"),
+        ("cb", 1, "w", "u"),
+        ("cr", 2, "w", "u"),
+    ], [
+        (("bu0", "ru0"), ("ru0", "bu1")),
+        (("bu0", "ru1"), ("ru1", "bu1")),
+        (("bu1", "ru0"), ("ru0", "bu0")),
+        (("bu1", "ru1"), ("ru1", "bu0")),
+        (("bw", "rw"), ("rw", "bw")),
+        (("cb", "ru0"), ("cr", "bu0")),
+        (("cb", "ru1"), ("cr", "bu1")),
+        (("bw", "cr"), ("rw", "cb")),
+    ]),
+}
 
-
-def _edges(rows):
-    return [Edge(id=i, color=c, range=r, source=s) for i, c, r, s in rows]
-
-
-def _t2():
-    skel = Skeleton(2, ["v"], _edges([("b", 1, "v", "v"), ("r", 2, "v", "v")]))
-    squares = SquareTable([(("b", "r"), ("r", "b"))])
-    return skel, squares
-
-
-def _f():
-    skel = Skeleton(
-        2,
-        ["v"],
-        _edges(
-            [
-                ("b0", 1, "v", "v"),
-                ("b1", 1, "v", "v"),
-                ("r0", 2, "v", "v"),
-                ("r1", 2, "v", "v"),
-            ]
-        ),
-    )
-    squares = SquareTable(
-        [
-            (("b0", "r0"), ("r0", "b1")),
-            (("b0", "r1"), ("r1", "b1")),
-            (("b1", "r0"), ("r0", "b0")),
-            (("b1", "r1"), ("r1", "b0")),
-        ]
-    )
-    return skel, squares
-
-
-def _d():
-    skel = Skeleton(
-        2,
-        ["u", "w"],
-        _edges(
-            [
-                ("bu", 1, "u", "u"),
-                ("ru", 2, "u", "u"),
-                ("bw", 1, "w", "w"),
-                ("rw", 2, "w", "w"),
-            ]
-        ),
-    )
-    squares = SquareTable(
-        [
-            (("bu", "ru"), ("ru", "bu")),
-            (("bw", "rw"), ("rw", "bw")),
-        ]
-    )
-    return skel, squares
-
-
-def _d2():
-    skel = Skeleton(
-        2,
-        ["u", "w"],
-        _edges(
-            [
-                ("bu0", 1, "u", "u"),
-                ("bu1", 1, "u", "u"),
-                ("ru0", 2, "u", "u"),
-                ("ru1", 2, "u", "u"),
-                ("bw", 1, "w", "w"),
-                ("rw", 2, "w", "w"),
-                ("cb", 1, "w", "u"),
-                ("cr", 2, "w", "u"),
-            ]
-        ),
-    )
-    squares = SquareTable(
-        [
-            (("bu0", "ru0"), ("ru0", "bu1")),
-            (("bu0", "ru1"), ("ru1", "bu1")),
-            (("bu1", "ru0"), ("ru0", "bu0")),
-            (("bu1", "ru1"), ("ru1", "bu0")),
-            (("bw", "rw"), ("rw", "bw")),
-            (("cb", "ru0"), ("cr", "bu0")),
-            (("cb", "ru1"), ("cr", "bu1")),
-            (("bw", "cr"), ("rw", "cb")),
-        ]
-    )
-    return skel, squares
-
-
-_BUILDERS = {"T2": _t2, "F": _f, "D": _d, "D2": _d2}
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def fixture_parts(name):
-    """(Skeleton, SquareTable) for a fixture name."""
+    """(Skeleton, SquareTable) for a fixture name, built afresh on each call."""
     try:
-        builder = _BUILDERS[name]
+        vertices, edges, squares = _FIXTURES[name]
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}") from None
-    return builder()
+    return Skeleton(2, vertices, [Edge(*row) for row in edges]), SquareTable(squares)

@@ -48,6 +48,8 @@ def vertex_set_to_json(h):
 
 
 def _as_set(g, vertices):
+    if isinstance(vertices, str):
+        raise ContractViolationError(f"vertex set {vertices!r} is a string, not a collection of vertex ids")
     h = frozenset(vertices)
     for v in h:
         g.require_vertex(v)

@@ -374,6 +374,23 @@ def test_square_check_matches_the_reference_on_edited_tables(case):
     assert validate_squares(skel, table).violations == validate_squares_reference(skel, table).violations
 
 
+def test_square_report_names_the_first_color_pair():
+    # With the first (1,3) square and the last (1,2) square gone, each kind
+    # of totality violation has one instance per color pair.  The report
+    # names the (1,2) one, though an id-order walk may meet (1,3) first.
+    for g in k3_products(4):
+        colors = {eid: e.color for eid, e in g.skeleton.edges.items()}
+        entries = list(g.squares.entries)
+        kinds = [(colors[f], colors[h]) for (f, h), _ in entries]
+        for i in sorted([kinds.index((1, 3)), len(kinds) - 1 - kinds[::-1].index((1, 2))], reverse=True):
+            del entries[i]
+        table = SquareTable(entries)
+        report = validate_squares(g.skeleton, table)
+        assert report.violations == validate_squares_reference(g.skeleton, table).violations
+        assert len(report.violations) == 2
+        assert all(v.startswith("colors (1,2): ") and v.endswith("(first of 2)") for v in report.violations)
+
+
 def test_k3_products_have_non_trivial_cubes():
     # Exchanging the images of two squares in one block keeps a valid
     # square table but breaks some cube, so the cubes constrain the table.

@@ -94,6 +94,38 @@ class TestPredicates:
             is_hereditary(t2, fs("x"))
 
 
+class TestVertexIdIsNotAVertexSet:
+    """A str is one vertex id, not the set of its characters, so it is refused."""
+
+    # a, b and ab, one loop each: read as a set of characters, "ab" is {a, b}.
+    ab = one_graph(["a", "ab", "b"], ["a", "ab", "b"])
+
+    def test_is_hereditary(self):
+        assert is_hereditary(self.ab, ["ab"])
+        with pytest.raises(ContractViolationError, match="string"):
+            is_hereditary(self.ab, "ab")
+
+    def test_is_saturated(self):
+        assert is_saturated(self.ab, ["ab"])
+        with pytest.raises(ContractViolationError, match="string"):
+            is_saturated(self.ab, "ab")
+
+    def test_sat_her_closure(self):
+        assert sat_her_closure(self.ab, ["ab"]) == fs("ab")
+        with pytest.raises(ContractViolationError, match="string"):
+            sat_her_closure(self.ab, "ab")
+
+    def test_quotient(self):
+        assert list(quotient(self.ab, ["ab"]).vertices) == ["a", "b"]
+        with pytest.raises(ContractViolationError, match="string"):
+            quotient(self.ab, "ab")
+
+    def test_not_cofinal(self, d2):
+        assert NotCofinal(d2, ["u"]).certificate == fs("u")
+        with pytest.raises(ContractViolationError, match="string"):
+            NotCofinal(d2, "u")
+
+
 class TestClosure:
     def test_extensive_monotone_idempotent(self, d2):
         graphs = [d2] + corpus(6)

@@ -246,6 +246,34 @@ class TestScan:
         with pytest.raises(ContractViolationError):
             scan_aperiodicity(t2, 0)
 
+    def test_mirrored_triples_are_decided_alike(self, t2, f, d, d2):
+        # (v, m, n) and (v, n, m) walk the same states with the pair swapped
+        # (docs/minimal-pairs.md), so they share a verdict and an aperiodic
+        # witness's lambda, and a scan's periodic hit is the earlier of p, -p.
+        # The triples of bound 2 hold those of bound 1, and every scan's.
+        graphs = [t2, f, d, d2] + corpus(40) + k2_products(3) + k3_products(2)
+        triples = periodic = hits = 0
+        for g in graphs:
+            for bound in (1, 2):
+                scan = scan_aperiodicity(g, bound)
+                if scan.periodic:
+                    assert next(c for c in scan.p if c) < 0
+                    hits += 1
+            for v in g.vertices:
+                for p in signed_vectors(g.k, 2):
+                    if next(c for c in p if c) > 0:
+                        continue
+                    m, n = positive_part(p)
+                    res, mirror = local_periodicity_at(g, v, m, n), local_periodicity_at(g, v, n, m)
+                    assert res.periodic == mirror.periodic
+                    if res.periodic:
+                        periodic += 2
+                    else:
+                        assert mirror.lam == res.lam
+                        assert (mirror.segment_m, mirror.segment_n) == (res.segment_n, res.segment_m)
+                    triples += 2
+        assert (triples, periodic, hits) == (4404, 2362, 81)  # 17 of 98 scans aperiodic
+
 
 def flip_red_graph():
     """One blue loop, two red loops; crossing the blue edge swaps the reds."""
@@ -331,6 +359,20 @@ class TestOracleAgreement:
                 verdicts.append(periodic)
         assert len(verdicts) == 352
         assert set(verdicts) == {True, False}
+
+    def test_k1_verdict_is_exact_from_the_vertex_count(self):
+        # A cycle without an entrance is at most |V| long, and default_bound
+        # is at least |V|, so bounds past |V| change nothing for k = 1
+        # (docs/terminal-components.md).
+        graphs = [g for g in corpus(300) if g.k == 1]
+        periodic = 0
+        for g in graphs:
+            at_vertex_count = scan_aperiodicity(g, len(g.vertices)).periodic
+            assert default_bound(g) >= len(g.vertices)
+            assert scan_aperiodicity(g, 2 * default_bound(g)).periodic == at_vertex_count
+            assert k1_scan_finds_periodicity(g, 10 * len(g.vertices)) == at_vertex_count
+            periodic += at_vertex_count
+        assert (len(graphs), periodic) == (66, 46)
 
 
 class TestConditionB:
