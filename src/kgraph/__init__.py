@@ -33,7 +33,7 @@ from .errors import (
     LimitExceededError,
     ValidationError,
 )
-from .factorization import KGraph, Path, SquareTable, compose, factor, segment
+from .factorization import KGraph, Path, SquareTable, compose, factor
 from .fixtures import fixture_parts
 from .ideals import (
     enumerate_sat_her,
@@ -106,7 +106,6 @@ __all__ = [
     "sample_family",
     "sat_her_closure",
     "scan_aperiodicity",
-    "segment",
     "subtract",
     "verify_annihilation",
     "zero",

@@ -132,7 +132,7 @@ def cmd_quotient(args):
     g = KGraph(*_read_document(args.file))
     # argparse before Python 3.13 drops the value of `--set=--` and stores [].
     text = "--" if args.set == [] else args.set
-    names = [s.strip() for s in text.split(",") if s.strip()]
+    names = [s for s in text.split(",") if s]
     unknown = [v for v in names if not g.skeleton.has_vertex(v)]
     if unknown:
         raise DocumentError([f"unknown vertex {v!r}" for v in unknown])
@@ -180,7 +180,7 @@ def build_parser():
 
     p = subs.add_parser("quotient", help="delete a saturated hereditary set")
     _add_common(p)
-    p.add_argument("--set", required=True, help="comma-separated vertex ids (may be empty)")
+    p.add_argument("--set", required=True, help="comma-separated vertex ids, each as written (may be empty)")
     p.set_defaults(func=cmd_quotient)
 
     p = subs.add_parser("fixture", help="print a built-in example graph")

@@ -7,21 +7,21 @@ g of color j and s(f) = r(g) to a pair (g', f') with the colors reversed,
 r(g') = r(f) and s(f') = s(g).  The two-edge paths f.g and g'.f' are
 declared equal, and every path then has a unique normal form in which
 edge colors appear in ascending blocks (all color-1 edges first, then
-color-2, and so on).  One routine, `KGraph._rewrite`, does every cut and
+color-2, and so on).  One routine, `KGraph._cut`, does every cut and
 composition: adjacent swaps, each applying the matching square, move an
-edge sequence to a target color word (the normal form for `compose`).
-`KGraph._cut` takes every piece of a cut from one rewrite: the word for
-degrees d1, d2, ... is the normal form of d1, then of d2, and so on, and
-the result is sliced into one path per degree.  So `factor(lam, m)` cuts
-into (m, d(lam) - m) and `segment(lam, m, n)` is the middle piece of
-(m, n - m, d(lam) - n).  The square bijections make every swap well
-defined and, for k >= 3, the cube condition checked below makes the
-result independent of swap order.  For k >= 4 coherence over all color
-triples is sufficient (higher cubes follow from the three-color ones);
-the test suite cross-checks this claim against two other swap schedules.
-Each triple c1 < c2 < c3 is checked once, from its ascending order: once
-the squares are bijections, the six orders of a triple form a hexagon
-whose loop maps are conjugate, so one order decides all six.
+edge sequence to the color word for degrees d1, d2, ..., the normal form
+of d1, then of d2, and so on, and the result is sliced into one path per
+degree (one degree, the path's own, gives the normal form for `compose`).
+So `factor(lam, m)` cuts into (m, d(lam) - m), and `factor(lam, m, q)`
+into (m, q, d(lam) - m - q), whose middle piece is lam(m, m + q).  The
+square bijections make every swap well defined and, for k >= 3, the cube
+condition checked below makes the result independent of swap order.
+For k >= 4 coherence over all color triples is sufficient (higher cubes
+follow from the three-color ones); the test suite cross-checks this
+claim against two other swap schedules.  Each triple c1 < c2 < c3 is
+checked once, from its ascending order: once the squares are bijections,
+the six orders of a triple form a hexagon whose loop maps are conjugate,
+so one order decides all six.
 `KGraph.paths_from` walks vLambda^n lazily in canonical (lexicographic)
 order and caches nothing: it holds one path and its pending edges.
 
@@ -244,7 +244,9 @@ class KGraph:
             raise ContractViolationError(f"unknown vertex {v!r}")
 
     def require_rank(self, n):
-        """Guard a degree tuple from a caller: rank k, int entries in 0..MAX_ENTRY."""
+        """Guard a degree from a caller: a tuple of rank k, int entries in 0..MAX_ENTRY."""
+        if type(n) is not tuple:
+            raise DegreeError(f"degree {n!r} is not a tuple")
         if len(n) != self.k:
             raise DegreeError(f"degree rank {len(n)} does not match graph rank {self.k}")
         for c in n:
@@ -255,8 +257,8 @@ class KGraph:
         self.require_vertex(v)
         return Path(self, v, v, zero(self.k), ())
 
-    def _rewrite(self, seq, *degrees):
-        """Swap a composable edge sequence into the color word of `degrees`.
+    def _cut(self, range_vertex, seq, degrees):
+        """Swap a composable edge sequence into the color word of `degrees`; one Path per degree.
 
         The word is each degree's colors ascending, the degrees in turn;
         slot by slot, the first edge of the slot's color is swapped down.
@@ -278,11 +280,7 @@ class KGraph:
                         j -= 1
                     arr[i] = e
                     i += 1
-        return tuple(arr)
-
-    def _cut(self, range_vertex, seq, degrees):
-        """One `_rewrite` of seq into the word of `degrees`; one Path per degree."""
-        edges = self._rewrite(seq, *degrees)
+        edges = tuple(arr)
         pieces, at, start = [], range_vertex, 0
         for d in degrees:
             end = start + sum(d)
@@ -303,8 +301,7 @@ class KGraph:
                 raise CompositionError(f"edge {eid!r} has range {e.range!r}, expected {at!r}")
             at = e.source
             counts[e.color - 1] += 1
-        degree = tuple(counts)
-        return Path(self, range_vertex, at, degree, self._rewrite(edge_ids, degree))
+        return self._cut(range_vertex, edge_ids, (tuple(counts),))[0]
 
     # -- enumeration ---------------------------------------------------
 
@@ -354,26 +351,16 @@ def compose(mu, nu):
     return mu.graph._cut(mu.range_vertex, mu.edges + nu.edges, (add(mu.degree, nu.degree),))[0]
 
 
-def _rest_after(lam, m):
-    """d(lam) - m, refusing an m that is not below d(lam)."""
-    lam.graph.require_rank(m)
+def factor(lam, m, *more):
+    """The unique pieces of lam of degrees m, *more, then the rest; the degrees sum to <= d(lam)."""
+    degrees = (m, *more)
+    for d in degrees:
+        lam.graph.require_rank(d)
+    rest = lam.degree
     try:
-        return subtract(lam.degree, m)
+        for d in degrees:
+            rest = subtract(rest, d)
     except DegreeError:
-        raise DegreeError(f"factor degree {m!r} exceeds path degree {lam.degree!r}") from None
-
-
-def factor(lam, m):
-    """The unique (mu, nu) with d(mu) = m and lam = mu.nu; needs m <= d(lam)."""
-    return tuple(lam.graph._cut(lam.range_vertex, lam.edges, (m, _rest_after(lam, m))))
-
-
-def segment(lam, m, n):
-    """lam(m, n): the piece of lam between degrees m and n (m <= n <= d)."""
-    try:
-        middle = subtract(n, m)
-    except DegreeError:
-        raise DegreeError(f"segment needs m <= n, got {m!r}, {n!r}") from None
-    pieces = (m, middle, _rest_after(lam, n))
-    lam.graph.require_rank(m)
-    return lam.graph._cut(lam.range_vertex, lam.edges, pieces)[1]
+        named = " + ".join(map(repr, degrees))
+        raise DegreeError(f"factor degree {named} exceeds path degree {lam.degree!r}") from None
+    return tuple(lam.graph._cut(lam.range_vertex, lam.edges, (*degrees, rest)))

@@ -52,9 +52,9 @@ assumes that periods found at one scale generate anything at another.
 from collections import deque
 from itertools import product as _iproduct
 
-from .degrees import MAX_ENTRY, add, join, leq, ones, positive_part, subtract
+from .degrees import MAX_ENTRY, join, leq, ones, positive_part, subtract
 from .errors import ContractViolationError
-from .factorization import compose, factor, segment
+from .factorization import compose, factor
 
 
 class AperiodicityWitness:
@@ -77,8 +77,8 @@ class AperiodicityWitness:
         self.m = m
         self.n = n
         self.lam = lam
-        self.segment_m = segment(lam, m, add(m, q))
-        self.segment_n = segment(lam, n, add(n, q))
+        self.segment_m = factor(lam, m, q)[1]
+        self.segment_n = factor(lam, n, q)[1]
         if self.segment_m == self.segment_n:
             raise ContractViolationError("witness path does not separate the two shifts")
 

@@ -5,9 +5,10 @@ range and source vertex.  Paths traverse from source toward range, and
 edge sequences are written range end first, so the out-neighborhood used
 everywhere below is "edges whose range is v".
 
-Construction refuses only what it cannot index: a vertex or edge id that
-is not exactly a `str`, or a repeated edge id.  It keeps the edges in id
-order, so every pass over them and every report follows that order.
+Construction refuses only what it cannot index: vertices given as one
+string, a vertex or edge id that is not exactly a `str`, or a repeated
+edge id.  It keeps the edges in id order, so every pass over them and
+every report follows that order.
 `validate` reports every other violation, and `KGraph` runs it before
 anything reads the skeleton.
 """
@@ -57,6 +58,8 @@ class Skeleton:
 
     def __init__(self, k, vertices, edges):
         self.k = k
+        if isinstance(vertices, str):
+            raise ValueError(f"vertices {vertices!r} is a string, not a collection of vertex ids")
         vertices = list(vertices)
         for v in vertices:
             if type(v) is not str:

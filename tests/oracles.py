@@ -18,6 +18,8 @@ literally: whole-graph passes to a fixpoint, one closure per vertex.
 `enumerate_sat_her_per_vertex` grows the ideal lattice from one
 generator per vertex, with no limit, as the library did before it took
 one per strongly connected component.
+`segment(lam, m, n)` is lam(m, n) from the library's one three-piece
+`factor`; the oracles read their segments through it.
 The `*_by_compose` functions are the path layers' definitions one cut
 at a time: a segment from two `factor` calls, an eventually periodic
 path unrolled one `compose` per loop copy, and cycle equality stepped
@@ -61,7 +63,6 @@ from kgraph import (
     join,
     leq,
     local_periodicity_at,
-    segment,
     subtract,
 )
 from kgraph.skeleton import Edge, Skeleton, ValidationReport
@@ -639,6 +640,11 @@ def cofinality_oracle(g, depth):
                 if not (hits & reach[v]):
                     return False
     return True
+
+
+def segment(lam, m, n):
+    """lam(m, n) (m <= n <= d(lam)): the middle piece of one three-piece `factor`."""
+    return factor(lam, m, subtract(n, m))[1]
 
 
 def segment_by_compose(lam, m, n):

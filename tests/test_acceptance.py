@@ -21,6 +21,7 @@ from oracles import (
     ep_samples_unique,
     matmul,
     pairs_up_to,
+    segment,
     vertex_matrices,
 )
 
@@ -33,7 +34,7 @@ from kgraph.analysis import (
     verify_annihilation,
 )
 from kgraph.degrees import add, join, subtract
-from kgraph.factorization import KGraph, compose, factor, segment
+from kgraph.factorization import KGraph, compose, factor
 from kgraph.fixtures import fixture_parts
 from kgraph.ideals import is_cofinal, is_hereditary, is_saturated, quotient
 from kgraph.infinite import ep_equal, ep_samples

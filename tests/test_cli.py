@@ -270,6 +270,23 @@ class TestQuotient:
         assert code == 1
         assert data == {"message": "['a'] is not saturated", "verdict": "error"}
 
+    def test_names_are_taken_as_written(self, capsys, tmp_path):
+        # ' u' is not the vertex u of D; in a graph with both a and ' a',
+        # ' a' deletes ' a' and leaves a, the sets that `ideals` names.
+        code, out, err = run(capsys, "quotient", fixture_path("D"), "--set", " u")
+        assert (code, out, err) == (3, "", "error: unknown vertex ' u'\n")
+        edges = [
+            {"id": "e", "color": 1, "range": "a", "source": "a"},
+            {"id": "f", "color": 1, "range": " a", "source": " a"},
+        ]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"k": 1, "vertices": ["a", " a"], "edges": edges, "squares": []}))
+        code, data, _ = run_json(capsys, "ideals", str(path))
+        assert data["sets"] == [[], [" a"], ["a"], [" a", "a"]]
+        code, data, _ = run_json(capsys, "quotient", str(path), "--set", " a")
+        assert code == 0
+        assert data["vertices"] == ["a"] and [e["id"] for e in data["edges"]] == ["e"]
+
     def test_unknown_vertex_is_unusable_input(self, capsys):
         code, out, err = run(capsys, "quotient", fixture_path("D"), "--set", "zz,u,yy")
         assert code == 3

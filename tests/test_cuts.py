@@ -1,10 +1,10 @@
 """One rewrite per cut: the path layers against their one-cut-at-a-time definitions.
 
-`segment`, `ep_equal` and `rep_apply_adjoint` take every piece of a cut
-from a single `KGraph._rewrite`.  The oracles in `oracles.py` build the
-same values the old way (two `factor` calls, one `compose` per loop
-copy, pure-cycle wrappers), and by unique factorization both must give
-the same canonical paths.  The count tests pin the mechanism: they fail
+The three-piece `factor`, `ep_equal` and `rep_apply_adjoint` take every
+piece of a cut from a single `KGraph._cut`.  The oracles in `oracles.py`
+build the same values the old way (two two-piece `factor` calls, one
+`compose` per loop copy, pure-cycle wrappers), and by unique
+factorization both must give the same canonical paths.  The count tests pin the mechanism: they fail
 when a caller goes back to cutting one piece at a time.
 """
 
@@ -23,12 +23,13 @@ from kgraph import (
     EventuallyPeriodicPath,
     compose,
     ep_equal,
+    factor,
     fixture_parts,
     leq,
     local_periodicity_at,
     rep_apply_adjoint,
     sample_family,
-    segment,
+    subtract,
 )
 from kgraph.factorization import KGraph
 
@@ -65,7 +66,7 @@ def test_segment_matches_two_factors():
         for v in g.vertices:
             for lam in islice(g.paths_from(v, degrees[-1]), 4):
                 for m, n in ordered_pairs(degrees):
-                    assert segment(lam, m, n) == segment_by_compose(lam, m, n)
+                    assert factor(lam, m, subtract(n, m))[1] == segment_by_compose(lam, m, n)
                     checked += 1
     assert checked > 4_000
 
@@ -112,15 +113,15 @@ def test_rep_apply_adjoint_matches_segment_then_shift():
 
 @pytest.fixture
 def rewrites(monkeypatch):
-    """The degrees of every KGraph._rewrite call, in order."""
+    """The degrees of every KGraph._cut call, in order."""
     calls = []
-    real = KGraph._rewrite
+    real = KGraph._cut
 
-    def counted(self, seq, *degrees):
+    def counted(self, range_vertex, seq, degrees):
         calls.append(degrees)
-        return real(self, seq, *degrees)
+        return real(self, range_vertex, seq, degrees)
 
-    monkeypatch.setattr(KGraph, "_rewrite", counted)
+    monkeypatch.setattr(KGraph, "_cut", counted)
     return calls
 
 
@@ -133,7 +134,7 @@ class TestOneRewritePerCut:
     def test_segment(self, f, rewrites):
         lam = f.path("v", ["b0", "b1", "r0", "r1"])
         rewrites.clear()
-        assert segment(lam, (1, 0), (2, 1)).edges == ("b1", "r0")
+        assert factor(lam, (1, 0), (1, 1))[1].edges == ("b1", "r0")
         assert rewrites == [((1, 0), (1, 1), (0, 1))]
 
     def test_adjoint_on_a_non_matching_path(self, f, rewrites):

@@ -11,7 +11,7 @@ from kgraph import (
     factor,
     fixture_parts,
     leq,
-    segment,
+    subtract,
     zero,
 )
 from kgraph.errors import CompositionError, DegreeError, ValidationError
@@ -224,8 +224,9 @@ def test_factor_identity_prefixes(f):
 
 def test_segment_t2(t2):
     lam = compose(t2.path("v", ["b"]), t2.path("v", ["r"]))
-    seg = segment(lam, (1, 0), (1, 1))
-    assert seg.edges == ("r",)
+    head, seg, rest = factor(lam, (1, 0), (0, 1))
+    assert (head.edges, seg.edges) == (("b",), ("r",))
+    assert rest.is_vertex() and rest.range_vertex == "v"
 
 
 def test_paths_from_t2_unique(t2):
@@ -272,9 +273,8 @@ def test_three_segment_identity(f, d2):
                     for n in degrees_up_to(l):
                         if not leq(m, n):
                             continue
-                        first = segment(lam, zero(g.k), m)
-                        mid = segment(lam, m, n)
-                        last = segment(lam, n, l)
+                        first, mid, last = factor(lam, m, subtract(n, m))
+                        assert (first.degree, mid.degree, last.degree) == (m, subtract(n, m), subtract(l, n))
                         assert compose(compose(first, mid), last) == lam
 
 
@@ -439,8 +439,20 @@ def test_plain_tuple_degrees_checked_at_entry(f):
         factor(lam, (-1, 1))
     with pytest.raises(DegreeError, match="exceeds path degree"):
         factor(lam, (2, 0))
-    with pytest.raises(DegreeError, match="segment needs m <= n"):
-        segment(lam, (1, 0), (0, 0))
+    with pytest.raises(DegreeError):
+        factor(lam, (1, 0), (0, -1))
+    with pytest.raises(DegreeError):
+        factor(lam, (1, 0), (1,))
+    with pytest.raises(DegreeError, match="exceeds path degree"):
+        factor(lam, (1, 0), (1, 0))  # each fits in (1, 1), their sum does not
+    with pytest.raises(DegreeError):
+        f.paths_from("v", [1, 1])  # a list would become the degree of every path
+    with pytest.raises(DegreeError):
+        factor(lam, [1, 0])
+    with pytest.raises(DegreeError):
+        f.paths_from("v", 3)
+    with pytest.raises(DegreeError):
+        f.paths_from("v", None)
     with pytest.raises(DegreeError):
         f.paths_from("v", (1,))
     with pytest.raises(DegreeError):

@@ -14,7 +14,6 @@ from kgraph import (
     fixture_parts,
     local_periodicity_at,
     scan_aperiodicity,
-    segment,
 )
 from kgraph.degrees import positive_part
 from kgraph.periodicity import default_bound, signed_vectors
@@ -29,6 +28,7 @@ from oracles import (
     k1_scan_finds_periodicity,
     pairs_up_to,
     refute_first_witness,
+    segment_by_compose,
 )
 
 
@@ -109,18 +109,22 @@ class TestRefuteFirst:
 
 
 class TestWitness:
-    def test_witness_separates_by_construction(self, f):
-        res = local_periodicity_at(f, "v", (1, 0), (0, 0))
-        w = res
-        assert w.vertex == "v"
-        assert w.segment_m != w.segment_n
-        # independent recomputation from the carried path
+    def test_witness_separates_by_construction(self, t2, f, d, d2):
+        # Each witness's segments against the definition, recomputed from
+        # the carried path by two two-piece cuts instead of one three-piece one.
         from kgraph import add, join, subtract
 
-        j = join(w.m, w.n)
-        q = subtract(w.lam.degree, j)
-        assert segment(w.lam, w.m, add(w.m, q)) == w.segment_m
-        assert segment(w.lam, w.n, add(w.n, q)) == w.segment_n
+        witnesses = 0
+        for g in [t2, f, d, d2] + corpus(40) + k2_products(3) + k3_products(2):
+            scan = scan_aperiodicity(g, 2)
+            for v, _, w in [] if scan.periodic else scan.entries:
+                assert w.vertex == v and w.lam.range_vertex == v
+                assert w.segment_m != w.segment_n
+                q = subtract(w.lam.degree, join(w.m, w.n))
+                assert segment_by_compose(w.lam, w.m, add(w.m, q)) == w.segment_m
+                assert segment_by_compose(w.lam, w.n, add(w.n, q)) == w.segment_n
+                witnesses += 1
+        assert witnesses == 628
 
     def test_non_separating_path_refused(self, t2):
         lam = t2.path("v", ["b", "r"])

@@ -36,6 +36,8 @@ class Name(str):
         (["v", 1], [Edge("e", 1, "v", "v")], "vertex id 1 is not a string"),
         (["v", Name("w")], [Edge("e", 1, "v", "v")], "vertex id 'w' is not a string"),
         (["v"], [Edge(2, 1, "v", "v")], "edge id 2 is not a string"),
+        # Read as its characters, "ab" would make the vertices ('a', 'b').
+        ("ab", [Edge("e", 1, "a", "b")], "vertices 'ab' is a string, not a collection of vertex ids"),
     ],
 )
 def test_id_that_is_not_exactly_a_string_rejected_at_construction(vertices, edges, message):
