@@ -26,9 +26,7 @@ from .documents import (
     parse_graph_document,
 )
 from .errors import (
-    CompositionError,
     ContractViolationError,
-    DegreeError,
     DocumentError,
     LimitExceededError,
     ValidationError,
@@ -61,9 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AperiodicityWitness",
-    "CompositionError",
     "ContractViolationError",
-    "DegreeError",
     "DocumentError",
     "Edge",
     "EventuallyPeriodicPath",

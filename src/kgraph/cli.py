@@ -20,6 +20,8 @@ problem on standard error (unless it is closed), covers:
   such as `--bound=--`, which argparse before Python 3.13 stores as [];
 - a `quotient --set` name that is not a vertex, `--set=--` included;
 - an `ideals` lattice of more than `ENUM_LIMIT` sets (`LimitExceededError`);
+- any other error the library raises on purpose (a `KGraphError`), so
+  none escapes as a traceback with exit 1;
 - input too big to fit in memory (`MemoryError`);
 - a report that cannot be written: to a closed pipe or a full disk
   (`OSError`), to a standard output the process started with closed, or
@@ -38,7 +40,7 @@ import sys
 
 from .analysis import is_simple
 from .documents import canonical_json, dump_graph_document, load_graph_document
-from .errors import ContractViolationError, DocumentError, LimitExceededError, ValidationError
+from .errors import ContractViolationError, DocumentError, KGraphError, ValidationError
 from .factorization import KGraph, validation_reports
 from .fixtures import FIXTURE_NAMES, fixture_parts
 from .ideals import enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
@@ -220,7 +222,7 @@ def main(argv=None):
         problems = exc.problems
     except ValidationError as exc:
         problems = exc.report.violations
-    except (ContractViolationError, LimitExceededError) as exc:
+    except KGraphError as exc:
         problems = [str(exc)]
     except MemoryError:
         # No allocation in the handler; the report waits until the traceback's frames are freed.

@@ -13,7 +13,7 @@ overflow-checked; the cap is far beyond anything the decision procedures
 produce, it just keeps serialized certificates inside plain 32-bit range.
 """
 
-from .errors import DegreeError
+from .errors import ContractViolationError
 
 MAX_ENTRY = 2**31 - 1
 
@@ -28,7 +28,7 @@ def ones(k):
 
 def _paired(m, n):
     if len(m) != len(n):
-        raise DegreeError(f"rank {len(m)} vs {len(n)}")
+        raise ContractViolationError(f"rank {len(m)} vs {len(n)}")
     return zip(m, n)
 
 
@@ -44,7 +44,7 @@ def join(m, n):
 def add(m, n):
     out = tuple(a + b for a, b in _paired(m, n))
     if any(c > MAX_ENTRY for c in out):
-        raise DegreeError(f"degree addition overflow: {out}")
+        raise ContractViolationError(f"degree addition overflow: {out}")
     return out
 
 
@@ -53,7 +53,7 @@ def subtract(m, n):
     out = tuple(a - b for b, a in _paired(n, m))
     for c in out:
         if c < 0:
-            raise DegreeError(f"cannot subtract {n!r} from {m!r}: not below it")
+            raise ContractViolationError(f"cannot subtract {n!r} from {m!r}: not below it")
     return out
 
 
@@ -66,13 +66,13 @@ def positive_part(p):
     """
     p = tuple(p)
     if any(type(c) is not int for c in p):
-        raise DegreeError(f"signed entries {p!r} are not all ints")
+        raise ContractViolationError(f"signed entries {p!r} are not all ints")
     if not p:
-        raise DegreeError("empty vector")
+        raise ContractViolationError("empty vector")
     if all(c == 0 for c in p):
-        raise DegreeError("positive_part of the zero vector is undefined")
+        raise ContractViolationError("positive_part of the zero vector is undefined")
     if any(abs(c) > MAX_ENTRY for c in p):
-        raise DegreeError("signed entry out of range")
+        raise ContractViolationError("signed entry out of range")
     minus = tuple(-c if c < 0 else 0 for c in p)
     plus = tuple(c if c > 0 else 0 for c in p)
     return minus, plus

@@ -146,6 +146,8 @@ def _lone_surrogates(data):
 
 def load_graph_document(text):
     """JSON text -> (Skeleton, SquareTable); parse errors come back addressed."""
+    if type(text) is not str:
+        raise DocumentError([f"document: expected str text, got {type(text).__name__}"])
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

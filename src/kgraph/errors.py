@@ -5,14 +5,6 @@ class KGraphError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class DegreeError(KGraphError, ValueError):
-    """A degree left its domain (negative entry, overflow, mixed ranks, bad bounds)."""
-
-
-class CompositionError(KGraphError, ValueError):
-    """Paths or edges were joined at incompatible endpoints."""
-
-
 class ValidationError(KGraphError):
     """A structure failed its mandatory validation phase."""
 
@@ -29,8 +21,8 @@ class DocumentError(KGraphError, ValueError):
         super().__init__("; ".join(self.problems))
 
 
-class ContractViolationError(KGraphError):
-    """An operation was called outside its stated precondition."""
+class ContractViolationError(KGraphError, ValueError):
+    """A call broke its precondition: a bad degree, vertex, vertex set, path, id or fixture name."""
 
 
 class LimitExceededError(KGraphError):

@@ -35,7 +35,7 @@ s(lambda), and compose(mu, nu) requires s(mu) = r(nu).
 """
 
 from .degrees import MAX_ENTRY, add, subtract, zero
-from .errors import CompositionError, ContractViolationError, DegreeError, ValidationError
+from .errors import ContractViolationError, ValidationError
 from .skeleton import ValidationReport
 
 
@@ -246,12 +246,12 @@ class KGraph:
     def require_rank(self, n):
         """Guard a degree from a caller: a tuple of rank k, int entries in 0..MAX_ENTRY."""
         if type(n) is not tuple:
-            raise DegreeError(f"degree {n!r} is not a tuple")
+            raise ContractViolationError(f"degree {n!r} is not a tuple")
         if len(n) != self.k:
-            raise DegreeError(f"degree rank {len(n)} does not match graph rank {self.k}")
+            raise ContractViolationError(f"degree rank {len(n)} does not match graph rank {self.k}")
         for c in n:
             if type(c) is not int or c < 0 or c > MAX_ENTRY:
-                raise DegreeError(f"degree {n!r} needs int entries in 0..{MAX_ENTRY}")
+                raise ContractViolationError(f"degree {n!r} needs int entries in 0..{MAX_ENTRY}")
 
     def vertex_path(self, v):
         self.require_vertex(v)
@@ -292,13 +292,18 @@ class KGraph:
     def path(self, range_vertex, edge_ids):
         """Build a path from an arbitrary composable edge sequence."""
         self.require_vertex(range_vertex)
+        if isinstance(edge_ids, str):
+            raise ContractViolationError(f"edge ids {edge_ids!r} is a string, not a sequence of edge ids")
         edge_ids = tuple(edge_ids)
         at = range_vertex
         counts = [0] * self.k
         for eid in edge_ids:
-            e = self.skeleton.edges[eid]
+            try:
+                e = self.skeleton.edges[eid]
+            except (KeyError, TypeError):  # TypeError: an unhashable id
+                raise ContractViolationError(f"unknown edge {eid!r}") from None
             if e.range != at:
-                raise CompositionError(f"edge {eid!r} has range {e.range!r}, expected {at!r}")
+                raise ContractViolationError(f"edge {eid!r} has range {e.range!r}, expected {at!r}")
             at = e.source
             counts[e.color - 1] += 1
         return self._cut(range_vertex, edge_ids, (tuple(counts),))[0]
@@ -339,9 +344,9 @@ class KGraph:
 def compose(mu, nu):
     """mu then nu; needs s(mu) = r(nu)."""
     if mu.graph is not nu.graph:
-        raise CompositionError("paths belong to different graphs")
+        raise ContractViolationError("paths belong to different graphs")
     if mu.source_vertex != nu.range_vertex:
-        raise CompositionError(
+        raise ContractViolationError(
             f"cannot compose: s={mu.source_vertex!r} vs r={nu.range_vertex!r}"
         )
     if mu.is_vertex():
@@ -360,7 +365,7 @@ def factor(lam, m, *more):
     try:
         for d in degrees:
             rest = subtract(rest, d)
-    except DegreeError:
+    except ContractViolationError:
         named = " + ".join(map(repr, degrees))
-        raise DegreeError(f"factor degree {named} exceeds path degree {lam.degree!r}") from None
+        raise ContractViolationError(f"factor degree {named} exceeds path degree {lam.degree!r}") from None
     return tuple(lam.graph._cut(lam.range_vertex, lam.edges, (*degrees, rest)))

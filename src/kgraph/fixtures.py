@@ -19,6 +19,7 @@ D2  a copy of F at u (loops bu*/ru*), a copy of T2 at w (bw/rw), and one
     hereditary (cb enters it from outside); D2 itself is aperiodic.
 """
 
+from .errors import ContractViolationError
 from .factorization import SquareTable
 from .skeleton import Edge, Skeleton
 
@@ -79,5 +80,5 @@ def fixture_parts(name):
     try:
         vertices, edges, squares = _FIXTURES[name]
     except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}") from None
+        raise ContractViolationError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}") from None
     return Skeleton(2, vertices, [Edge(*row) for row in edges]), SquareTable(squares)

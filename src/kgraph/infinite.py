@@ -21,7 +21,7 @@ can never produce a difference.
 from itertools import product as _iproduct
 
 from .degrees import add, join, leq, subtract
-from .errors import CompositionError, DegreeError
+from .errors import ContractViolationError
 from .factorization import compose, factor
 
 
@@ -32,13 +32,13 @@ class EventuallyPeriodicPath:
 
     def __init__(self, prefix, loop):
         if prefix.graph is not loop.graph:
-            raise CompositionError("prefix and loop belong to different graphs")
+            raise ContractViolationError("prefix and loop belong to different graphs")
         if loop.range_vertex != loop.source_vertex:
-            raise CompositionError("loop must start and end at the same vertex")
+            raise ContractViolationError("loop must start and end at the same vertex")
         if loop.range_vertex != prefix.source_vertex:
-            raise CompositionError("loop must sit at the prefix's source")
+            raise ContractViolationError("loop must sit at the prefix's source")
         if any(c < 1 for c in loop.degree):
-            raise DegreeError(f"loop degree {loop.degree!r} must be >= 1 in every coordinate")
+            raise ContractViolationError(f"loop degree {loop.degree!r} must be >= 1 in every coordinate")
         self.prefix = prefix
         self.loop = loop
 

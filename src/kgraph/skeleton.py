@@ -5,15 +5,18 @@ range and source vertex.  Paths traverse from source toward range, and
 edge sequences are written range end first, so the out-neighborhood used
 everywhere below is "edges whose range is v".
 
-Construction refuses only what it cannot index: vertices given as one
-string, a vertex or edge id that is not exactly a `str`, or a repeated
-edge id.  It keeps the edges in id order, so every pass over them and
-every report follows that order.
+Construction refuses only what it cannot index, with
+`ContractViolationError`: vertices given as one string, a vertex id,
+edge id or endpoint that is not exactly a `str`, a color that cannot be
+hashed, or a repeated vertex or edge id.  It keeps the edges in id
+order, so every pass over them and every report follows that order.
 `validate` reports every other violation, and `KGraph` runs it before
 anything reads the skeleton.
 """
 
 from dataclasses import dataclass
+
+from .errors import ContractViolationError
 
 
 @dataclass(frozen=True)
@@ -59,25 +62,34 @@ class Skeleton:
     def __init__(self, k, vertices, edges):
         self.k = k
         if isinstance(vertices, str):
-            raise ValueError(f"vertices {vertices!r} is a string, not a collection of vertex ids")
-        vertices = list(vertices)
+            raise ContractViolationError(f"vertices {vertices!r} is a string, not a collection of vertex ids")
+        seen = set()
         for v in vertices:
             if type(v) is not str:
-                raise ValueError(f"vertex id {v!r} is not a string")
-        self.vertices = tuple(sorted(set(vertices)))
-        self._vertex_set = set(self.vertices)
+                raise ContractViolationError(f"vertex id {v!r} is not a string")
+            if v in seen:
+                raise ContractViolationError(f"duplicate vertex id {v!r}")
+            seen.add(v)
+        self.vertices = tuple(sorted(seen))
+        self._vertex_set = seen
         by_id = {}
         for e in edges:
-            if type(e.id) is not str:
-                raise ValueError(f"edge id {e.id!r} is not a string")
+            if not type(e.id) is type(e.range) is type(e.source) is str:
+                if type(e.id) is not str:
+                    raise ContractViolationError(f"edge id {e.id!r} is not a string")
+                end = "range" if type(e.range) is not str else "source"
+                raise ContractViolationError(f"edge {e.id!r}: {end} {getattr(e, end)!r} is not a string")
             if e.id in by_id:
-                raise ValueError(f"duplicate edge id {e.id!r}")
+                raise ContractViolationError(f"duplicate edge id {e.id!r}")
             by_id[e.id] = e
         self.edges = {eid: by_id[eid] for eid in sorted(by_id)}
-        # The index tolerates invalid colors/endpoints; validate() reports them.
+        # The index tolerates hashable invalid colors and unknown endpoints; validate() reports them.
         by_range = {}
         for eid, e in self.edges.items():
-            by_range.setdefault((e.range, e.color), []).append(eid)
+            try:
+                by_range.setdefault((e.range, e.color), []).append(eid)
+            except TypeError:  # the endpoints are strs, so the color cannot be hashed
+                raise ContractViolationError(f"edge {eid!r}: color {e.color!r} cannot be hashed") from None
         self.by_range = {key: tuple(ids) for key, ids in by_range.items()}
 
     def has_vertex(self, v):

@@ -49,7 +49,6 @@ from itertools import product
 
 from kgraph import (
     ContractViolationError,
-    DegreeError,
     DocumentError,
     EventuallyPeriodicPath,
     Path,
@@ -650,7 +649,7 @@ def segment(lam, m, n):
 def segment_by_compose(lam, m, n):
     """lam(m, n) as the tail of the head: factor at n, then at m."""
     if not leq(m, n):
-        raise DegreeError(f"segment needs m <= n, got {m!r}, {n!r}")
+        raise ContractViolationError(f"segment needs m <= n, got {m!r}, {n!r}")
     head, _ = factor(lam, n)
     _, mid = factor(head, m)
     return mid

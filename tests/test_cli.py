@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgraph.errors
 import kgraph.ideals
 from kgraph.cli import main, render_text
 from kgraph.documents import canonical_json, dump_graph_document
+from kgraph.skeleton import ValidationReport
 
 from generators import exchanged_tables, k3_products, wide_graph
 
@@ -385,6 +387,35 @@ def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: out of memory")
     assert "Traceback" not in err
+
+
+def _library_errors(cls=kgraph.errors.KGraphError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _library_errors(sub)
+
+
+@pytest.mark.parametrize("error", list(_library_errors()), ids=lambda cls: cls.__name__)
+def test_every_library_error_exits_3_without_a_traceback(capsys, monkeypatch, error):
+    # One clause maps every error the library raises on purpose to exit 3,
+    # so none that a command reaches can end in a traceback and exit 1.
+    import kgraph.cli as cli
+
+    problems = ["first", "second"]
+    if error is kgraph.errors.DocumentError:
+        exc = error(problems)
+    elif error is kgraph.errors.ValidationError:
+        exc = error(ValidationReport("skeleton", problems))
+    else:
+        exc, problems = error("first"), ["first"]
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    code, out, err = run(capsys, "validate", fixture_path("T2"))
+    assert (code, out) == (3, "")
+    assert err == "".join(f"error: {p}\n" for p in problems)
 
 
 READING_COMMANDS = [

@@ -4,7 +4,7 @@ import pytest
 
 from kgraph import add, factor, join, leq, ones, positive_part, subtract, zero
 from kgraph.degrees import MAX_ENTRY
-from kgraph.errors import DegreeError
+from kgraph.errors import ContractViolationError
 
 
 def all_degrees(k, top):
@@ -20,17 +20,17 @@ def test_construction_and_accessors():
     assert all(type(r) is tuple for r in results)
 
 
-def _rejected_at_entry(g, coords):
+def _rejected_at_entry(g, coords, message="needs int entries"):
     """A caller's degree is checked where it enters: paths_from and factor."""
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match=message):
         g.paths_from("v", coords)
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match=message):
         factor(g.path("v", ["b0", "r0"]), coords)
 
 
 def test_negative_entries_rejected(f):
     _rejected_at_entry(f, (1, -1))
-    _rejected_at_entry(f, ())
+    _rejected_at_entry(f, (), "degree rank 0 does not match graph rank 2")
     _rejected_at_entry(f, (2**31, 0))
 
 
@@ -52,26 +52,26 @@ def test_non_int_entries_rejected(f, make, coords):
     if make is None:
         _rejected_at_entry(f, coords)
         return
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="are not all ints"):
         make(coords)
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: add((MAX_ENTRY, 0), (1, 0)),
-        lambda: positive_part(()),
-        lambda: positive_part((-MAX_ENTRY - 1, 0)),
+        (lambda: add((MAX_ENTRY, 0), (1, 0)), "degree addition overflow"),
+        (lambda: positive_part(()), "empty vector"),
+        (lambda: positive_part((-MAX_ENTRY - 1, 0)), "signed entry out of range"),
     ],
     ids=["add-overflow", "signed-empty", "signed-past-cap"],
 )
-def test_out_of_range_rejected(call):
-    with pytest.raises(DegreeError):
+def test_out_of_range_rejected(call, message):
+    with pytest.raises(ContractViolationError, match=message):
         call()
 
 
 def test_rank_mismatch():
-    with pytest.raises(DegreeError, match="rank 2 vs 3"):
+    with pytest.raises(ContractViolationError, match="rank 2 vs 3"):
         join((1, 0), (1, 0, 0))
 
 
@@ -92,14 +92,14 @@ def test_lattice_laws_exhaustive(k):
 
 
 def test_subtract_requires_domination():
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="not below it"):
         subtract((1, 0), (0, 1))
 
 
 def test_positive_part_splits_signed_vectors():
     for p in product(range(-2, 3), repeat=2):
         if all(c == 0 for c in p):
-            with pytest.raises(DegreeError):
+            with pytest.raises(ContractViolationError, match="zero vector is undefined"):
                 positive_part(p)
             continue
         m, n = positive_part(p)

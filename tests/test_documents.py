@@ -216,6 +216,15 @@ class TestLoad:
             "edges[0].id: '\\udcff' holds a lone surrogate",
         ]
 
+    @pytest.mark.parametrize("load", [load_graph_document, graph_from_json])
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_text_that_is_not_a_str_is_one_document_problem(self, load, kind):
+        text = json.dumps(t2_doc())
+        assert load(text)  # the same document, decoded, loads
+        with pytest.raises(DocumentError) as info:
+            load(kind(text.encode()))
+        assert info.value.problems == [f"document: expected str text, got {kind.__name__}"]
+
     def test_graph_from_json_validates(self):
         g = graph_from_json(json.dumps(t2_doc()))
         assert list(g.vertices) == ["v"]

@@ -14,7 +14,7 @@ from kgraph import (
     subtract,
     zero,
 )
-from kgraph.errors import CompositionError, DegreeError, ValidationError
+from kgraph.errors import ContractViolationError, ValidationError
 from kgraph.factorization import validate_cubes, validate_squares
 
 from generators import corpus, exchanged_tables, k2_products, k3_products, wide_graph
@@ -38,7 +38,7 @@ def test_build_refuses_invalid_squares():
 
 
 def test_unknown_fixture_name():
-    with pytest.raises(KeyError, match="unknown fixture 'T3'"):
+    with pytest.raises(ContractViolationError, match="unknown fixture 'T3'"):
         fixture_parts("T3")
 
 
@@ -195,15 +195,25 @@ def test_compose_normalizes_to_color_order(t2):
 
 def test_compose_requires_matching_endpoints(d):
     bu, bw = d.path("u", ["bu"]), d.path("w", ["bw"])
-    with pytest.raises(CompositionError):
+    with pytest.raises(ContractViolationError, match="cannot compose: s='u' vs r='w'"):
         compose(bu, bw)
-    with pytest.raises(CompositionError, match="has range 'w', expected 'u'"):
+    with pytest.raises(ContractViolationError, match="has range 'w', expected 'u'"):
         d.path("u", ["bw"])
+
+
+def test_path_refuses_ids_that_are_not_edges(f):
+    with pytest.raises(ContractViolationError, match="^unknown edge 'zz'$"):
+        f.path("v", ["zz"])
+    with pytest.raises(ContractViolationError, match=r"^unknown edge \['b0'\]$"):
+        f.path("v", [["b0"]])
+    # Read as its characters, "b0" would be the edges b and 0.
+    with pytest.raises(ContractViolationError, match="^edge ids 'b0' is a string, not a sequence of edge ids$"):
+        f.path("v", "b0")
 
 
 def test_compose_requires_one_graph(t2, f):
     # both graphs have a vertex v, so only the graph check tells them apart
-    with pytest.raises(CompositionError, match="different graphs"):
+    with pytest.raises(ContractViolationError, match="paths belong to different graphs"):
         compose(t2.path("v", ["b"]), f.path("v", ["b0"]))
 
 
@@ -433,29 +443,29 @@ def test_unique_factorization_exhaustive(f):
 
 def test_plain_tuple_degrees_checked_at_entry(f):
     lam = next(f.paths_from("v", (1, 1)))
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="needs int entries"):
         f.paths_from("v", (0, -1))
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="needs int entries"):
         factor(lam, (-1, 1))
-    with pytest.raises(DegreeError, match="exceeds path degree"):
+    with pytest.raises(ContractViolationError, match="exceeds path degree"):
         factor(lam, (2, 0))
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="needs int entries"):
         factor(lam, (1, 0), (0, -1))
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="degree rank 1 does not match graph rank 2"):
         factor(lam, (1, 0), (1,))
-    with pytest.raises(DegreeError, match="exceeds path degree"):
+    with pytest.raises(ContractViolationError, match="exceeds path degree"):
         factor(lam, (1, 0), (1, 0))  # each fits in (1, 1), their sum does not
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="is not a tuple"):
         f.paths_from("v", [1, 1])  # a list would become the degree of every path
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="is not a tuple"):
         factor(lam, [1, 0])
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="is not a tuple"):
         f.paths_from("v", 3)
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="is not a tuple"):
         f.paths_from("v", None)
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="degree rank 1 does not match graph rank 2"):
         f.paths_from("v", (1,))
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="needs int entries"):
         f.paths_from("v", (1.0, 0))  # would leak 1.0 into the JSON of its paths
-    with pytest.raises(DegreeError):
+    with pytest.raises(ContractViolationError, match="needs int entries"):
         f.paths_from("v", (2**31, 0))  # past MAX_ENTRY; the walk would build a 2**31-entry word

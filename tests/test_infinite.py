@@ -3,9 +3,7 @@
 import pytest
 
 from kgraph import (
-    CompositionError,
     ContractViolationError,
-    DegreeError,
     EventuallyPeriodicPath,
     ep_compose,
     ep_equal,
@@ -24,9 +22,9 @@ def ep(g, vertex, prefix_edges, loop_edges):
 class TestConstruction:
     def test_loop_must_have_full_support(self, f):
         rho = f.vertex_path("v")
-        with pytest.raises(DegreeError):
+        with pytest.raises(ContractViolationError, match="must be >= 1 in every coordinate"):
             EventuallyPeriodicPath(rho, f.path("v", ["b0"]))
-        with pytest.raises(DegreeError):
+        with pytest.raises(ContractViolationError, match="must be >= 1 in every coordinate"):
             EventuallyPeriodicPath(rho, f.path("v", ["r0", "r1"]))
 
     def test_loop_must_be_a_cycle(self, d2):
@@ -34,19 +32,19 @@ class TestConstruction:
         # the connector leaves w for u and u never leads back
         not_loop = d2.path("w", ["cb", "ru0"])
         assert not_loop.source_vertex != not_loop.range_vertex
-        with pytest.raises(CompositionError):
+        with pytest.raises(ContractViolationError, match="loop must start and end at the same vertex"):
             EventuallyPeriodicPath(rho, not_loop)
 
     def test_loop_must_sit_at_prefix_source(self, d):
         rho = d.vertex_path("u")
         gam = d.path("w", ["bw", "rw"])
-        with pytest.raises(CompositionError):
+        with pytest.raises(ContractViolationError, match="loop must sit at the prefix's source"):
             EventuallyPeriodicPath(rho, gam)
 
     def test_cross_graph_mix_rejected(self, t2, f):
         rho = t2.vertex_path("v")
         gam = f.path("v", ["b0", "r0"])
-        with pytest.raises(CompositionError):
+        with pytest.raises(ContractViolationError, match="prefix and loop belong to different graphs"):
             EventuallyPeriodicPath(rho, gam)
 
 
@@ -122,7 +120,7 @@ class TestCompose:
     def test_source_must_match_range(self, d):
         x = ep(d, "w", [], ["bw", "rw"])
         mu = d.path("u", ["bu"])
-        with pytest.raises(CompositionError):
+        with pytest.raises(ContractViolationError, match="cannot compose: s='u' vs r='w'"):
             ep_compose(mu, x)
 
 

@@ -22,8 +22,11 @@ def test_valid_skeleton_passes():
 
 
 def test_duplicate_edge_id_rejected_at_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractViolationError, match="^duplicate edge id 'e'$"):
         Skeleton(1, ["v"], [Edge("e", 1, "v", "v"), Edge("e", 1, "v", "v")])
+    # A repeated vertex id is refused too, as the parser refuses it, not kept once.
+    with pytest.raises(ContractViolationError, match="^duplicate vertex id 'a'$"):
+        Skeleton(1, ["a", "a"], [Edge("e", 1, "a", "a")])
 
 
 class Name(str):
@@ -38,12 +41,18 @@ class Name(str):
         (["v"], [Edge(2, 1, "v", "v")], "edge id 2 is not a string"),
         # Read as its characters, "ab" would make the vertices ('a', 'b').
         ("ab", [Edge("e", 1, "a", "b")], "vertices 'ab' is a string, not a collection of vertex ids"),
+        # An endpoint names a vertex; a list one would fail to index by range.
+        (["v"], [Edge("e", 1, ["v"], "v")], "edge 'e': range ['v'] is not a string"),
+        (["v"], [Edge("e", 1, "v", ["v"])], "edge 'e': source ['v'] is not a string"),
+        (["v"], [Edge("e", 1, 5, "v")], "edge 'e': range 5 is not a string"),
+        (["v"], [Edge("e", 1, "v", Name("v"))], "edge 'e': source 'v' is not a string"),
+        (["v"], [Edge("e", [1], "v", "v")], "edge 'e': color [1] cannot be hashed"),
     ],
 )
 def test_id_that_is_not_exactly_a_string_rejected_at_construction(vertices, edges, message):
     # Edges are kept in id order, so an id that does not sort with strings is
     # refused by name rather than by a TypeError from sorting, or let through.
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$"):
         Skeleton(1, vertices, edges)
 
 
