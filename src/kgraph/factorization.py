@@ -240,7 +240,11 @@ class KGraph:
         return self.skeleton.vertices
 
     def require_vertex(self, v):
-        if not self.skeleton.has_vertex(v):
+        try:
+            known = self.skeleton.has_vertex(v)
+        except TypeError:  # an unhashable vertex
+            known = False
+        if not known:
             raise ContractViolationError(f"unknown vertex {v!r}")
 
     def require_rank(self, n):
@@ -294,7 +298,10 @@ class KGraph:
         self.require_vertex(range_vertex)
         if isinstance(edge_ids, str):
             raise ContractViolationError(f"edge ids {edge_ids!r} is a string, not a sequence of edge ids")
-        edge_ids = tuple(edge_ids)
+        try:
+            edge_ids = tuple(edge_ids)
+        except TypeError:
+            raise ContractViolationError(f"edge ids {edge_ids!r} are not a sequence of edge ids") from None
         at = range_vertex
         counts = [0] * self.k
         for eid in edge_ids:

@@ -50,7 +50,10 @@ def vertex_set_to_json(h):
 def _as_set(g, vertices):
     if isinstance(vertices, str):
         raise ContractViolationError(f"vertex set {vertices!r} is a string, not a collection of vertex ids")
-    h = frozenset(vertices)
+    try:
+        h = frozenset(vertices)
+    except TypeError:  # not iterable, or a member that cannot be hashed
+        raise ContractViolationError(f"vertex set {vertices!r} is not a collection of vertex ids") from None
     for v in h:
         g.require_vertex(v)
     return h

@@ -270,14 +270,26 @@ def scan_aperiodicity(g, bound=None):
     pairs (docs/minimal-pairs.md).  Returns the first periodic hit in
     (vertex, p) lexicographic order, or an AperiodicReport carrying one
     witness per (vertex, p).
+
+    The triples for p and -p are mirrors, decided alike with the same
+    witness lambda (docs/minimal-pairs.md), and the scan never reaches
+    the later one of a periodic pair.  So only the earlier one is
+    decided; the later one's witness is rebuilt from that lambda by its
+    constructor, which re-validates it as any other.
     """
     bound = resolve_bound(g, bound)
     entries = []
     for v in g.vertices:
+        mirrored = {}  # -p -> lambda of the aperiodic decision at p
         for p in signed_vectors(g.k, bound):
             m, n = positive_part(p)
-            res = local_periodicity_at(g, v, m, n)
-            if res.periodic:
-                return PeriodicReport(bound, p, res)
+            lam = mirrored.pop(p, None)
+            if lam is not None:
+                res = AperiodicityWitness(v, m, n, lam)
+            else:
+                res = local_periodicity_at(g, v, m, n)
+                if res.periodic:
+                    return PeriodicReport(bound, p, res)
+                mirrored[tuple(-c for c in p)] = res.lam
             entries.append((v, p, res))
     return AperiodicReport(bound, entries)

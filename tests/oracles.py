@@ -9,10 +9,11 @@ enumerator so a bug there cannot mask itself; `paths_from_by_levels`
 builds vLambda^n in canonical order by filling levels bottom-up, which
 pins the order of `KGraph.paths_from`'s depth-first walk.
 
-Two oracles pin other facts: `refute_first_witness` runs the definition
-of the decision's canonical witness one seed at a time, and
-`k1_scan_finds_periodicity` predicts a 1-graph scan at any bound from
-the graph's cycles alone.  `fixed_point_closure` and
+Three oracles pin other facts: `refute_first_witness` runs the definition
+of the decision's canonical witness one seed at a time,
+`scan_every_triple` is the scan deciding every triple from scratch,
+mirrors included, and `k1_scan_finds_periodicity` predicts a 1-graph
+scan at any bound from the graph's cycles alone.  `fixed_point_closure` and
 `least_singleton_obstruction` are the ideals layer's definitions run
 literally: whole-graph passes to a fixpoint, one closure per vertex.
 `enumerate_sat_her_per_vertex` grows the ideal lattice from one
@@ -62,8 +63,10 @@ from kgraph import (
     join,
     leq,
     local_periodicity_at,
+    positive_part,
     subtract,
 )
+from kgraph.periodicity import AperiodicReport, PeriodicReport, resolve_bound, signed_vectors
 from kgraph.skeleton import Edge, Skeleton, ValidationReport
 
 
@@ -197,6 +200,20 @@ def refute_first_witness(g, v, m, n):
                     seen.add(succ)
                     queue.append((succ, compose(path, kappa)))
     return None
+
+
+def scan_every_triple(g, bound):
+    """`scan_aperiodicity` deciding every (vertex, p) from scratch, with no mirror memo."""
+    bound = resolve_bound(g, bound)
+    entries = []
+    for v in g.vertices:
+        for p in signed_vectors(g.k, bound):
+            m, n = positive_part(p)
+            res = local_periodicity_at(g, v, m, n)
+            if res.periodic:
+                return PeriodicReport(bound, p, res)
+            entries.append((v, p, res))
+    return AperiodicReport(bound, entries)
 
 
 def k1_scan_finds_periodicity(g, bound):

@@ -211,6 +211,21 @@ def test_path_refuses_ids_that_are_not_edges(f):
         f.path("v", "b0")
 
 
+def test_path_refuses_edge_ids_that_are_not_iterable(f):
+    with pytest.raises(ContractViolationError, match="^edge ids None are not a sequence of edge ids$"):
+        f.path("v", None)
+
+
+def test_paths_from_refuses_an_unhashable_vertex(f):
+    with pytest.raises(ContractViolationError, match=r"^unknown vertex \['v'\]$"):
+        f.paths_from(["v"], (1, 0))
+
+
+def test_vertex_path_refuses_an_unhashable_vertex(f):
+    with pytest.raises(ContractViolationError, match=r"^unknown vertex \['v'\]$"):
+        f.vertex_path(["v"])
+
+
 def test_compose_requires_one_graph(t2, f):
     # both graphs have a vertex v, so only the graph check tells them apart
     with pytest.raises(ContractViolationError, match="paths belong to different graphs"):

@@ -126,6 +126,11 @@ class TestVertexIdIsNotAVertexSet:
             NotCofinal(d2, "u")
 
 
+def test_quotient_refuses_an_unhashable_vertex(f):
+    with pytest.raises(ContractViolationError, match=r"^vertex set \[\['v'\]\] is not a collection of vertex ids$"):
+        quotient(f, [["v"]])
+
+
 class TestClosure:
     def test_extensive_monotone_idempotent(self, d2):
         graphs = [d2] + corpus(6)

@@ -16,6 +16,7 @@ from kgraph import (
     scan_aperiodicity,
 )
 from kgraph.degrees import positive_part
+from kgraph.documents import canonical_json
 from kgraph.periodicity import default_bound, signed_vectors
 from kgraph.skeleton import Edge
 
@@ -28,6 +29,7 @@ from oracles import (
     k1_scan_finds_periodicity,
     pairs_up_to,
     refute_first_witness,
+    scan_every_triple,
     segment_by_compose,
 )
 
@@ -220,7 +222,9 @@ class TestScan:
         assert data["bound"] == 2
         assert len(data["witnesses"]) == 24
 
-    def test_periodic_hit_decided_once(self, t2, monkeypatch):
+    @pytest.fixture
+    def decisions(self, monkeypatch):
+        """The arguments of every `local_periodicity_at` call a scan makes."""
         import kgraph.periodicity as periodicity
 
         calls = []
@@ -230,9 +234,37 @@ class TestScan:
             return local_periodicity_at(*args)
 
         monkeypatch.setattr(periodicity, "local_periodicity_at", counted)
+        return calls
+
+    def test_periodic_hit_decided_once(self, t2, decisions):
         rep = scan_aperiodicity(t2, 1)
         assert rep.periodic
-        assert len(calls) == 1
+        assert len(decisions) == 1
+
+    def test_mirrored_triple_takes_the_earlier_lambda(self, f, decisions):
+        rep = scan_aperiodicity(f, 2)
+        assert not rep.periodic
+        assert len(decisions) == len(f.vertices) * ((2 * 2 + 1) ** 2 - 1) // 2
+        by_key = {(v, p): w for v, p, w in rep.entries}
+        later = [(v, p) for v, p in by_key if next(c for c in p if c) > 0]
+        assert len(later) == len(decisions)
+        for v, p in later:
+            w, mirror = by_key[v, p], by_key[v, tuple(-c for c in p)]
+            assert w.lam == mirror.lam
+            assert (w.segment_m, w.segment_n) == (mirror.segment_n, mirror.segment_m)
+
+    def test_scan_matches_deciding_every_triple(self, t2, f, d, d2):
+        def same(g, bound):
+            return canonical_json(scan_aperiodicity(g, bound).to_json()) == canonical_json(
+                scan_every_triple(g, bound).to_json()
+            )
+
+        for g in (t2, f, d, d2):
+            for bound in range(1, 6):
+                assert same(g, bound)
+        for g in corpus(40) + k2_products(3) + k3_products(2):
+            for bound in (1, 2):
+                assert same(g, bound)
 
     def test_deep_scan_memory_is_bounded(self):
         # vLambda^(8,8) of F holds 2^16 paths; the scan must not hold them.
