@@ -10,14 +10,11 @@ from .analysis import (
     RepElement,
     all_ideals_gauge_invariant,
     analyze,
-    annihilates,
     is_simple,
-    rep_apply,
-    rep_apply_adjoint,
     sample_family,
     verify_annihilation,
 )
-from .degrees import add, join, leq, ones, positive_part, subtract, zero
+from .degrees import add, join, leq, ones, positive_part, subtract
 from .documents import (
     canonical_json,
     dump_graph_document,
@@ -41,12 +38,7 @@ from .ideals import (
     quotient,
     sat_her_closure,
 )
-from .infinite import (
-    EventuallyPeriodicPath,
-    ep_compose,
-    ep_equal,
-    ep_samples,
-)
+from .infinite import EventuallyPeriodicPath, ep_samples
 from .periodicity import (
     AperiodicityWitness,
     PeriodicityTuple,
@@ -74,13 +66,10 @@ __all__ = [
     "add",
     "all_ideals_gauge_invariant",
     "analyze",
-    "annihilates",
     "canonical_json",
     "compose",
     "dump_graph_document",
     "enumerate_sat_her",
-    "ep_compose",
-    "ep_equal",
     "ep_samples",
     "factor",
     "fixture_parts",
@@ -97,12 +86,9 @@ __all__ = [
     "parse_graph_document",
     "positive_part",
     "quotient",
-    "rep_apply",
-    "rep_apply_adjoint",
     "sample_family",
     "sat_her_closure",
     "scan_aperiodicity",
     "subtract",
     "verify_annihilation",
-    "zero",
 ]

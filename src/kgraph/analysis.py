@@ -14,21 +14,23 @@ graph whose ideal lattice has at most `ideals.ENUM_LIMIT` sets, however
 many vertices it has.
 
 The representation-theoretic spot check works on the basis of eventually
-periodic infinite paths, with None as the zero vector.  A path eta acts
-by prepending (zero when the range does not match) and its adjoint by
-peeling eta off the front (zero when the prefix disagrees).  For a
-periodicity tuple, the defect element built from mu.alpha and nu.alpha
-annihilates every basis vector exactly because mu.alpha.y = nu.alpha.y
-for all y, so `annihilates` peels mu.alpha off x and compares x with
-nu.alpha.y; the degree inequality d(mu.alpha) != d(nu.alpha) is the
-finite certificate that the element is nevertheless a nonzero obstruction.
+periodic infinite paths.  For a periodicity tuple, the defect element
+s_(mu.alpha) s*_(mu.alpha) - s_(nu.alpha) s*_(mu.alpha) kills a basis
+vector x exactly when x does not start with mu.alpha, or x = mu.alpha.y
+and nu.alpha.y = x; the degree inequality d(mu.alpha) != d(nu.alpha) is
+the finite certificate that the element is nevertheless a nonzero
+obstruction.  `verify_annihilation` decides each sample exactly with one
+finite comparison, because x and nu.alpha.y end in the same loop.  It is
+a spot check all the same: the samples are finitely many.
 """
 
 import time
 
+from .degrees import add, join
 from .errors import ContractViolationError
+from .factorization import compose
 from .ideals import Cofinal, NotCofinal, enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
-from .infinite import EventuallyPeriodicPath, _unrolled_cut, ep_compose, ep_equal, ep_samples
+from .infinite import _unrolled_cut, ep_samples
 from .periodicity import resolve_bound, scan_aperiodicity
 
 
@@ -54,40 +56,31 @@ class RepElement:
         return cls(tup.mu_alpha, tup.nu_alpha)
 
 
-def rep_apply(g, eta, x):
-    """The generator for eta applied to the basis vector of x, or None."""
-    if eta.graph is not g:
-        raise ContractViolationError("eta belongs to a different graph")
-    if x.range_vertex != eta.source_vertex:
-        return None
-    return ep_compose(eta, x)
-
-
-def rep_apply_adjoint(g, eta, x):
-    """The adjoint generator: strips eta off the front of x, or None."""
-    if eta.graph is not g:
-        raise ContractViolationError("eta belongs to a different graph")
-    if x.range_vertex != eta.range_vertex:
-        return None
-    head, rest = _unrolled_cut(x.prefix, x.loop, eta.degree)
-    if head != eta:
-        return None
-    return EventuallyPeriodicPath(rest, x.loop).minimized()
-
-
-def annihilates(g, elem, x, cycle_cache=None):
-    """Whether the defect element sends the basis vector of x to zero."""
-    y = rep_apply_adjoint(g, elem.mu_alpha, x)
-    if y is None:
-        return True
-    # mu.alpha.y denotes x, and y starts at s(nu.alpha), so that prepend is not zero.
-    return ep_equal(x, rep_apply(g, elem.nu_alpha, y), cycle_cache)
-
-
 def verify_annihilation(g, elem, samples):
-    """True when the defect annihilates every sampled basis vector."""
-    cache = {}
-    return all(annihilates(g, elem, x, cache) for x in samples)
+    """True when the defect annihilates every sampled basis vector.
+
+    A sample x = rho.gamma^inf that starts with mu.alpha is
+    mu.alpha.rest.gamma^inf, for `rest` the remainder of rho.gamma^t, and
+    the defect sends it to x - y with y = nu.alpha.rest.gamma^inf.  Past
+    D = d(mu.alpha.rest) v d(nu.alpha.rest), x and y are both shifts of
+    gamma^inf, which sigma^d(gamma) fixes, so each is its first d(gamma)
+    block repeated: x = y exactly when they agree up to D + d(gamma).
+    """
+    mu_alpha, nu_alpha = elem.mu_alpha, elem.nu_alpha
+    if mu_alpha.graph is not g:
+        raise ContractViolationError("the element belongs to a different graph")
+    reach = join(mu_alpha.degree, nu_alpha.degree)
+    for x in samples:
+        rho, gam = x.prefix, x.loop
+        if rho.range_vertex != mu_alpha.range_vertex:
+            continue
+        head, rest = _unrolled_cut(rho, gam, mu_alpha.degree)
+        if head != mu_alpha:
+            continue
+        top = add(add(reach, rest.degree), gam.degree)
+        if _unrolled_cut(rho, gam, top)[0] != _unrolled_cut(compose(nu_alpha, rest), gam, top)[0]:
+            return False
+    return True
 
 
 def sample_family(g, depth):

@@ -18,10 +18,6 @@ from .errors import ContractViolationError
 MAX_ENTRY = 2**31 - 1
 
 
-def zero(k):
-    return (0,) * k
-
-
 def ones(k):
     return (1,) * k
 
@@ -64,7 +60,10 @@ def positive_part(p):
     both), so they form the canonical minimal pair for the difference
     vector p.  The zero vector has no such pair and is rejected.
     """
-    p = tuple(p)
+    try:
+        p = tuple(p)
+    except TypeError:
+        raise ContractViolationError(f"signed vector {p!r} is not a sequence of ints") from None
     if any(type(c) is not int for c in p):
         raise ContractViolationError(f"signed entries {p!r} are not all ints")
     if not p:

@@ -34,7 +34,7 @@ range end first: edges[0] has range r(lambda) and edges[-1] has source
 s(lambda), and compose(mu, nu) requires s(mu) = r(nu).
 """
 
-from .degrees import MAX_ENTRY, add, subtract, zero
+from .degrees import MAX_ENTRY, add, subtract
 from .errors import ContractViolationError, ValidationError
 from .skeleton import ValidationReport
 
@@ -44,7 +44,8 @@ class SquareTable:
 
     `forward` maps an ascending-color pair (f, g) to its image (g', f');
     `backward` is the inverse.  `entries` keeps the (pair, image) tuples as
-    given, so an invalid table can still be serialized and reported on.
+    given, so an invalid table can still be serialized and reported on.  An
+    entry whose pair or image is not a hashable tuple of two ids is refused.
     """
 
     def __init__(self, entries):
@@ -53,15 +54,22 @@ class SquareTable:
         self.backward = {}
         self.duplicate_keys = []
         self.duplicate_images = []
-        for pair, image in self.entries:
-            if pair in self.forward:
-                self.duplicate_keys.append(pair)
-            else:
-                self.forward[pair] = image
-            if image in self.backward:
-                self.duplicate_images.append(image)
-            else:
-                self.backward[image] = pair
+        for entry in self.entries:
+            try:
+                pair, image = entry
+                if type(pair) is type(image) is tuple and len(pair) == len(image) == 2:
+                    if pair in self.forward:
+                        self.duplicate_keys.append(pair)
+                    else:
+                        self.forward[pair] = image
+                    if image in self.backward:
+                        self.duplicate_images.append(image)
+                    else:
+                        self.backward[image] = pair
+                    continue
+            except (TypeError, ValueError):  # not two items, or an unhashable pair or image
+                pass
+            raise ContractViolationError(f"square entry {entry!r} is not a (pair, image) of two edge-id tuples")
 
 
 def validate_squares(skeleton, table):
@@ -256,10 +264,6 @@ class KGraph:
         for c in n:
             if type(c) is not int or c < 0 or c > MAX_ENTRY:
                 raise ContractViolationError(f"degree {n!r} needs int entries in 0..{MAX_ENTRY}")
-
-    def vertex_path(self, v):
-        self.require_vertex(v)
-        return Path(self, v, v, zero(self.k), ())
 
     def _cut(self, range_vertex, seq, degrees):
         """Swap a composable edge sequence into the color word of `degrees`; one Path per degree.

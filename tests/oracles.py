@@ -21,6 +21,13 @@ generator per vertex, with no limit, as the library did before it took
 one per strongly connected component.
 `segment(lam, m, n)` is lam(m, n) from the library's one three-piece
 `factor`; the oracles read their segments through it.
+`ep_equal` decides equality of any two eventually periodic paths, block
+by block over their cycles, and the generator action sits on it:
+`rep_apply` prepends a path, `rep_apply_adjoint` peels one off and
+`minimized` drops whole loop copies from the prefix, with `None` as the
+zero vector off their domain.  `annihilates` is the defect element's
+action on one basis vector by that definition, the reference for
+`verify_annihilation`'s single finite comparison.
 The `*_by_compose` functions are the path layers' definitions one cut
 at a time: a segment from two `factor` calls, an eventually periodic
 path unrolled one `compose` per loop copy, and cycle equality stepped
@@ -56,8 +63,6 @@ from kgraph import (
     SquareTable,
     add,
     compose,
-    ep_compose,
-    ep_equal,
     ep_samples,
     factor,
     join,
@@ -66,6 +71,7 @@ from kgraph import (
     positive_part,
     subtract,
 )
+from kgraph.infinite import _unrolled_cut
 from kgraph.periodicity import AperiodicReport, PeriodicReport, resolve_bound, signed_vectors
 from kgraph.skeleton import Edge, Skeleton, ValidationReport
 
@@ -658,6 +664,100 @@ def cofinality_oracle(g, depth):
     return True
 
 
+def minimized(x):
+    """Peel whole loop copies off the prefix tail; the same infinite path."""
+    rho, gam = x.prefix, x.loop
+    g = gam.degree
+    while leq(g, rho.degree):
+        head, tail = factor(rho, subtract(rho.degree, g))
+        if tail != gam:
+            break
+        rho = head
+    return EventuallyPeriodicPath(rho, gam)
+
+
+def ep_equal(x, y, cycle_cache=None):
+    """Exact equality of the denoted infinite paths, block by block.
+
+    After cutting both paths at the join of the prefix degrees, the tails
+    are purely periodic, and a purely periodic tail is determined by the
+    cycle formed by its next loop-degree worth of edges.  Comparing the
+    two tails over blocks of degree g1 + g2 and memoizing the visited
+    cycle pairs terminates (finitely many cycles of a fixed degree) and is
+    exact: a difference at any degree shows up in some block, and a
+    revisited pair means the comparison has entered a cycle that can never
+    produce a difference.  `cycle_cache` may be a dict shared across calls
+    on one graph; it memoizes verdicts for pure-cycle pairs.
+    """
+    if x.prefix.graph is not y.prefix.graph:
+        return False
+    if x.prefix.range_vertex != y.prefix.range_vertex:
+        return False
+    cut = join(x.prefix.degree, y.prefix.degree)
+    hx, cx, _ = _unrolled_cut(x.prefix, x.loop, cut, x.loop.degree)
+    hy, cy, _ = _unrolled_cut(y.prefix, y.loop, cut, y.loop.degree)
+    return hx == hy and _cycles_equal(cx, cy, cycle_cache)
+
+
+def _cycles_equal(cx, cy, cache=None):
+    """Whether cx^inf = cy^inf; both must be cycles at the same vertex."""
+    start = (cx, cy)
+    if cache is not None and start in cache:
+        return cache[start]
+    seen = set()
+    state = start
+    verdict = True
+    while state not in seen:
+        seen.add(state)
+        a, b = state
+        block = add(a.degree, b.degree)
+        # a^inf is a.a^inf, so each side unrolls from its own cycle.
+        ha, a, _ = _unrolled_cut(a, a, block, a.degree)
+        hb, b, _ = _unrolled_cut(b, b, block, b.degree)
+        if ha != hb:
+            verdict = False
+            break
+        state = (a, b)
+    if cache is not None:
+        cache[start] = verdict
+    return verdict
+
+
+def ep_compose(mu, x):
+    """mu.x as an eventually periodic path; needs s(mu) = r(x)."""
+    return EventuallyPeriodicPath(compose(mu, x.prefix), x.loop)
+
+
+def rep_apply(g, eta, x):
+    """The generator for eta applied to the basis vector of x, or None (the zero vector)."""
+    if eta.graph is not g:
+        raise ContractViolationError("eta belongs to a different graph")
+    if x.prefix.range_vertex != eta.source_vertex:
+        return None
+    return ep_compose(eta, x)
+
+
+def rep_apply_adjoint(g, eta, x):
+    """The adjoint generator: strips eta off the front of x, or None."""
+    if eta.graph is not g:
+        raise ContractViolationError("eta belongs to a different graph")
+    if x.prefix.range_vertex != eta.range_vertex:
+        return None
+    head, rest = _unrolled_cut(x.prefix, x.loop, eta.degree)
+    if head != eta:
+        return None
+    return minimized(EventuallyPeriodicPath(rest, x.loop))
+
+
+def annihilates(g, elem, x, cycle_cache=None):
+    """Whether the defect element sends the basis vector of x to zero."""
+    y = rep_apply_adjoint(g, elem.mu_alpha, x)
+    if y is None:
+        return True
+    # mu.alpha.y denotes x, and y starts at s(nu.alpha), so that prepend is not zero.
+    return ep_equal(x, rep_apply(g, elem.nu_alpha, y), cycle_cache)
+
+
 def segment(lam, m, n):
     """lam(m, n) (m <= n <= d(lam)): the middle piece of one three-piece `factor`."""
     return factor(lam, m, subtract(n, m))[1]
@@ -686,11 +786,11 @@ def ep_segment_by_compose(x, m, n):
 
 def ep_shift_by_compose(x, p):
     _, rho = factor(unrolled_by_compose(x, p), p)
-    return EventuallyPeriodicPath(rho, x.loop).minimized()
+    return minimized(EventuallyPeriodicPath(rho, x.loop))
 
 
 def rep_apply_adjoint_by_compose(g, eta, x):
-    if x.range_vertex != eta.range_vertex:
+    if x.prefix.range_vertex != eta.range_vertex:
         return None
     if ep_segment_by_compose(x, (0,) * g.k, eta.degree) != eta:
         return None
@@ -699,7 +799,7 @@ def rep_apply_adjoint_by_compose(g, eta, x):
 
 def ep_equal_by_compose(x, y):
     """Equality of the denoted paths: the prefix block, then the cycles."""
-    if x.graph is not y.graph or x.range_vertex != y.range_vertex:
+    if x.prefix.graph is not y.prefix.graph or x.prefix.range_vertex != y.prefix.range_vertex:
         return False
     cut = join(x.prefix.degree, y.prefix.degree)
     zero = (0,) * len(cut)
@@ -717,8 +817,8 @@ def cycles_equal_by_compose(cx, cy):
     while state not in seen:
         seen.add(state)
         a, b = state
-        xa = EventuallyPeriodicPath(a.graph.vertex_path(a.range_vertex), a)
-        xb = EventuallyPeriodicPath(b.graph.vertex_path(b.range_vertex), b)
+        xa = EventuallyPeriodicPath(a.graph.path(a.range_vertex, ()), a)
+        xb = EventuallyPeriodicPath(b.graph.path(b.range_vertex, ()), b)
         block = add(a.degree, b.degree)
         zero = (0,) * len(block)
         if ep_segment_by_compose(xa, zero, block) != ep_segment_by_compose(xb, zero, block):
@@ -774,7 +874,7 @@ def ep_samples_unique(g, v, prefix_bound, loop_bound):
     """Like ep_samples but deduplicated by minimized representation."""
     seen = set()
     for x in ep_samples(g, v, prefix_bound, loop_bound):
-        m = x.minimized()
+        m = minimized(x)
         key = (m.prefix, m.loop)
         if key not in seen:
             seen.add(key)
@@ -786,7 +886,7 @@ def aperiodic_prefix(g, v, pairs):
 
     Raises if any pair turns out periodic at the reached vertex.
     """
-    eta = g.vertex_path(v)
+    eta = g.path(v, ())
     for idx, (m, n) in enumerate(pairs):
         res = local_periodicity_at(g, eta.source_vertex, m, n)
         if res.periodic:

@@ -18,9 +18,11 @@ from generators import corpus, k2_products, k3_products
 from oracles import (
     brute_force_witness,
     cofinality_oracle,
+    ep_equal,
     ep_samples_unique,
     matmul,
     pairs_up_to,
+    rep_apply,
     segment,
     vertex_matrices,
 )
@@ -29,7 +31,6 @@ from kgraph.analysis import (
     RepElement,
     all_ideals_gauge_invariant,
     is_simple,
-    rep_apply,
     sample_family,
     verify_annihilation,
 )
@@ -37,7 +38,7 @@ from kgraph.degrees import add, join, subtract
 from kgraph.factorization import KGraph, compose, factor
 from kgraph.fixtures import fixture_parts
 from kgraph.ideals import is_cofinal, is_hereditary, is_saturated, quotient
-from kgraph.infinite import ep_equal, ep_samples
+from kgraph.infinite import ep_samples
 from kgraph.periodicity import (
     AperiodicityWitness,
     PeriodicityTuple,

@@ -1,7 +1,10 @@
 """Representation spot checks, simplicity verdicts, gauge invariance."""
 
+from itertools import islice, product
+
 import pytest
 from generators import corpus, k2_products, k3_products
+from oracles import annihilates, ep_equal, rep_apply, rep_apply_adjoint
 
 from kgraph import (
     ContractViolationError,
@@ -9,15 +12,11 @@ from kgraph import (
     RepElement,
     all_ideals_gauge_invariant,
     analyze,
-    annihilates,
-    ep_equal,
     ep_samples,
     fixture_parts,
     is_cofinal,
     is_simple,
     local_periodicity_at,
-    rep_apply,
-    rep_apply_adjoint,
     sample_family,
     scan_aperiodicity,
     verify_annihilation,
@@ -111,10 +110,25 @@ class TestAnnihilation:
         tup = local_periodicity_at(t2, "v", (1, 0), (0, 1))
         assert verify_annihilation(t2, RepElement.from_tuple(tup), [])
 
+    def test_only_the_loop_block_separates(self, f):
+        # x = (b0.r0)^inf starts with the vertex v, so rest = v and the two
+        # sides agree up to d(mu.alpha) v d(nu.alpha) = (0, 1): both start
+        # r0.  They part in the next d(gamma) = (1, 1) block.
+        elem = RepElement(f.path("v", ()), f.path("v", ["r0"]))
+        x = ep(f, "v", [], ["b0", "r0"])
+        assert not annihilates(f, elem, x)
+        assert not verify_annihilation(f, elem, [x])
+
+    def test_foreign_element_refused(self, t2, f):
+        elem = RepElement(f.path("v", ()), f.path("v", ["r0"]))
+        for samples in ([], ep_samples(t2, "v", 1, 1)):
+            with pytest.raises(ContractViolationError, match="different graph"):
+                verify_annihilation(t2, elem, samples)
+
     def test_sample_family_covers_all_vertices(self, d):
         xs = list(sample_family(d, 1))
         assert len(xs) == 8
-        assert {x.range_vertex for x in xs} == {"u", "w"}
+        assert {x.prefix.range_vertex for x in xs} == {"u", "w"}
 
 
 class TestSimplicity:
@@ -256,3 +270,53 @@ def test_analyze_reads_cofinality_off_the_gauge_rows():
         assert (type(ours), ours.to_json()) == (type(theirs), theirs.to_json())
         not_cofinal += not theirs.cofinal
     assert 0 < not_cofinal < len(graphs)
+
+
+MAX_FABRICATED = 12
+MAX_SAMPLES = 200
+
+
+def _evenly(items, most):
+    return items[:: max(1, len(items) // most)][:most]
+
+
+def _elements(g):
+    """(graph, element): the periodic tuples of analyze(g, 2), then fabricated ones.
+
+    A fabricated element pairs two paths from one vertex, with the same
+    source and different degrees, entries <= 1; some of them annihilate
+    the samples and some do not.
+    """
+    tuples = [scan.tuple for _, scan in analyze(g, 2).gauge.rows if scan.periodic]
+    out = [(t.mu.graph, RepElement.from_tuple(t)) for t in tuples]
+    fabricated = []
+    for v in g.vertices:
+        by_source = {}
+        for d in product(range(2), repeat=g.k):
+            for lam in islice(g.paths_from(v, d), 2):
+                by_source.setdefault(lam.source_vertex, []).append(lam)
+        for paths in by_source.values():
+            fabricated += [(g, RepElement(a, b)) for a in paths for b in paths if a.degree != b.degree]
+    return out + _evenly(fabricated, MAX_FABRICATED)
+
+
+def test_verify_annihilation_matches_the_oracle():
+    # The finite comparison against the general one: ep_equal on the
+    # oracle's generator action, per sample and per sample list.
+    graphs = [KGraph(*fixture_parts(name)) for name in ("T2", "F", "D", "D2")]
+    graphs += corpus(40) + k2_products(3) + k3_products(2)
+    lists, samples = {True: 0, False: 0}, {True: 0, False: 0}
+    for g in graphs:
+        for h, elem in _elements(g):
+            for depth in (1, 2):
+                xs = _evenly(list(sample_family(h, depth)), MAX_SAMPLES)
+                cache = {}
+                verdicts = [annihilates(h, elem, x, cache) for x in xs]
+                for x, want in zip(xs, verdicts):
+                    assert verify_annihilation(h, elem, [x]) == want, (elem.mu_alpha, elem.nu_alpha, x)
+                    samples[want] += 1
+                want = all(verdicts)
+                assert verify_annihilation(h, elem, xs) == want
+                lists[want] += 1
+    assert lists[True] > 500 and lists[False] > 100
+    assert samples[True] > 10_000 and samples[False] > 1_000

@@ -1,11 +1,13 @@
 """One rewrite per cut: the path layers against their one-cut-at-a-time definitions.
 
-The three-piece `factor`, `ep_equal` and `rep_apply_adjoint` take every
-piece of a cut from a single `KGraph._cut`.  The oracles in `oracles.py`
+The library's three-piece `factor`, and the general infinite-path
+oracles `ep_equal` and `rep_apply_adjoint` in `oracles.py`, take every
+piece of a cut from a single `KGraph._cut`.  The `*_by_compose` oracles
 build the same values the old way (two two-piece `factor` calls, one
 `compose` per loop copy, pure-cycle wrappers), and by unique
-factorization both must give the same canonical paths.  The count tests pin the mechanism: they fail
-when a caller goes back to cutting one piece at a time.
+factorization both must give the same canonical paths.  The count tests
+pin the mechanism: they fail when a caller goes back to cutting one
+piece at a time.
 """
 
 from functools import cache
@@ -14,7 +16,10 @@ from itertools import islice, product
 import pytest
 from generators import corpus, k3_products
 from oracles import (
+    ep_equal,
     ep_equal_by_compose,
+    minimized,
+    rep_apply_adjoint,
     rep_apply_adjoint_by_compose,
     segment_by_compose,
 )
@@ -22,12 +27,10 @@ from oracles import (
 from kgraph import (
     EventuallyPeriodicPath,
     compose,
-    ep_equal,
     factor,
     fixture_parts,
     leq,
     local_periodicity_at,
-    rep_apply_adjoint,
     sample_family,
     subtract,
 )
@@ -79,14 +82,14 @@ def test_ep_equal_matches_wrapper_definition():
             # Three other representations of the same path, then the
             # samples from the same vertex, mostly different paths.
             same = [
-                x.minimized(),
+                minimized(x),
                 EventuallyPeriodicPath(compose(x.prefix, x.loop), x.loop),
                 EventuallyPeriodicPath(x.prefix, compose(x.loop, x.loop)),
             ]
             for y in same:
                 assert ep_equal(x, y) and ep_equal_by_compose(x, y)
             cache = {}
-            for y in [y for y in xs if y.range_vertex == x.range_vertex][:4]:
+            for y in [y for y in xs if y.prefix.range_vertex == x.prefix.range_vertex][:4]:
                 want = ep_equal_by_compose(x, y)
                 assert ep_equal(x, y) == want
                 assert ep_equal(x, y, cache) == want
@@ -100,7 +103,7 @@ def test_rep_apply_adjoint_matches_segment_then_shift():
         degrees = box(g)
         for x in samples(g):
             for d in degrees:
-                for eta in islice(g.paths_from(x.range_vertex, d), 3):
+                for eta in islice(g.paths_from(x.prefix.range_vertex, d), 3):
                     got = rep_apply_adjoint(g, eta, x)
                     want = rep_apply_adjoint_by_compose(g, eta, x)
                     # the same representation, not only the same infinite path

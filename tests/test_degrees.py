@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from kgraph import add, factor, join, leq, ones, positive_part, subtract, zero
+from kgraph import add, factor, join, leq, ones, positive_part, subtract
 from kgraph.degrees import MAX_ENTRY
 from kgraph.errors import ContractViolationError
 
@@ -13,9 +13,9 @@ def all_degrees(k, top):
 
 def test_construction_and_accessors():
     d = (10, 2)
-    assert not any(zero(3))
+    assert not any((0,) * 3)
     assert ones(3) == (1, 1, 1)
-    results = [zero(2), ones(2), join(d, (0, 5))]
+    results = [(0,) * 2, ones(2), join(d, (0, 5))]
     results += [add(d, (1, 1)), subtract(d, (1, 1)), *positive_part((-1, 2))]
     assert all(type(r) is tuple for r in results)
 
@@ -106,6 +106,12 @@ def test_positive_part_splits_signed_vectors():
         assert tuple(n[i] - m[i] for i in range(2)) == p
         assert not any(a and b for a, b in zip(m, n))  # disjoint support
         assert m != n
+
+
+def test_positive_part_refuses_what_is_not_a_sequence():
+    for p in (None, 5):
+        with pytest.raises(ContractViolationError, match="is not a sequence of ints"):
+            positive_part(p)
 
 
 def test_degree_is_hashable_and_ordered_partially():

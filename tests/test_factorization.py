@@ -12,7 +12,6 @@ from kgraph import (
     fixture_parts,
     leq,
     subtract,
-    zero,
 )
 from kgraph.errors import ContractViolationError, ValidationError
 from kgraph.factorization import validate_cubes, validate_squares
@@ -176,9 +175,27 @@ def test_square_violations_named(case):
     assert validate_squares(skel, SquareTable(entries)).violations == expected
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ("br", "rb"),  # strings: "br" would unpack as the ids b and r
+        ("b", "r"),
+        (["b", "r"], ("r", "b")),
+        (("b", "r"),),
+        (("b", "r", "b"), ("r", "b")),
+        (("b", ["r"]), ("r", "b")),
+        (("b", "r"), ("r", ["b"])),
+        None,
+    ],
+)
+def test_square_table_refuses_an_entry_that_is_not_two_id_pairs(entry):
+    with pytest.raises(ContractViolationError, match=r"^square entry .* is not a \(pair, image\) of two edge-id tuples$"):
+        SquareTable([entry])
+
+
 def test_vertex_and_edge_paths(t2):
-    v = t2.vertex_path("v")
-    assert v.degree == zero(2)
+    v = t2.path("v", ())
+    assert v.degree == (0, 0)
     assert v.is_vertex()
     b = t2.path("v", ["b"])
     assert b.degree == (1, 0)
@@ -223,7 +240,7 @@ def test_paths_from_refuses_an_unhashable_vertex(f):
 
 def test_vertex_path_refuses_an_unhashable_vertex(f):
     with pytest.raises(ContractViolationError, match=r"^unknown vertex \['v'\]$"):
-        f.vertex_path(["v"])
+        f.path(["v"], ())
 
 
 def test_compose_requires_one_graph(t2, f):

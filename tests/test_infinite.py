@@ -1,16 +1,19 @@
-"""Eventually periodic paths: representation, minimization, exact equality."""
+"""Eventually periodic paths: representation and samples, then exact equality.
+
+Minimization, composition and equality are the general oracles in
+`oracles.py`; the library compares infinite paths only inside
+`verify_annihilation`.
+"""
 
 import pytest
 
 from kgraph import (
     ContractViolationError,
     EventuallyPeriodicPath,
-    ep_compose,
-    ep_equal,
     ep_samples,
 )
 
-from oracles import ep_samples_unique
+from oracles import ep_compose, ep_equal, ep_samples_unique, minimized
 
 
 def ep(g, vertex, prefix_edges, loop_edges):
@@ -21,14 +24,14 @@ def ep(g, vertex, prefix_edges, loop_edges):
 
 class TestConstruction:
     def test_loop_must_have_full_support(self, f):
-        rho = f.vertex_path("v")
+        rho = f.path("v", ())
         with pytest.raises(ContractViolationError, match="must be >= 1 in every coordinate"):
             EventuallyPeriodicPath(rho, f.path("v", ["b0"]))
         with pytest.raises(ContractViolationError, match="must be >= 1 in every coordinate"):
             EventuallyPeriodicPath(rho, f.path("v", ["r0", "r1"]))
 
     def test_loop_must_be_a_cycle(self, d2):
-        rho = d2.vertex_path("w")
+        rho = d2.path("w", ())
         # the connector leaves w for u and u never leads back
         not_loop = d2.path("w", ["cb", "ru0"])
         assert not_loop.source_vertex != not_loop.range_vertex
@@ -36,13 +39,13 @@ class TestConstruction:
             EventuallyPeriodicPath(rho, not_loop)
 
     def test_loop_must_sit_at_prefix_source(self, d):
-        rho = d.vertex_path("u")
+        rho = d.path("u", ())
         gam = d.path("w", ["bw", "rw"])
         with pytest.raises(ContractViolationError, match="loop must sit at the prefix's source"):
             EventuallyPeriodicPath(rho, gam)
 
     def test_cross_graph_mix_rejected(self, t2, f):
-        rho = t2.vertex_path("v")
+        rho = t2.path("v", ())
         gam = f.path("v", ["b0", "r0"])
         with pytest.raises(ContractViolationError, match="prefix and loop belong to different graphs"):
             EventuallyPeriodicPath(rho, gam)
@@ -51,18 +54,18 @@ class TestConstruction:
 class TestMinimized:
     def test_peels_whole_loop_copies(self, f):
         x = ep(f, "v", ["b0", "r0"], ["b0", "r0"])
-        m = x.minimized()
-        assert m.prefix == f.vertex_path("v")
+        m = minimized(x)
+        assert m.prefix == f.path("v", ())
         assert m.loop == x.loop
 
     def test_keeps_genuinely_different_prefix(self, f):
         x = ep(f, "v", ["b1", "r0"], ["b0", "r0"])
-        m = x.minimized()
+        m = minimized(x)
         assert (m.prefix, m.loop) == (x.prefix, x.loop)
 
     def test_same_infinite_path(self, f):
         x = ep(f, "v", ["b0", "r0", "b0", "r0"], ["b0", "r0"])
-        assert ep_equal(x, x.minimized())
+        assert ep_equal(x, minimized(x))
 
 
 class TestEquality:

@@ -179,8 +179,8 @@ class TestTuple:
             PeriodicityTuple("v", (1, 0), (0, 1), mu, t2.path("v", ["r"]))
 
     def test_validation_rejects_equal_degrees(self, t2):
-        mu = t2.vertex_path("v")
-        alpha = t2.vertex_path("v")
+        mu = t2.path("v", ())
+        alpha = t2.path("v", ())
         with pytest.raises(ContractViolationError):
             PeriodicityTuple("v", (0, 0), (0, 0), mu, alpha)
 
