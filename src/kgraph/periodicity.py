@@ -54,19 +54,28 @@ from itertools import product as _iproduct
 
 from .degrees import MAX_ENTRY, join, leq, ones, positive_part, subtract
 from .errors import ContractViolationError
-from .factorization import compose, factor
+from .factorization import Path, compose, factor
 
 
 class AperiodicityWitness:
     """A finite path separating sigma^m from sigma^n at its range vertex.
 
-    Construction recomputes both segments and refuses a path that does
-    not actually separate, so a witness object is always trustworthy.
+    Construction cuts both segments out of lam, lam(m, m + q) and
+    lam(n, n + q) with q = d(lam) - (m v n), one cut of lam each, and
+    refuses a path that does not actually separate, so a witness object
+    is always trustworthy.  `mirrored` gives the (vertex, n, m) witness
+    of the same lam without cutting: m v n and so q are symmetric in m
+    and n, so the constructor would cut the same two segments, swapped.
     """
 
     periodic = False
 
     def __init__(self, vertex, m, n, lam):
+        if not isinstance(lam, Path):
+            raise ContractViolationError(f"witness path {lam!r} is not a Path")
+        g = lam.graph
+        g.require_rank(m)
+        g.require_rank(n)
         j = join(m, n)
         if lam.range_vertex != vertex:
             raise ContractViolationError("witness path does not start at the claimed vertex")
@@ -77,10 +86,17 @@ class AperiodicityWitness:
         self.m = m
         self.n = n
         self.lam = lam
-        self.segment_m = factor(lam, m, q)[1]
-        self.segment_n = factor(lam, n, q)[1]
+        self.segment_m = g._cut(vertex, lam.edges, (m, q, subtract(j, m)))[1]
+        self.segment_n = g._cut(vertex, lam.edges, (n, q, subtract(j, n)))[1]
         if self.segment_m == self.segment_n:
             raise ContractViolationError("witness path does not separate the two shifts")
+
+    def mirrored(self):
+        """The (vertex, n, m) witness of the same lam: this one's segments, swapped."""
+        mirror = object.__new__(AperiodicityWitness)
+        mirror.vertex, mirror.m, mirror.n, mirror.lam = self.vertex, self.n, self.m, self.lam
+        mirror.segment_m, mirror.segment_n = self.segment_n, self.segment_m
+        return mirror
 
     def to_json(self):
         return {
@@ -105,6 +121,8 @@ class PeriodicityTuple:
     periodic = True
 
     def __init__(self, vertex, m, n, mu, alpha):
+        if not (isinstance(mu, Path) and isinstance(alpha, Path)):
+            raise ContractViolationError("mu and alpha must be Paths")
         if mu.range_vertex != vertex:
             raise ContractViolationError("mu does not start at the claimed vertex")
         if mu.degree != m:
@@ -154,8 +172,8 @@ def local_periodicity_at(g, v, m, n):
     parents = {}
     for lam in g.paths_from(v, j):
         # j = d(lam), so lam(m, j) is the tail of lam after degree m.
-        _, left = factor(lam, m)
-        _, right = factor(lam, n)
+        _, left = g._cut(v, lam.edges, (m, a))
+        _, right = g._cut(v, lam.edges, (n, b))
         if left.range_vertex != right.range_vertex:
             return AperiodicityWitness(v, m, n, lam)
         seed = (left, right)
@@ -274,22 +292,24 @@ def scan_aperiodicity(g, bound=None):
     The triples for p and -p are mirrors, decided alike with the same
     witness lambda (docs/minimal-pairs.md), and the scan never reaches
     the later one of a periodic pair.  So only the earlier one is
-    decided; the later one's witness is rebuilt from that lambda by its
-    constructor, which re-validates it as any other.
+    decided, and the later one's entry is the earlier witness's
+    `mirrored()`: the same lambda with the two segments swapped, which
+    is exactly what the constructor would cut from lambda for the
+    swapped pair, since q = d(lambda) - (m v n) does not depend on the
+    order of m and n.
     """
     bound = resolve_bound(g, bound)
     entries = []
     for v in g.vertices:
-        mirrored = {}  # -p -> lambda of the aperiodic decision at p
+        mirrored = {}  # -p -> witness of the aperiodic decision at p
         for p in signed_vectors(g.k, bound):
-            m, n = positive_part(p)
-            lam = mirrored.pop(p, None)
-            if lam is not None:
-                res = AperiodicityWitness(v, m, n, lam)
+            earlier = mirrored.pop(p, None)
+            if earlier is not None:
+                res = earlier.mirrored()
             else:
-                res = local_periodicity_at(g, v, m, n)
+                res = local_periodicity_at(g, v, *positive_part(p))
                 if res.periodic:
                     return PeriodicReport(bound, p, res)
-                mirrored[tuple(-c for c in p)] = res.lam
+                mirrored[tuple(-c for c in p)] = res
             entries.append((v, p, res))
     return AperiodicReport(bound, entries)

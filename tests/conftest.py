@@ -39,6 +39,20 @@ def d2():
     return KGraph(*fixture_parts("D2"))
 
 
+@pytest.fixture
+def rewrites(monkeypatch):
+    """The degrees of every KGraph._cut call, in order."""
+    calls = []
+    real = KGraph._cut
+
+    def counted(self, range_vertex, seq, degrees):
+        calls.append(degrees)
+        return real(self, range_vertex, seq, degrees)
+
+    monkeypatch.setattr(KGraph, "_cut", counted)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter):
     outcomes = {}
     for status in ("passed", "failed", "error"):

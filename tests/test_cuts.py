@@ -114,20 +114,6 @@ def test_rep_apply_adjoint_matches_segment_then_shift():
     assert outcomes["zero"] > 100 and outcomes["shifted"] > 100
 
 
-@pytest.fixture
-def rewrites(monkeypatch):
-    """The degrees of every KGraph._cut call, in order."""
-    calls = []
-    real = KGraph._cut
-
-    def counted(self, range_vertex, seq, degrees):
-        calls.append(degrees)
-        return real(self, range_vertex, seq, degrees)
-
-    monkeypatch.setattr(KGraph, "_cut", counted)
-    return calls
-
-
 def ep(g, vertex, prefix_edges, loop_edges):
     rho = g.path(vertex, prefix_edges)
     return EventuallyPeriodicPath(rho, g.path(rho.source_vertex, loop_edges))

@@ -113,7 +113,9 @@ class TestRefuteFirst:
 class TestWitness:
     def test_witness_separates_by_construction(self, t2, f, d, d2):
         # Each witness's segments against the definition, recomputed from
-        # the carried path by two two-piece cuts instead of one three-piece one.
+        # the carried path by two two-piece cuts instead of one three-piece one,
+        # and each witness, mirrors included, against the constructor's own
+        # witness for the same path.
         from kgraph import add, join, subtract
 
         witnesses = 0
@@ -125,8 +127,31 @@ class TestWitness:
                 q = subtract(w.lam.degree, join(w.m, w.n))
                 assert segment_by_compose(w.lam, w.m, add(w.m, q)) == w.segment_m
                 assert segment_by_compose(w.lam, w.n, add(w.n, q)) == w.segment_n
+                assert AperiodicityWitness(v, w.m, w.n, w.lam).to_json() == w.to_json()
                 witnesses += 1
         assert witnesses == 628
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            ([1, 0], (0, 1)),
+            ((1, 0), [0, 1]),
+            ((-1, 0), (0, 1)),
+            ((1, 0), (0, -1)),
+            ((True, 0), (0, 1)),
+            ((1, 0), (0, True)),
+            ((1, 0, 0), (0, 1)),
+            ((1, 0), (0, 1, 0)),
+        ],
+    )
+    def test_degree_that_is_not_a_rank_k_tuple_refused(self, f, m, n):
+        lam = local_periodicity_at(f, "v", (1, 0), (0, 1)).lam
+        with pytest.raises(ContractViolationError, match="degree"):
+            AperiodicityWitness("v", m, n, lam)
+
+    def test_path_that_is_not_a_path_refused(self):
+        with pytest.raises(ContractViolationError, match="not a Path"):
+            AperiodicityWitness("v", (1, 0), (0, 1), None)
 
     def test_non_separating_path_refused(self, t2):
         lam = t2.path("v", ["b", "r"])
@@ -177,6 +202,13 @@ class TestTuple:
         mu = t2.path("v", ["r"])  # degree (0,1), not (1,0)
         with pytest.raises(ContractViolationError, match=r"d\(mu\) != m"):
             PeriodicityTuple("v", (1, 0), (0, 1), mu, t2.path("v", ["r"]))
+
+    @pytest.mark.parametrize("which", ["mu", "alpha"])
+    def test_validation_rejects_what_is_not_a_path(self, t2, which):
+        paths = {"mu": t2.path("v", ["b"]), "alpha": t2.path("v", ["r"])}
+        paths[which] = None
+        with pytest.raises(ContractViolationError, match="must be Paths"):
+            PeriodicityTuple("v", (1, 0), (0, 1), paths["mu"], paths["alpha"])
 
     def test_validation_rejects_equal_degrees(self, t2):
         mu = t2.path("v", ())
@@ -252,6 +284,18 @@ class TestScan:
             w, mirror = by_key[v, p], by_key[v, tuple(-c for c in p)]
             assert w.lam == mirror.lam
             assert (w.segment_m, w.segment_n) == (mirror.segment_n, mirror.segment_m)
+
+    def test_mirrors_cut_nothing(self, f, rewrites):
+        # The scan's cuts are exactly those of its decisions, in order: a
+        # mirror's witness takes the earlier witness's segments uncut.
+        rep = scan_aperiodicity(f, 2)
+        scan_cuts = list(rewrites)
+        rewrites.clear()
+        decided = [(v, w.m, w.n) for v, p, w in rep.entries if next(c for c in p if c) < 0]
+        assert len(decided) == 12
+        for v, m, n in decided:
+            local_periodicity_at(f, v, m, n)
+        assert scan_cuts == rewrites
 
     def test_scan_matches_deciding_every_triple(self, t2, f, d, d2):
         def same(g, bound):
