@@ -28,7 +28,7 @@ import time
 
 from .degrees import add, join
 from .errors import ContractViolationError
-from .factorization import compose
+from .factorization import Path, compose
 from .ideals import Cofinal, NotCofinal, enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
 from .infinite import _unrolled_cut, ep_samples
 from .periodicity import resolve_bound, scan_aperiodicity
@@ -42,6 +42,8 @@ class RepElement:
     """
 
     def __init__(self, mu_alpha, nu_alpha):
+        if not (isinstance(mu_alpha, Path) and isinstance(nu_alpha, Path)):
+            raise ContractViolationError("mu.alpha and nu.alpha must be Paths")
         if mu_alpha.graph is not nu_alpha.graph:
             raise ContractViolationError("paths from different graphs")
         if mu_alpha.source_vertex != nu_alpha.source_vertex:
@@ -65,6 +67,7 @@ def verify_annihilation(g, elem, samples):
     D = d(mu.alpha.rest) v d(nu.alpha.rest), x and y are both shifts of
     gamma^inf, which sigma^d(gamma) fixes, so each is its first d(gamma)
     block repeated: x = y exactly when they agree up to D + d(gamma).
+    An element or a sample on another graph is refused.
     """
     mu_alpha, nu_alpha = elem.mu_alpha, elem.nu_alpha
     if mu_alpha.graph is not g:
@@ -72,6 +75,8 @@ def verify_annihilation(g, elem, samples):
     reach = join(mu_alpha.degree, nu_alpha.degree)
     for x in samples:
         rho, gam = x.prefix, x.loop
+        if rho.graph is not g:
+            raise ContractViolationError("a sample belongs to a different graph")
         if rho.range_vertex != mu_alpha.range_vertex:
             continue
         head, rest = _unrolled_cut(rho, gam, mu_alpha.degree)

@@ -354,6 +354,8 @@ class KGraph:
 
 def compose(mu, nu):
     """mu then nu; needs s(mu) = r(nu)."""
+    if not (isinstance(mu, Path) and isinstance(nu, Path)):
+        raise ContractViolationError("compose needs two Paths")
     if mu.graph is not nu.graph:
         raise ContractViolationError("paths belong to different graphs")
     if mu.source_vertex != nu.range_vertex:
@@ -369,6 +371,8 @@ def compose(mu, nu):
 
 def factor(lam, m, *more):
     """The unique pieces of lam of degrees m, *more, then the rest; the degrees sum to <= d(lam)."""
+    if not isinstance(lam, Path):
+        raise ContractViolationError(f"factored path {lam!r} is not a Path")
     degrees = (m, *more)
     for d in degrees:
         lam.graph.require_rank(d)

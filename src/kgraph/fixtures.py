@@ -79,6 +79,6 @@ def fixture_parts(name):
     """(Skeleton, SquareTable) for a fixture name, built afresh on each call."""
     try:
         vertices, edges, squares = _FIXTURES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ContractViolationError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}") from None
     return Skeleton(2, vertices, [Edge(*row) for row in edges]), SquareTable(squares)

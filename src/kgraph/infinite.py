@@ -17,6 +17,7 @@ lives in the test suite's oracles.
 from itertools import product as _iproduct
 
 from .errors import ContractViolationError
+from .factorization import Path
 
 
 class EventuallyPeriodicPath:
@@ -25,6 +26,8 @@ class EventuallyPeriodicPath:
     __slots__ = ("prefix", "loop")
 
     def __init__(self, prefix, loop):
+        if not (isinstance(prefix, Path) and isinstance(loop, Path)):
+            raise ContractViolationError("prefix and loop must be Paths")
         if prefix.graph is not loop.graph:
             raise ContractViolationError("prefix and loop belong to different graphs")
         if loop.range_vertex != loop.source_vertex:

@@ -14,8 +14,8 @@ R.kappa.  A mismatch refutes; otherwise the residual tails form the
 successor state, with the same degrees as (L, R).  States are pairs of
 bounded-degree paths, so the space is finite: breadth-first search with
 memoization terminates, any reachable refutation yields a finite path
-witnessing aperiodicity (assembled by back-tracing and re-validated on
-construction), and if no refutation is reachable every revisited state
+witnessing aperiodicity (each state's discovery path from v, re-validated
+on construction), and if no refutation is reachable every revisited state
 is consistent, which is exactly periodicity.  The decision returns its
 certificate either way: the witness, or the least tuple (mu, alpha, nu)
 with mu and alpha the first paths of their degrees in canonical order.
@@ -23,21 +23,22 @@ with mu and alpha the first paths of their degrees in canonical order.
 The search is refute-first.  Seeds lam are taken one at a time in
 canonical order; each gets the range check as it is built and, if its
 state is new, a breadth-first propagation from that state at once, so
-the first refutation ends the triple.  All seeds share one `parents`
-map.  The witness is therefore canonical: lam.kappa_1...kappa_t, where
-lam is the first seed in canonical order from which a refutation is
-reachable, and kappa_1...kappa_t is the first refutation of the
-breadth-first search from lam's state alone (states expanded in
-discovery order, each state's extensions kappa in canonical order).
-Sharing `parents` does not change that choice.  When seed lam_i is
-reached, the visited states are exactly the closure C of the earlier
-seeds' states, and C holds no refutation, or the search would have
-stopped.  A successor of a state in C is in C, so the search from
-lam_i's state alone never discovers a state outside C through one in
-C.  Skipping C therefore drops only states that refute nothing, keeps
-the order in which the other states are discovered and expanded, and
-keeps their parents, so the back-traced path is the same.  A seed whose
-state is already in C has no reachable refutation and is skipped.
+the first refutation ends the triple.  All seeds share one `paths`
+map, from each state to its discovery path.  The witness is therefore
+canonical: lam.kappa_1...kappa_t, where lam is the first seed in
+canonical order from which a refutation is reachable, and
+kappa_1...kappa_t is the first refutation of the breadth-first search
+from lam's state alone (states expanded in discovery order, each
+state's extensions kappa in canonical order).  Sharing `paths` does not
+change that choice.  When seed lam_i is reached, the visited states are
+exactly the closure C of the earlier seeds' states, and C holds no
+refutation, or the search would have stopped.  A successor of a state
+in C is in C, so the search from lam_i's state alone never discovers a
+state outside C through one in C.  Skipping C therefore drops only
+states that refute nothing, keeps the order in which the other states
+are discovered and expanded, and keeps their discovery paths, so the
+witness is the same.  A seed whose state is already in C has no
+reachable refutation and is skipped.
 
 The block degree is s = (a v b) v (1,...,1) where a = j - m, b = j - n.
 Full support is what makes the block chain t*s cofinal in N^k; comparing
@@ -169,7 +170,7 @@ def local_periodicity_at(g, v, m, n):
     a = subtract(j, m)
     b = subtract(j, n)
     block = join(join(a, b), ones(g.k))
-    parents = {}
+    paths = {}  # state -> edge ids of its discovery path from v
     for lam in g.paths_from(v, j):
         # j = d(lam), so lam(m, j) is the tail of lam after degree m.
         _, left = g._cut(v, lam.edges, (m, a))
@@ -177,9 +178,9 @@ def local_periodicity_at(g, v, m, n):
         if left.range_vertex != right.range_vertex:
             return AperiodicityWitness(v, m, n, lam)
         seed = (left, right)
-        if seed in parents:
+        if seed in paths:
             continue  # its closure is explored and consistent
-        parents[seed] = (None, lam)
+        paths[seed] = lam.edges
         queue = deque([seed])
         while queue:
             state = queue.popleft()
@@ -189,24 +190,14 @@ def local_periodicity_at(g, v, m, n):
                 lk_head, lk_tail = g._cut(left.range_vertex, left.edges + kappa.edges, (block, a))
                 rk_head, rk_tail = g._cut(right.range_vertex, right.edges + kappa.edges, (block, b))
                 if lk_head != rk_head:
-                    lam = _assemble(parents, state, kappa)
-                    return AperiodicityWitness(v, m, n, lam)
+                    return AperiodicityWitness(v, m, n, g.path(v, paths[state] + kappa.edges))
                 succ = (lk_tail, rk_tail)
-                if succ not in parents:
-                    parents[succ] = (state, kappa)
+                if succ not in paths:
+                    paths[succ] = paths[state] + kappa.edges
                     queue.append(succ)
     # No refutation is reachable: periodic, certified by the least mu and alpha.
     mu = next(g.paths_from(v, m))
     return PeriodicityTuple(v, m, n, mu, next(g.paths_from(mu.source_vertex, a)))
-
-
-def _assemble(parents, state, kappa):
-    """lam.kappa_1...kappa_t.kappa: a state's discovery path, then kappa."""
-    pieces = [kappa]
-    while state is not None:
-        state, step = parents[state]
-        pieces.append(step)
-    return kappa.graph.path(pieces[-1].range_vertex, [e for p in reversed(pieces) for e in p.edges])
 
 
 class AperiodicReport:

@@ -179,8 +179,8 @@ def refute_first_witness(g, v, m, n):
 
     The definition, run literally: seeds lam in vLambda^(m v n) in
     canonical order, each with a breadth-first search of its own over
-    tail pairs (L, R) = (lam(m, m v n), lam(n, m v n)), nothing shared
-    between seeds, the whole path carried along instead of back-traced.
+    tail pairs (L, R) = (lam(m, m v n), lam(n, m v n)) and its own seen
+    set, nothing shared between seeds, the whole path carried along.
     A seed with r(L) != r(R) is its own witness; otherwise extensions
     kappa in s(L)Lambda^s go in canonical order, with block
     s = (a v b) v (1,...,1), and the first kappa whose degree-s prefixes

@@ -125,6 +125,15 @@ class TestAnnihilation:
             with pytest.raises(ContractViolationError, match="different graph"):
                 verify_annihilation(t2, elem, samples)
 
+    def test_foreign_sample_refused(self, f):
+        # A copy of F has the same vertex names, so its samples pass the
+        # range test; only the graph check tells them apart.
+        elem = RepElement(f.path("v", ()), f.path("v", ["r0"]))
+        assert not verify_annihilation(f, elem, sample_family(f, 1))
+        copy = KGraph(*fixture_parts("F"))
+        with pytest.raises(ContractViolationError, match="different graph"):
+            verify_annihilation(f, elem, sample_family(copy, 1))
+
     def test_sample_family_covers_all_vertices(self, d):
         xs = list(sample_family(d, 1))
         assert len(xs) == 8

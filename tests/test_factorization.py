@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from kgraph import (
     Edge,
+    EventuallyPeriodicPath,
     KGraph,
+    RepElement,
     Skeleton,
     SquareTable,
     compose,
@@ -39,6 +41,8 @@ def test_build_refuses_invalid_squares():
 def test_unknown_fixture_name():
     with pytest.raises(ContractViolationError, match="unknown fixture 'T3'"):
         fixture_parts("T3")
+    with pytest.raises(ContractViolationError, match=r"unknown fixture \[\]"):
+        fixture_parts([])  # unhashable, refused like an unknown name
 
 
 def test_build_refuses_non_bijective_table():
@@ -247,6 +251,25 @@ def test_compose_requires_one_graph(t2, f):
     # both graphs have a vertex v, so only the graph check tells them apart
     with pytest.raises(ContractViolationError, match="paths belong to different graphs"):
         compose(t2.path("v", ["b"]), f.path("v", ["b0"]))
+
+
+@pytest.mark.parametrize("bad", ["x", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, bad: compose(bad, p),
+        lambda p, bad: compose(p, bad),
+        lambda p, bad: factor(bad, (1, 0)),
+        lambda p, bad: EventuallyPeriodicPath(bad, p),
+        lambda p, bad: EventuallyPeriodicPath(p, bad),
+        lambda p, bad: RepElement(bad, p),
+        lambda p, bad: RepElement(p, bad),
+    ],
+    ids=["compose-mu", "compose-nu", "factor", "ep-prefix", "ep-loop", "rep-mu-alpha", "rep-nu-alpha"],
+)
+def test_what_is_not_a_path_refused(t2, call, bad):
+    with pytest.raises(ContractViolationError, match="Path"):
+        call(t2.path("v", ["b", "r"]), bad)
 
 
 def test_factor_flip_square(f):
