@@ -30,7 +30,7 @@ from .degrees import add, join
 from .errors import ContractViolationError
 from .factorization import Path, compose
 from .ideals import Cofinal, NotCofinal, enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
-from .infinite import _unrolled_cut, ep_samples
+from .infinite import EventuallyPeriodicPath, _unrolled_cut, ep_samples
 from .periodicity import resolve_bound, scan_aperiodicity
 
 
@@ -67,13 +67,16 @@ def verify_annihilation(g, elem, samples):
     D = d(mu.alpha.rest) v d(nu.alpha.rest), x and y are both shifts of
     gamma^inf, which sigma^d(gamma) fixes, so each is its first d(gamma)
     block repeated: x = y exactly when they agree up to D + d(gamma).
-    An element or a sample on another graph is refused.
+    An element or a sample on another graph, or a sample that is not an
+    `EventuallyPeriodicPath`, is refused.
     """
     mu_alpha, nu_alpha = elem.mu_alpha, elem.nu_alpha
     if mu_alpha.graph is not g:
         raise ContractViolationError("the element belongs to a different graph")
     reach = join(mu_alpha.degree, nu_alpha.degree)
     for x in samples:
+        if not isinstance(x, EventuallyPeriodicPath):
+            raise ContractViolationError(f"sample {x!r} is not an EventuallyPeriodicPath")
         rho, gam = x.prefix, x.loop
         if rho.graph is not g:
             raise ContractViolationError("a sample belongs to a different graph")

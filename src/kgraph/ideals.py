@@ -22,18 +22,20 @@ nontrivial singleton closure, by size and then contents, is a terminal
 component's closure, and the graph is cofinal exactly when every
 terminal closure is everything.
 
-The same argument shrinks the lattice's generators.  A saturated
-hereditary H is the closure of the union of its vertices' closures, and
-the vertices of one component share a closure, so `enumerate_sat_her`
-joins one closure per component, terminal or not, instead of one per
-vertex.  One Tarjan pass, `_components`, serves both.  The lattice can
-still be exponential in the number of components (n disjoint copies of
-one graph have 2^n sets), so the enumeration counts the sets it finds
-and refuses past ENUM_LIMIT; the number of vertices does not matter.
+The same argument shrinks the lattice's generators: a saturated
+hereditary H is the closure of the union of its vertices' closures, so
+`enumerate_sat_her` joins one closure per component, terminal or not.
+The join of two closed sets is the closure of their union, so a round
+per generator, joining it with each set found before, reaches every
+join.  One Tarjan pass, `_components`, serves both.  The lattice can be
+exponential in the number of components (n disjoint copies of one graph
+have 2^n sets), so the enumeration counts the sets it finds and refuses
+past ENUM_LIMIT; the number of vertices does not matter.
 
-The quotient by H keeps the vertices outside H and the edges whose source
-survives; the result is rebuilt through full validation rather than
-assumed correct.
+The quotient by H keeps the vertices outside H and the edges and squares
+whose source survives: a square f.g = g'.f' has source s(g) = s(f'), and
+heredity puts it in H when r(g) = s(f) or r(f') = s(g') is.  The result
+is rebuilt through full validation rather than assumed correct.
 """
 
 from .errors import ContractViolationError, LimitExceededError
@@ -111,17 +113,14 @@ def sat_her_closure(g, seed):
 def enumerate_sat_her(g):
     """All saturated hereditary sets, sorted by size then contents.
 
-    Every such set is a join of singleton closures, and the vertices of
-    one strongly connected component share theirs, so the lattice is
-    grown from one closure per component under union-then-closure.
-    Refuses a lattice of more than ENUM_LIMIT sets.
+    One closure per component generates the lattice, and the join of closed
+    sets is the closure of their union, so a round per generator joined with
+    each set found before reaches every join; past ENUM_LIMIT sets it refuses.
     """
     generators = {sat_her_closure(g, c) for c, _ in _components(g)}
     found = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        base = frontier.pop()
-        for gen in generators:
+    for gen in generators:
+        for base in list(found):
             joined = base | gen
             if base and joined not in found:  # a generator is closed already
                 joined = sat_her_closure(g, joined)
@@ -129,7 +128,6 @@ def enumerate_sat_her(g):
                 if len(found) == ENUM_LIMIT:
                     raise LimitExceededError(f"more than {ENUM_LIMIT} saturated hereditary sets")
                 found.add(joined)
-                frontier.append(joined)
     return sorted(found, key=lambda h: (len(h), sorted(h)))
 
 
@@ -226,9 +224,9 @@ def is_cofinal(g):
 def quotient(g, h):
     """The graph left after deleting H and everything it absorbs.
 
-    Keeps vertices outside H and edges whose source survives; hereditary
-    H then cannot leave a dangling range.  The result passes the whole
-    validation stack or the call fails loudly.
+    Keeps vertices outside H, and edges and squares whose source survives
+    (module docstring), so hereditary H leaves no dangling range.  The
+    result passes the whole validation stack or the call fails loudly.
     """
     h = _as_set(g, h)
     if not is_hereditary(g, h):
@@ -238,12 +236,7 @@ def quotient(g, h):
     keep_vertices = [v for v in g.vertices if v not in h]
     if not keep_vertices:
         raise ContractViolationError("cannot quotient by the full vertex set")
-    keep_edges = [e for e in g.skeleton.edges.values() if e.source not in h]
-    keep_ids = {e.id for e in keep_edges}
-    entries = [
-        (pair, image)
-        for pair, image in g.squares.entries
-        if all(eid in keep_ids for eid in pair + image)
-    ]
-    skel = Skeleton(g.k, keep_vertices, keep_edges)
-    return KGraph(skel, SquareTable(entries))
+    edges = g.skeleton.edges
+    keep_edges = [e for e in edges.values() if e.source not in h]
+    entries = [(pair, image) for pair, image in g.squares.entries if edges[pair[1]].source not in h]
+    return KGraph(Skeleton(g.k, keep_vertices, keep_edges), SquareTable(entries))

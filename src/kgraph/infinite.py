@@ -55,9 +55,13 @@ def ep_samples(g, v, prefix_bound, loop_bound):
     """Deterministic generator of eventually periodic paths from v.
 
     Prefix degrees range over entries <= prefix_bound, loop degrees over
-    entries in 1..loop_bound; loops are filtered to actual cycles.
+    entries in 1..loop_bound; loops are filtered to actual cycles.  A
+    bound that is not an int, or that leaves its range empty, is refused.
     """
     g.require_vertex(v)
+    for name, bound, least in (("prefix", prefix_bound, 0), ("loop", loop_bound, 1)):
+        if type(bound) is not int or bound < least:
+            raise ContractViolationError(f"{name} bound {bound!r} is not an int >= {least}")
     k = g.k
     cycles = {}  # prefix source vertex -> its cycles, in canonical order
     for pdeg in _iproduct(range(prefix_bound + 1), repeat=k):

@@ -134,6 +134,21 @@ class TestAnnihilation:
         with pytest.raises(ContractViolationError, match="different graph"):
             verify_annihilation(f, elem, sample_family(copy, 1))
 
+    @pytest.mark.parametrize("depth", [0, -3, True, "a", 1.5])
+    def test_unusable_depth_refused(self, f, depth):
+        # Depth 0 or below would yield no sample, and the audit would pass
+        # an element that sample_family(f, 1) refutes.
+        elem = RepElement(f.path("v", ()), f.path("v", ["r0"]))
+        assert not verify_annihilation(f, elem, sample_family(f, 1))
+        with pytest.raises(ContractViolationError, match="bound"):
+            verify_annihilation(f, elem, sample_family(f, depth))
+
+    @pytest.mark.parametrize("sample", ["x", None])
+    def test_sample_that_is_not_an_eventually_periodic_path_refused(self, f, sample):
+        elem = RepElement(f.path("v", ()), f.path("v", ["r0"]))
+        with pytest.raises(ContractViolationError, match="is not an EventuallyPeriodicPath"):
+            verify_annihilation(f, elem, [sample])
+
     def test_sample_family_covers_all_vertices(self, d):
         xs = list(sample_family(d, 1))
         assert len(xs) == 8

@@ -196,6 +196,18 @@ class TestEnumeration:
         assert enumerate_sat_her(cycle(50)) == [fs(), frozenset(cycle(50).vertices)]
         assert len(calls) == 1
 
+    def test_refuses_at_the_first_set_past_the_limit(self, f, monkeypatch):
+        # 5 copies of F: 5 generator closures, then at most one closure per
+        # set found before the refusal.  Closing a whole round before
+        # counting it would make 16.
+        calls = []
+        closure = kgraph.ideals.sat_her_closure
+        monkeypatch.setattr(kgraph.ideals, "sat_her_closure", lambda g, seed: calls.append(seed) or closure(g, seed))
+        monkeypatch.setattr(kgraph.ideals, "ENUM_LIMIT", 8)
+        with pytest.raises(LimitExceededError, match="more than 8 saturated hereditary sets"):
+            enumerate_sat_her(disjoint_union([f] * 5))
+        assert len(calls) <= 8 + 5
+
     def test_limit_counts_sets(self, d, monkeypatch):
         # D has exactly 4 sets: at the limit it enumerates, one below it refuses.
         monkeypatch.setattr(kgraph.ideals, "ENUM_LIMIT", 4)
@@ -314,6 +326,20 @@ class TestQuotient:
         g = one_graph(["a", "b"], ["a", "a"])  # as in test_certificate_must_be_saturated
         with pytest.raises(ContractViolationError, match=r"\['a'\] is not saturated"):
             quotient(g, fs("a"))
+
+    def test_squares_kept_by_their_source(self, t2, f, d, d2):
+        # A square f.g = g'.f' keeps its four edges exactly when s(g)
+        # survives (module docstring): the reference tests all four ids.
+        fixtures = [t2, f, d, d2]
+        graphs = fixtures + corpus(200) + k2_products(6) + k3_products(6) + [wide_graph(), disjoint_union(fixtures)]
+        sets = 0
+        for g in graphs:
+            for h in enumerate_sat_her(g)[:-1]:
+                keep_ids = {e.id for e in g.skeleton.edges.values() if e.source not in h}
+                want = tuple((pair, image) for pair, image in g.squares.entries if set(pair + image) <= keep_ids)
+                assert quotient(g, h).squares.entries == want, (g.vertices, h)
+                sets += 1
+        assert sets == 446
 
     def test_quotient_revalidates(self, d):
         # the result is a fully built graph, so its paths factor correctly

@@ -144,6 +144,14 @@ class TestSampling:
         assert len(set(reps)) == 4
         assert [(x.prefix, x.loop) for x in ep_samples_unique(f, "v", 0, 1)] == reps
 
+    @pytest.mark.parametrize(
+        "prefix_bound, loop_bound",
+        [(-1, 1), (0, 0), (True, 1), (0, True), ("a", 1), (0, 1.5)],
+    )
+    def test_unusable_bound_refused(self, f, prefix_bound, loop_bound):
+        with pytest.raises(ContractViolationError, match="bound"):
+            list(ep_samples(f, "v", prefix_bound, loop_bound))
+
     def test_all_loops_have_full_support(self, d2):
         for x in ep_samples(d2, "u", 1, 1):
             assert all(c >= 1 for c in x.loop.degree)

@@ -314,6 +314,19 @@ class TestScan:
         assert not rep.periodic
         assert peak < 8_000_000
 
+    def test_periodic_scan_at_a_huge_bound_stays_lazy(self):
+        # T2 is periodic at its first triple; the scan must not list the
+        # 4001^2 - 1 signed vectors of bound 2000 to find it.
+        t2 = KGraph(*fixture_parts("T2"))
+        tracemalloc.start()
+        try:
+            rep = scan_aperiodicity(t2, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.periodic
+        assert peak < 4_000_000
+
     def test_zero_bound_rejected(self, t2):
         with pytest.raises(ContractViolationError):
             scan_aperiodicity(t2, 0)
