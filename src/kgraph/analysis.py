@@ -196,8 +196,7 @@ def all_ideals_gauge_invariant(g, bound=None):
     # V is in the lattice (each vertex lies in its component's closure) and
     # is its unique largest set, so it comes last in (size, contents) order.
     for h in enumerate_sat_her(g)[:-1]:
-        sub = quotient(g, h) if h else g
-        rows.append((h, scan_aperiodicity(sub, bound)))
+        rows.append((h, scan_aperiodicity(quotient(g, h), bound)))
     return GaugeInvarianceReport(bound, rows)
 
 

@@ -31,9 +31,13 @@ Reports are JSON on standard output with sorted keys; --text renders the
 same object line for line as indented `key: value` text; a string leaf
 that does not print as itself (`str.isprintable`: a line break, say) is
 written as a JSON string, so an id cannot forge a line.
+
+`main` may be called repeatedly in one process: the parser is built once,
+and each command dispatches by name to this module's `cmd_<command>`.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -156,39 +160,33 @@ def _add_common(sub, bound=False):
     sub.add_argument("--text", action="store_true", help="plaintext summary instead of JSON")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="kgraph", description="rank-k graph analysis")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("validate", help="check a graph document end to end")
     _add_common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("aperiodic", help="scan for local periodicity up to a bound")
     _add_common(p, bound=True)
-    p.set_defaults(func=cmd_aperiodic)
 
     p = subs.add_parser("cofinal", help="decide cofinality")
     _add_common(p)
-    p.set_defaults(func=cmd_cofinal)
 
     p = subs.add_parser("simple", help="cofinality plus bounded aperiodicity")
     _add_common(p, bound=True)
-    p.set_defaults(func=cmd_simple)
 
     p = subs.add_parser("ideals", help="enumerate saturated hereditary vertex sets")
     _add_common(p)
-    p.set_defaults(func=cmd_ideals)
 
     p = subs.add_parser("quotient", help="delete a saturated hereditary set")
     _add_common(p)
     p.add_argument("--set", required=True, help="comma-separated vertex ids, each as written (may be empty)")
-    p.set_defaults(func=cmd_quotient)
 
     p = subs.add_parser("fixture", help="print a built-in example graph")
     p.add_argument("name", choices=list(FIXTURE_NAMES))
     p.add_argument("--text", action="store_true", help="plaintext summary instead of JSON")
-    p.set_defaults(func=cmd_fixture)
 
     return parser
 
@@ -216,7 +214,7 @@ def main(argv=None):
     """Run one command and return its exit code: 0 holds, 1 fails, 3 unusable input."""
     args = build_parser().parse_args(argv)
     try:
-        report, holds = args.func(args)
+        report, holds = globals()[f"cmd_{args.command}"](args)
         out = "\n".join(render_text(report)) + "\n" if args.text else canonical_json(report)
     except DocumentError as exc:
         problems = exc.problems

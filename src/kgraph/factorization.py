@@ -167,14 +167,14 @@ def validate_cubes(skeleton, table):
     problems = []
     k, edges, by_range, fwd = skeleton.k, skeleton.edges, skeleton.by_range, table.forward
     for e1 in edges:
-        for color2 in range(edges[e1].color + 1, k + 1):
+        for color2 in range(edges[e1].color + 1, k):  # leaves room for a color3 above
             for e2 in by_range.get((edges[e1].source, color2), ()):
+                x1, y1 = fwd[(e1, e2)]
                 for color3 in range(color2 + 1, k + 1):
                     for e3 in by_range.get((edges[e2].source, color3), ()):
                         b1, c1 = fwd[(e2, e3)]
                         a1, b2 = fwd[(e1, b1)]
                         c2, b3 = fwd[(b2, c1)]
-                        x1, y1 = fwd[(e1, e2)]
                         y2, z1 = fwd[(y1, e3)]
                         x2, y3 = fwd[(x1, y2)]
                         if (a1, c2, b3) != (x2, y3, z1):

@@ -34,8 +34,8 @@ past ENUM_LIMIT; the number of vertices does not matter.
 
 The quotient by H keeps the vertices outside H and the edges and squares
 whose source survives: a square f.g = g'.f' has source s(g) = s(f'), and
-heredity puts it in H when r(g) = s(f) or r(f') = s(g') is.  The result
-is rebuilt through full validation rather than assumed correct.
+heredity puts it in H when r(g) = s(f) or r(f') = s(g') is.  H = {} gives
+g itself, as is; any other quotient is rebuilt through full validation.
 """
 
 from .errors import ContractViolationError, LimitExceededError
@@ -225,10 +225,12 @@ def quotient(g, h):
     """The graph left after deleting H and everything it absorbs.
 
     Keeps vertices outside H, and edges and squares whose source survives
-    (module docstring), so hereditary H leaves no dangling range.  The
-    result passes the whole validation stack or the call fails loudly.
+    (module docstring), so hereditary H leaves no dangling range.  H = {}
+    gives g itself; any other result is fully re-validated or the call fails.
     """
     h = _as_set(g, h)
+    if not h:
+        return g
     if not is_hereditary(g, h):
         raise ContractViolationError(f"{sorted(h)!r} is not hereditary")
     if not is_saturated(g, h):

@@ -418,6 +418,39 @@ def test_every_library_error_exits_3_without_a_traceback(capsys, monkeypatch, er
     assert err == "".join(f"error: {p}\n" for p in problems)
 
 
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors exit 3 from inside main
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_a_reused_parser_carries_nothing_between_calls(capsys):
+    # `main` builds its parser once per process; each call must answer as
+    # it would on a parser built for it alone.
+    import kgraph.cli as cli
+
+    f, d, t2 = fixture_path("F"), fixture_path("D"), fixture_path("T2")
+    calls = [
+        ["aperiodic", f, "--bound", "3"], ["aperiodic", f],
+        ["simple", d, "--text"], ["simple", d],
+        ["aperiodic", f, "--bound", "1.5"],
+        ["quotient", d, "--set", "u"], ["quotient", t2, "--set", ""],
+        ["validate", t2], ["fixture", "D2", "--text"],
+    ]
+    reused = [_outcome(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    code, out, err = reused[4]
+    assert (code, out) == (3, "") and err.startswith("usage: kgraph aperiodic")
+    assert cli.build_parser() is cli.build_parser()
+
+
 READING_COMMANDS = [
     ["validate"],
     ["aperiodic"],

@@ -19,6 +19,7 @@ from kgraph import (
     quotient,
     sat_her_closure,
 )
+from kgraph.documents import dump_graph_document
 from kgraph.ideals import NotCofinal
 from generators import corpus, cycle_product, disjoint_union, k2_products, k3_products, wide_graph
 from oracles import (
@@ -313,6 +314,16 @@ class TestQuotient:
         q = quotient(d2, fs())
         assert list(q.vertices) == list(d2.vertices)
         assert sorted(q.skeleton.edges) == sorted(d2.skeleton.edges)
+
+    def test_empty_set_gives_the_graph_itself(self, t2, f, d, d2):
+        # Deleting nothing leaves g, so g is returned as is; the document
+        # is the one a rebuild of g's own edges and squares would write.
+        for g in [t2, f, d, d2] + corpus(200) + k2_products(6) + k3_products(6) + [wide_graph()]:
+            assert quotient(g, set()) is g
+            rebuilt = KGraph(Skeleton(g.k, g.vertices, g.skeleton.edges.values()), SquareTable(g.squares.entries))
+            assert dump_graph_document(g.skeleton, g.squares) == dump_graph_document(rebuilt.skeleton, rebuilt.squares)
+        with pytest.raises(ContractViolationError, match="is a string"):
+            quotient(t2, "")
 
     def test_full_set_refused(self, t2):
         with pytest.raises(ContractViolationError):

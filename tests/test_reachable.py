@@ -19,7 +19,7 @@ from pathlib import Path
 
 import kgraph
 from kgraph.analysis import RepElement, analyze, sample_family, verify_annihilation
-from kgraph.cli import main
+from kgraph.cli import build_parser, main
 from kgraph.documents import canonical_json, graph_from_json
 
 PACKAGE = Path(kgraph.__file__).resolve().parent
@@ -54,6 +54,8 @@ def _defs():
 
 def _drive(tmp_path):
     """Run the CLI, `analyze` and the benchmark's audit; quiet, exit codes unchecked."""
+    # `main` builds its parser once per process; an earlier test may have built it.
+    build_parser.cache_clear()
     doc = json.loads((FIXDIR / "T2.json").read_text())
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps(dict(doc, squares=[])))
