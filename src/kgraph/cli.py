@@ -5,8 +5,11 @@ command simply succeeded), 1 it fails and the report carries the
 certificate, 3 the input could not be used or the report could not be
 written.  No command exits 2.  Each `cmd_*` returns its report and
 whether the property holds, and raises on unusable input; `main` alone
-turns that into an exit code.  Exit 3, with one `error:` line per
-problem on standard error (unless it is closed), covers:
+turns that into an exit code.  A report is a JSON object, except the
+graph document of `quotient` and `fixture` without --text: that is
+already its JSON text, from `graph_document_text`, and `main` writes it
+as it is.  Exit 3, with one `error:` line per problem on standard error
+(unless it is closed), covers:
 
 - bad flags (argparse usage errors);
 - a file that cannot be read, standard input closed, or bytes that are
@@ -43,7 +46,7 @@ import os
 import sys
 
 from .analysis import is_simple
-from .documents import canonical_json, dump_graph_document, load_graph_document
+from .documents import canonical_json, dump_graph_document, graph_document_text, load_graph_document
 from .errors import ContractViolationError, DocumentError, KGraphError, ValidationError
 from .factorization import KGraph, validation_reports
 from .fixtures import FIXTURE_NAMES, fixture_parts
@@ -134,6 +137,11 @@ def cmd_ideals(args):
     return {"count": len(sets), "sets": [vertex_set_to_json(h) for h in sets]}, True
 
 
+def _graph_report(g, args):
+    """g's document: the dict that --text renders, or else the JSON text itself."""
+    return dump_graph_document(g.skeleton, g.squares) if args.text else graph_document_text(g)
+
+
 def cmd_quotient(args):
     g = KGraph(*_read_document(args.file))
     # argparse before Python 3.13 drops the value of `--set=--` and stores [].
@@ -146,11 +154,11 @@ def cmd_quotient(args):
         sub = quotient(g, names)
     except ContractViolationError as exc:
         return {"verdict": "error", "message": str(exc)}, False
-    return dump_graph_document(sub.skeleton, sub.squares), True
+    return _graph_report(sub, args), True
 
 
 def cmd_fixture(args):
-    return dump_graph_document(*fixture_parts(args.name)), True
+    return _graph_report(KGraph(*fixture_parts(args.name)), args), True
 
 
 def _add_common(sub, bound=False):
@@ -215,7 +223,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report, holds = globals()[f"cmd_{args.command}"](args)
-        out = "\n".join(render_text(report)) + "\n" if args.text else canonical_json(report)
+        if type(report) is str:  # a graph document, already written
+            out = report
+        else:
+            out = "\n".join(render_text(report)) + "\n" if args.text else canonical_json(report)
     except DocumentError as exc:
         problems = exc.problems
     except ValidationError as exc:

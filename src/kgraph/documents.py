@@ -13,21 +13,29 @@ This layer checks shape and types only and reports every problem it finds
 at once, each addressed to the field it concerns ("edges[3].color: ...").
 A document is what `json.loads` makes: every type test is exact (`type(x)
 is dict`), so a subclass of dict, list, str or int, a bool included, is
-refused.  A row is accepted in one place, by one test of its key set and
-its field types; a row that fails it is only reported, with at least one
-addressed problem, and only a problem builds an address.  JSON nested
-deeper than the decoder can follow, or an integer literal longer than the
-interpreter converts, is one "document:" problem.  An id holding a lone
-surrogate (from a \\u escape, or from a non-UTF-8 byte on stdin) is
-refused: no UTF-8 output prints it.  Structural soundness (colors in
-range, endpoints exist, square table laws) is the job of the validation
-that `KGraph` runs on construction.
+refused.  A row is accepted in one place, by one test: a dict of the
+row's size (four fields for an edge, two for a square) whose fields, read
+by name with `.get`, have the right types.  A missing field reads as
+None, which no type passes, so a row of the right size with a renamed
+key is refused too.  A row that fails the test is only reported, with at
+least one addressed problem, and only a problem builds an address.  JSON
+nested deeper than the decoder can follow, or an integer literal longer
+than the interpreter converts, is one "document:" problem.  An id
+holding a lone surrogate (from a \\u escape, or from a non-UTF-8 byte on
+stdin) is refused: no UTF-8 output prints it.  Only a text with a
+backslash or a character outside ASCII is searched for one.  Structural
+soundness (colors in range, endpoints exist, square table laws) is the
+job of the validation that `KGraph` runs on construction.
 
 `canonical_json` writes the bytes of `json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"` (ASCII only), pinned by the test oracle
 `canonical_json_reference`.  It does not call that, because `indent` turns
 CPython's C encoder off; it writes strings (through the C escaper), ints,
 lists and str-keyed dicts itself and hands any other value to that call.
+`graph_document_text` writes those bytes for a validated graph's
+`dump_graph_document` from one template per edge row and per square row,
+quoting ids with the same escaper.  Validation makes `k` and every color
+an exact int and every id a str, which makes the templates exact.
 """
 
 import json
@@ -41,8 +49,6 @@ from .skeleton import Edge, Skeleton
 _TOP_KEYS = ("k", "vertices", "edges", "squares")
 _EDGE_KEYS = ("id", "color", "range", "source")
 _SQUARE_KEYS = ("pair", "image")
-_EDGE_KEY_SET = frozenset(_EDGE_KEYS)
-_SQUARE_KEY_SET = frozenset(_SQUARE_KEYS)
 _ID_KEYS = ("id", "range", "source")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
@@ -99,8 +105,8 @@ def parse_graph_document(data):
 
     edges = {}
     for i, row in enumerate(_rows(data, "edges", problems)):
-        if type(row) is dict and row.keys() == _EDGE_KEY_SET:
-            eid, color, rng, src = row["id"], row["color"], row["range"], row["source"]
+        if type(row) is dict and len(row) == 4:
+            eid, color, rng, src = row.get("id"), row.get("color"), row.get("range"), row.get("source")
             if type(eid) is type(rng) is type(src) is str and type(color) is int and eid not in edges:
                 edges[eid] = Edge(eid, color, rng, src)
                 continue
@@ -117,8 +123,8 @@ def parse_graph_document(data):
 
     entries = []
     for i, row in enumerate(_rows(data, "squares", problems)):
-        if type(row) is dict and row.keys() == _SQUARE_KEY_SET:
-            pair, image = row["pair"], row["image"]
+        if type(row) is dict and len(row) == 2:
+            pair, image = row.get("pair"), row.get("image")
             if (type(pair) is type(image) is list and len(pair) == len(image) == 2
                     and type(pair[0]) is type(pair[1]) is type(image[0]) is type(image[1]) is str):
                 entries.append(((pair[0], pair[1]), (image[0], image[1])))
@@ -158,8 +164,9 @@ def load_graph_document(text):
         raise DocumentError(["document: nested too deeply to parse"]) from None
     parts = parse_graph_document(data)
     # A \u escape or a byte decoded with surrogateescape makes a lone
-    # surrogate; ASCII text without an escape holds none, so it skips the search.
-    problems = _lone_surrogates(data) if "\\u" in text or not text.isascii() else []
+    # surrogate.  ASCII text without a backslash has no escape and holds none,
+    # so it skips the search; finding a backslash is one memchr.
+    problems = _lone_surrogates(data) if "\\" in text or not text.isascii() else []
     if problems:
         raise DocumentError(problems)
     return parts
@@ -181,6 +188,29 @@ def dump_graph_document(skel, squares):
         ],
         "squares": [{"pair": list(p), "image": list(i)} for p, i in sorted(squares.entries)],
     }
+
+
+def _rows_text(rows):
+    """A list in a top-level field of the document, from its items' written rows."""
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+def graph_document_text(g):
+    """`canonical_json(dump_graph_document(g.skeleton, g.squares))`, one template per row."""
+    skel = g.skeleton
+    edges = [
+        f'    {{\n      "color": {e.color},\n      "id": {_quote(eid)},\n'
+        f'      "range": {_quote(e.range)},\n      "source": {_quote(e.source)}\n    }}'
+        for eid, e in skel.edges.items()
+    ]
+    squares = [
+        f'    {{\n      "image": [\n        {_quote(c)},\n        {_quote(d)}\n      ],\n'
+        f'      "pair": [\n        {_quote(a)},\n        {_quote(b)}\n      ]\n    }}'
+        for (a, b), (c, d) in sorted(g.squares.entries)
+    ]
+    vertices = ["    " + _quote(v) for v in skel.vertices]
+    return (f'{{\n  "edges": {_rows_text(edges)},\n  "k": {g.k},\n  "squares": {_rows_text(squares)},\n'
+            f'  "vertices": {_rows_text(vertices)}\n}}\n')
 
 
 def _dumps(x, pad):

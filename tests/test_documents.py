@@ -11,17 +11,23 @@ from hypothesis import strategies as st
 
 from kgraph import (
     DocumentError,
+    Edge,
     KGraph,
+    Skeleton,
+    SquareTable,
     ValidationError,
     canonical_json,
     dump_graph_document,
+    enumerate_sat_her,
     fixture_parts,
     graph_from_json,
     load_graph_document,
     parse_graph_document,
+    quotient,
 )
+from kgraph.documents import graph_document_text
 
-from generators import disjoint_union, k3_products
+from generators import corpus, disjoint_union, k2_products, k3_products, wide_graph
 from oracles import canonical_json_reference, parse_graph_document_reference
 
 
@@ -238,6 +244,34 @@ class TestLoad:
             graph_from_json(json.dumps(doc))
 
 
+class TestEscapes:
+    """The lone-surrogate search runs on text with a backslash: escapes load, `\\ud800` does not."""
+
+    def test_escaped_ids_load_and_round_trip(self):
+        text = (
+            '{"k": 2, "vertices": ["v\\/w"], "edges": ['
+            '{"id": "b\\"", "color": 1, "range": "v\\/w", "source": "v\\/w"}, '
+            '{"id": "r\\\\", "color": 2, "range": "v\\/w", "source": "v\\/w"}], '
+            '"squares": [{"pair": ["b\\"", "r\\\\"], "image": ["r\\\\", "b\\""]}]}'
+        )
+        assert text.isascii() and "\\u" not in text
+        g = graph_from_json(text)
+        assert g.vertices == ("v/w",)
+        assert list(g.skeleton.edges) == ['b"', "r\\"]
+        out = graph_document_text(g)
+        assert graph_document_text(graph_from_json(out)) == out
+        assert json.loads(out) == json.loads(text)
+
+    def test_escaped_lone_surrogate_is_refused(self):
+        doc = t2_doc()
+        doc["vertices"] = ["\ud800"]
+        text = json.dumps(doc)
+        assert text.isascii() and "\\ud800" in text
+        with pytest.raises(DocumentError) as info:
+            load_graph_document(text)
+        assert info.value.problems == ["vertices[0]: '\\ud800' holds a lone surrogate"]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(FIXTURES | DOCUMENTS | ONE_FIELD_OFF | JSON_VALUES)
 def test_any_json_value_gives_a_graph_or_a_reported_problem(value):
@@ -309,6 +343,43 @@ def test_parser_matches_the_reference_on_mutated_documents(doc):
     )
 
 
+class TestRowSizeTest:
+    """A row of the right size with a wrong field is reported as the reference reports it."""
+
+    @staticmethod
+    def refused_alike(doc):
+        problems = parse_outcome(parse_graph_document, doc)
+        assert type(problems) is list and problems
+        assert problems == parse_outcome(parse_graph_document_reference, doc)
+        return problems
+
+    @pytest.mark.parametrize("key", ["id", "color", "range", "source"])
+    def test_edge_row_with_a_renamed_key(self, key):
+        doc = t2_doc()
+        row = doc["edges"][1]
+        row[key + "_"] = row.pop(key)
+        assert len(row) == 4
+        assert f"edges[1]: missing key {key!r}" in self.refused_alike(doc)
+
+    @pytest.mark.parametrize("key", ["id", "color", "range", "source"])
+    def test_edge_row_with_a_null_field(self, key):
+        doc = t2_doc()
+        doc["edges"][0][key] = None
+        kind = "an integer" if key == "color" else "a string"
+        assert self.refused_alike(doc) == [f"edges[0].{key}: expected {kind}, got None"]
+
+    @pytest.mark.parametrize("key", ["pair", "image"])
+    def test_square_row_with_a_renamed_key(self, key):
+        doc = t2_doc()
+        row = doc["squares"][0]
+        row[key[:-1]] = row.pop(key)
+        assert len(row) == 2
+        assert self.refused_alike(doc) == [
+            f"squares[0]: missing key {key!r}",
+            f"squares[0]: unknown key {key[:-1]!r}",
+        ]
+
+
 class TestDump:
     def test_round_trip(self, d2):
         text = canonical_json(dump_graph_document(d2.skeleton, d2.squares))
@@ -338,6 +409,40 @@ class TestDump:
             doc = dump_graph_document(g.skeleton, g.squares)
             skel, squares = parse_graph_document(doc)
             assert dump_graph_document(skel, squares) == doc
+
+
+class TestGraphDocumentText:
+    """The row writer prints the bytes of the standard library's encoder."""
+
+    @staticmethod
+    def reference(g):
+        return canonical_json_reference(dump_graph_document(g.skeleton, g.squares))
+
+    def test_graphs_and_their_quotients(self, t2, f, d, d2):
+        fixtures = [t2, f, d, d2]
+        graphs = fixtures + corpus(200) + k2_products(6) + k3_products(6) + [wide_graph(), disjoint_union(fixtures)]
+        quotients = [quotient(g, h) for g in graphs for h in enumerate_sat_her(g)[1:-1]]
+        assert len(quotients) == 228
+        for g in graphs + quotients:
+            assert graph_document_text(g) == self.reference(g)
+
+    def test_rank_one_has_no_squares(self):
+        g = KGraph(Skeleton(1, ["v"], [Edge("e", 1, "v", "v")]), SquareTable([]))
+        text = graph_document_text(g)
+        assert '\n  "squares": [],\n' in text
+        assert text == self.reference(g)
+
+    def test_ids_that_need_escaping(self):
+        # F with every id renamed: a quote, a backslash, an accent, a line
+        # break and, for the vertex, a lone surrogate.
+        names = {"v": "\ud800", "b0": '"', "b1": "\\", "r0": "\u00e9", "r1": "\n"}
+        skel, table = fixture_parts("F")
+        edges = [Edge(names[e.id], e.color, names[e.range], names[e.source]) for e in skel.edges.values()]
+        entries = [(tuple(names[x] for x in pair), tuple(names[x] for x in image)) for pair, image in table.entries]
+        g = KGraph(Skeleton(2, [names["v"]], edges), SquareTable(entries))
+        text = graph_document_text(g)
+        assert text.isascii() and "\\ud800" in text and "\\u00e9" in text
+        assert text == self.reference(g)
 
 
 class KeyedDict(dict):
