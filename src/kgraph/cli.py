@@ -6,9 +6,10 @@ certificate, 3 the input could not be used or the report could not be
 written.  No command exits 2.  Each `cmd_*` returns its report and
 whether the property holds, and raises on unusable input; `main` alone
 turns that into an exit code.  A report is a JSON object, except the
-graph document of `quotient` and `fixture` without --text: that is
-already its JSON text, from `graph_document_text`, and `main` writes it
-as it is.  Exit 3, with one `error:` line per problem on standard error
+graph document of `quotient` and `fixture` and the aperiodic scan report
+of `aperiodic` without --text: those are already their JSON text, from
+`graph_document_text` and `scan_report_text`, and `main` writes them as
+they are.  Exit 3, with one `error:` line per problem on standard error
 (unless it is closed), covers:
 
 - bad flags (argparse usage errors);
@@ -46,7 +47,7 @@ import os
 import sys
 
 from .analysis import is_simple
-from .documents import canonical_json, dump_graph_document, graph_document_text, load_graph_document
+from .documents import canonical_json, dump_graph_document, graph_document_text, load_graph_document, scan_report_text
 from .errors import ContractViolationError, DocumentError, KGraphError, ValidationError
 from .factorization import KGraph, validation_reports
 from .fixtures import FIXTURE_NAMES, fixture_parts
@@ -119,7 +120,8 @@ def cmd_validate(args):
 
 def cmd_aperiodic(args):
     scan = scan_aperiodicity(KGraph(*_read_document(args.file)), args.bound)
-    return scan.to_json(), not scan.periodic
+    report = scan.to_json() if scan.periodic or args.text else scan_report_text(scan)
+    return report, not scan.periodic
 
 
 def cmd_cofinal(args):
@@ -223,7 +225,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report, holds = globals()[f"cmd_{args.command}"](args)
-        if type(report) is str:  # a graph document, already written
+        if type(report) is str:  # a graph document or scan report, already written
             out = report
         else:
             out = "\n".join(render_text(report)) + "\n" if args.text else canonical_json(report)

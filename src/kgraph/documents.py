@@ -36,6 +36,12 @@ lists and str-keyed dicts itself and hands any other value to that call.
 `dump_graph_document` from one template per edge row and per square row,
 quoting ids with the same escaper.  Validation makes `k` and every color
 an exact int and every id a str, which makes the templates exact.
+`scan_report_text` writes the bytes of an aperiodic scan report's
+`to_json()` from one template per witness row, with the same escaper and
+list layout.  Its ids come from a validated graph, so they are str;
+`resolve_bound` makes the bound an exact int, `signed_vectors` makes each
+p a tuple of them, and the witness constructor checks m and n the same
+way (`require_rank`), which makes that template exact too.
 """
 
 import json
@@ -51,6 +57,8 @@ _EDGE_KEYS = ("id", "color", "range", "source")
 _SQUARE_KEYS = ("pair", "image")
 _ID_KEYS = ("id", "range", "source")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
+# Line breaks and indents that close a list at each depth of a scan report.
+_TOP, _ROW, _WITNESS, _PATH = "\n  ", "\n      ", "\n        ", "\n          "
 
 
 def _has_keys(obj, keys, where, problems):
@@ -211,6 +219,35 @@ def graph_document_text(g):
     vertices = ["    " + _quote(v) for v in skel.vertices]
     return (f'{{\n  "edges": {_rows_text(edges)},\n  "k": {g.k},\n  "squares": {_rows_text(squares)},\n'
             f'  "vertices": {_rows_text(vertices)}\n}}\n')
+
+
+def _list_text(items, pad):
+    """Written items as `_dumps` lays out a list that closes at `pad`, or `[]`."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[{inner}{(',' + inner).join(items)}{pad}]"
+
+
+def _path_text(path):
+    """A witness path's `to_json()`, at its depth in a scan report."""
+    return (f'{{\n          "edges": {_list_text([_quote(e) for e in path.edges], _PATH)},\n'
+            f'          "range": {_quote(path.range_vertex)}\n        }}')
+
+
+def scan_report_text(report):
+    """`canonical_json(report.to_json())` for an `AperiodicReport`, one template per witness row."""
+    rows = [
+        f'{{\n      "p": {_list_text([str(c) for c in p], _ROW)},\n      "vertex": {_quote(v)},\n'
+        f'      "witness": {{\n        "lambda": {_path_text(w.lam)},\n'
+        f'        "m": {_list_text([str(c) for c in w.m], _WITNESS)},\n'
+        f'        "n": {_list_text([str(c) for c in w.n], _WITNESS)},\n'
+        f'        "segment_m": {_path_text(w.segment_m)},\n        "segment_n": {_path_text(w.segment_n)},\n'
+        f'        "vertex": {_quote(w.vertex)}\n      }}\n    }}'
+        for v, p, w in report.entries
+    ]
+    return (f'{{\n  "bound": {report.bound},\n  "verdict": "aperiodic",\n'
+            f'  "witnesses": {_list_text(rows, _TOP)}\n}}\n')
 
 
 def _dumps(x, pad):

@@ -718,12 +718,22 @@ def test_unusable_standard_stream_exits_3_in_a_process(tmp_path, argv, closed, e
 
 
 class TestTextRendering:
-    def test_mirrors_the_json_object(self, capsys):
-        _, data, _ = run_json(capsys, "simple", fixture_path("F"), "--bound", "2")
-        code, out, _ = run(capsys, "simple", fixture_path("F"), "--bound", "2", "--text")
-        assert code == 0
+    # An aperiodic scan's JSON comes from its row writer, a periodic one's from canonical_json.
+    @pytest.mark.parametrize(
+        "command, name, bound, holds, line",
+        [
+            ("simple", "F", "2", True, "summary: Simple (up to bound 2)"),
+            ("aperiodic", "F", "2", True, "verdict: aperiodic"),
+            ("aperiodic", "T2", "1", False, "verdict: periodic"),
+        ],
+        ids=["simple", "aperiodic", "periodic"],
+    )
+    def test_mirrors_the_json_object(self, capsys, command, name, bound, holds, line):
+        _, data, _ = run_json(capsys, command, fixture_path(name), "--bound", bound)
+        code, out, _ = run(capsys, command, fixture_path(name), "--bound", bound, "--text")
+        assert code == (0 if holds else 1)
         assert out.splitlines() == render_text(data)
-        assert "summary: Simple (up to bound 2)" in out
+        assert line in out.splitlines()
 
     def test_lists_render_as_items(self):
         lines = render_text({"xs": [1, {"a": 2}]})

@@ -25,7 +25,8 @@ from kgraph import (
     parse_graph_document,
     quotient,
 )
-from kgraph.documents import graph_document_text
+from kgraph.documents import graph_document_text, scan_report_text
+from kgraph.periodicity import scan_aperiodicity
 
 from generators import corpus, disjoint_union, k2_products, k3_products, wide_graph
 from oracles import canonical_json_reference, parse_graph_document_reference
@@ -411,6 +412,15 @@ class TestDump:
             assert dump_graph_document(skel, squares) == doc
 
 
+def _renamed_f():
+    """F with every id renamed: a quote, a backslash, an accent, a line break and, for the vertex, a lone surrogate."""
+    names = {"v": "\ud800", "b0": '"', "b1": "\\", "r0": "\u00e9", "r1": "\n"}
+    skel, table = fixture_parts("F")
+    edges = [Edge(names[e.id], e.color, names[e.range], names[e.source]) for e in skel.edges.values()]
+    entries = [(tuple(names[x] for x in pair), tuple(names[x] for x in image)) for pair, image in table.entries]
+    return KGraph(Skeleton(2, [names["v"]], edges), SquareTable(entries))
+
+
 class TestGraphDocumentText:
     """The row writer prints the bytes of the standard library's encoder."""
 
@@ -433,16 +443,45 @@ class TestGraphDocumentText:
         assert text == self.reference(g)
 
     def test_ids_that_need_escaping(self):
-        # F with every id renamed: a quote, a backslash, an accent, a line
-        # break and, for the vertex, a lone surrogate.
-        names = {"v": "\ud800", "b0": '"', "b1": "\\", "r0": "\u00e9", "r1": "\n"}
-        skel, table = fixture_parts("F")
-        edges = [Edge(names[e.id], e.color, names[e.range], names[e.source]) for e in skel.edges.values()]
-        entries = [(tuple(names[x] for x in pair), tuple(names[x] for x in image)) for pair, image in table.entries]
-        g = KGraph(Skeleton(2, [names["v"]], edges), SquareTable(entries))
+        g = _renamed_f()
         text = graph_document_text(g)
         assert text.isascii() and "\\ud800" in text and "\\u00e9" in text
         assert text == self.reference(g)
+
+
+class TestScanReportText:
+    """The witness row writer prints the bytes of the standard library's encoder."""
+
+    @staticmethod
+    def check(scans):
+        """Each aperiodic scan's text against the reference; whether its segments are vertex paths."""
+        vertex_segments = set()
+        for scan in scans:
+            if not scan.periodic:
+                assert scan_report_text(scan) == canonical_json_reference(scan.to_json())
+                vertex_segments.update(w.segment_m.is_vertex() for _, _, w in scan.entries)
+        return vertex_segments
+
+    def test_fixtures(self, t2, f, d, d2):
+        # A witness cut from a seed has vertex segments (`"edges": []`); a propagated one has paths.
+        scans = [scan_aperiodicity(g, bound) for g in (t2, f, d, d2) for bound in range(1, 9)]
+        assert sum(not scan.periodic for scan in scans) == 16
+        assert self.check(scans) == {True, False}
+
+    def test_generated_graphs(self):
+        scans = [scan_aperiodicity(g, 2) for g in corpus(200) + k2_products(6)]
+        scans += [scan_aperiodicity(g, 1) for g in k3_products(4)]
+        assert self.check(scans) == {True, False}
+
+    def test_rank_one_with_two_loops(self):
+        g = KGraph(Skeleton(1, ["v"], [Edge("e", 1, "v", "v"), Edge("f", 1, "v", "v")]), SquareTable([]))
+        assert self.check([scan_aperiodicity(g, 3)]) == {False}
+
+    def test_ids_that_need_escaping(self):
+        scan = scan_aperiodicity(_renamed_f(), 3)
+        text = scan_report_text(scan)
+        assert text.isascii() and "\\ud800" in text and "\\u00e9" in text
+        assert self.check([scan]) == {False}
 
 
 class KeyedDict(dict):
