@@ -10,8 +10,10 @@ edge colors appear in ascending blocks (all color-1 edges first, then
 color-2, and so on).  One routine, `KGraph._cut`, does every cut and
 composition: adjacent swaps, each applying the matching square, move an
 edge sequence to the color word for degrees d1, d2, ..., the normal form
-of d1, then of d2, and so on, and the result is sliced into one path per
-degree (one degree, the path's own, gives the normal form for `compose`).
+of d1, then of d2, and so on, and it returns that word as a tuple of edge
+ids.  `KGraph._slice` turns a word into one path per degree, for the
+callers that return paths (one degree, the path's own, gives the normal
+form for `compose`); the periodicity decision works on the words alone.
 So `factor(lam, m)` cuts into (m, d(lam) - m), and `factor(lam, m, q)`
 into (m, q, d(lam) - m - q), whose middle piece is lam(m, m + q).  The
 square bijections make every swap well defined and, for k >= 3, the cube
@@ -197,7 +199,7 @@ def validation_reports(skeleton, squares):
 
 
 class Path:
-    """A path in canonical (colors ascending) form.  Treat as immutable."""
+    """A path in canonical (colors ascending) form.  Treat as immutable; not hashable."""
 
     __slots__ = ("graph", "range_vertex", "source_vertex", "degree", "edges")
 
@@ -218,9 +220,6 @@ class Path:
             and self.range_vertex == other.range_vertex
             and self.edges == other.edges
         )
-
-    def __hash__(self):
-        return hash((self.range_vertex, self.edges))
 
     def __repr__(self):
         if self.is_vertex():
@@ -265,8 +264,8 @@ class KGraph:
             if type(c) is not int or c < 0 or c > MAX_ENTRY:
                 raise ContractViolationError(f"degree {n!r} needs int entries in 0..{MAX_ENTRY}")
 
-    def _cut(self, range_vertex, seq, degrees):
-        """Swap a composable edge sequence into the color word of `degrees`; one Path per degree.
+    def _cut(self, seq, degrees):
+        """Swap a composable edge sequence into the color word of `degrees`, as a tuple.
 
         The word is each degree's colors ascending, the degrees in turn;
         slot by slot, the first edge of the slot's color is swapped down.
@@ -288,12 +287,20 @@ class KGraph:
                         j -= 1
                     arr[i] = e
                     i += 1
-        edges = tuple(arr)
-        pieces, at, start = [], range_vertex, 0
+        return tuple(arr)
+
+    def _slice(self, range_vertex, word, degrees, start=0):
+        """One Path per degree, in turn, from position `start` of a cut word with range `range_vertex`.
+
+        A piece's range is the source of the word's edge just before it.
+        """
+        edges = self.skeleton.edges
+        at = edges[word[start - 1]].source if start else range_vertex
+        pieces = []
         for d in degrees:
             end = start + sum(d)
-            source = self.skeleton.edges[edges[end - 1]].source if end > start else at
-            pieces.append(Path(self, at, source, d, edges[start:end]))
+            source = edges[word[end - 1]].source if end > start else at
+            pieces.append(Path(self, at, source, d, word[start:end]))
             at, start = source, end
         return pieces
 
@@ -317,7 +324,8 @@ class KGraph:
                 raise ContractViolationError(f"edge {eid!r} has range {e.range!r}, expected {at!r}")
             at = e.source
             counts[e.color - 1] += 1
-        return self._cut(range_vertex, edge_ids, (tuple(counts),))[0]
+        d = tuple(counts)
+        return self._slice(range_vertex, self._cut(edge_ids, (d,)), (d,))[0]
 
     # -- enumeration ---------------------------------------------------
 
@@ -366,7 +374,8 @@ def compose(mu, nu):
         return nu
     if nu.is_vertex():
         return mu
-    return mu.graph._cut(mu.range_vertex, mu.edges + nu.edges, (add(mu.degree, nu.degree),))[0]
+    d = add(mu.degree, nu.degree)
+    return mu.graph._slice(mu.range_vertex, mu.graph._cut(mu.edges + nu.edges, (d,)), (d,))[0]
 
 
 def factor(lam, m, *more):
@@ -383,4 +392,5 @@ def factor(lam, m, *more):
     except ContractViolationError:
         named = " + ".join(map(repr, degrees))
         raise ContractViolationError(f"factor degree {named} exceeds path degree {lam.degree!r}") from None
-    return tuple(lam.graph._cut(lam.range_vertex, lam.edges, (*degrees, rest)))
+    degrees += (rest,)
+    return tuple(lam.graph._slice(lam.range_vertex, lam.graph._cut(lam.edges, degrees), degrees))

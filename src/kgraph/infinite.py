@@ -48,7 +48,8 @@ def _unrolled_cut(rho, gam, *degrees):
     top = [sum(c) for c in zip(*degrees)]
     t = max(0, *(-((r - n) // c) for r, n, c in zip(rho.degree, top, gam.degree)))
     rest = tuple(r + t * c - n for r, n, c in zip(rho.degree, top, gam.degree))
-    return rho.graph._cut(rho.range_vertex, rho.edges + gam.edges * t, degrees + (rest,))
+    degrees += (rest,)
+    return rho.graph._slice(rho.range_vertex, rho.graph._cut(rho.edges + gam.edges * t, degrees), degrees)
 
 
 def ep_samples(g, v, prefix_bound, loop_bound):

@@ -11,7 +11,14 @@ ordered pair (L, R); it refutes immediately when r(L) != r(R).  For a
 block degree s that covers every coordinate (see below), extend by each
 kappa in s(L)Lambda^s and compare the degree-s prefixes of L.kappa and
 R.kappa.  A mismatch refutes; otherwise the residual tails form the
-successor state, with the same degrees as (L, R).  States are pairs of
+successor state, with the same degrees as (L, R).  A state is held as
+the edge-id tuples of L and R, keyed with their common range, and the
+heads compare as slices of the two cut words.  A tail's range is the
+source of the last edge of the head before it in that cut word, which
+need not be the edge at the same place in lam's canonical order (or v
+when the head is a vertex).  So a decision builds Paths only for the
+paths that `paths_from` walks and for the certificate it returns: a
+witness is lam and its two segments.  States are pairs of
 bounded-degree paths, so the space is finite: breadth-first search with
 memoization terminates, any reachable refutation yields a finite path
 witnessing aperiodicity (each state's discovery path from v, re-validated
@@ -62,9 +69,9 @@ class AperiodicityWitness:
     """A finite path separating sigma^m from sigma^n at its range vertex.
 
     Construction cuts both segments out of lam, lam(m, m + q) and
-    lam(n, n + q) with q = d(lam) - (m v n), one cut of lam each, and
-    refuses a path that does not actually separate, so a witness object
-    is always trustworthy.  `mirrored` gives the (vertex, n, m) witness
+    lam(n, n + q) with q = d(lam) - (m v n), one cut of lam each with
+    only its middle piece made a Path, and refuses a path that does not
+    actually separate, so a witness object is always trustworthy.  `mirrored` gives the (vertex, n, m) witness
     of the same lam without cutting: m v n and so q are symmetric in m
     and n, so the constructor would cut the same two segments, swapped.
     """
@@ -87,8 +94,8 @@ class AperiodicityWitness:
         self.m = m
         self.n = n
         self.lam = lam
-        self.segment_m = g._cut(vertex, lam.edges, (m, q, subtract(j, m)))[1]
-        self.segment_n = g._cut(vertex, lam.edges, (n, q, subtract(j, n)))[1]
+        self.segment_m, = g._slice(vertex, g._cut(lam.edges, (m, q, subtract(j, m))), (q,), sum(m))
+        self.segment_n, = g._slice(vertex, g._cut(lam.edges, (n, q, subtract(j, n))), (q,), sum(n))
         if self.segment_m == self.segment_n:
             raise ContractViolationError("witness path does not separate the two shifts")
 
@@ -170,31 +177,34 @@ def local_periodicity_at(g, v, m, n):
     a = subtract(j, m)
     b = subtract(j, n)
     block = join(join(a, b), ones(g.k))
+    hm, hn, hb = sum(m), sum(n), sum(block)  # word positions where the tails start
+    edges = g.skeleton.edges
     paths = {}  # state -> edge ids of its discovery path from v
     for lam in g.paths_from(v, j):
         # j = d(lam), so lam(m, j) is the tail of lam after degree m.
-        _, left = g._cut(v, lam.edges, (m, a))
-        _, right = g._cut(v, lam.edges, (n, b))
-        if left.range_vertex != right.range_vertex:
+        left = g._cut(lam.edges, (m, a))
+        right = g._cut(lam.edges, (n, b))
+        at = edges[left[hm - 1]].source if hm else v
+        if at != (edges[right[hn - 1]].source if hn else v):
             return AperiodicityWitness(v, m, n, lam)
-        seed = (left, right)
+        seed = (at, left[hm:], right[hn:])
         if seed in paths:
             continue  # its closure is explored and consistent
         paths[seed] = lam.edges
-        queue = deque([seed])
+        queue = deque([(seed, lam.source_vertex)])
         while queue:
-            state = queue.popleft()
-            left, right = state  # both tails end at s(lam), or at s(kappa) after a step
-            for kappa in g.paths_from(left.source_vertex, block):
+            state, source = queue.popleft()
+            _, left, right = state  # both tails end at `source`: s(lam), or s(kappa) after a step
+            for kappa in g.paths_from(source, block):
                 # L.kappa cut at the block; the tail keeps d(L) = a (d(R) = b).
-                lk_head, lk_tail = g._cut(left.range_vertex, left.edges + kappa.edges, (block, a))
-                rk_head, rk_tail = g._cut(right.range_vertex, right.edges + kappa.edges, (block, b))
-                if lk_head != rk_head:
+                lk = g._cut(left + kappa.edges, (block, a))
+                rk = g._cut(right + kappa.edges, (block, b))
+                if lk[:hb] != rk[:hb]:
                     return AperiodicityWitness(v, m, n, g.path(v, paths[state] + kappa.edges))
-                succ = (lk_tail, rk_tail)
+                succ = (edges[lk[hb - 1]].source, lk[hb:], rk[hb:])
                 if succ not in paths:
                     paths[succ] = paths[state] + kappa.edges
-                    queue.append(succ)
+                    queue.append((succ, kappa.source_vertex))
     # No refutation is reachable: periodic, certified by the least mu and alpha.
     mu = next(g.paths_from(v, m))
     return PeriodicityTuple(v, m, n, mu, next(g.paths_from(mu.source_vertex, a)))

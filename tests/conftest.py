@@ -45,9 +45,9 @@ def rewrites(monkeypatch):
     calls = []
     real = KGraph._cut
 
-    def counted(self, range_vertex, seq, degrees):
+    def counted(self, seq, degrees):
         calls.append(degrees)
-        return real(self, range_vertex, seq, degrees)
+        return real(self, seq, degrees)
 
     monkeypatch.setattr(KGraph, "_cut", counted)
     return calls

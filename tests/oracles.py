@@ -44,6 +44,7 @@ library's indented, key-sorted JSON, whose bytes `canonical_json` must
 reproduce.
 
 The rest are test helpers that the library does not need.
+`path_key` keys sets and caches of Paths, which are not hashable.
 `vertex_matrices` gives the commuting vertex matrices of Kumjian and
 Pask (NYJM 2000) as exact int lists, and `core_dimensions` counts
 |Lambda^n v| through their products.  `ep_samples_unique` deduplicates
@@ -74,6 +75,11 @@ from kgraph import (
 from kgraph.infinite import _unrolled_cut
 from kgraph.periodicity import AperiodicReport, PeriodicReport, resolve_bound, signed_vectors
 from kgraph.skeleton import Edge, Skeleton, ValidationReport
+
+
+def path_key(*paths):
+    """A hashable key for Paths of one graph: the (range, edges) that `Path.__eq__` compares, per path."""
+    return tuple((p.range_vertex, p.edges) for p in paths)
 
 
 def _chains(g, v, color, length):
@@ -193,7 +199,7 @@ def refute_first_witness(g, v, m, n):
         seed = (segment(lam, m, j), segment(lam, n, j))
         if seed[0].range_vertex != seed[1].range_vertex:
             return lam
-        seen = {seed}
+        seen = {path_key(*seed)}
         queue = deque([(seed, lam)])
         while queue:
             (left, right), path = queue.popleft()
@@ -202,8 +208,8 @@ def refute_first_witness(g, v, m, n):
                 if segment(lk, zero, block) != segment(rk, zero, block):
                     return compose(path, kappa)
                 succ = (segment(lk, block, lk.degree), segment(rk, block, rk.degree))
-                if succ not in seen:
-                    seen.add(succ)
+                if path_key(*succ) not in seen:
+                    seen.add(path_key(*succ))
                     queue.append((succ, compose(path, kappa)))
     return None
 
@@ -654,9 +660,10 @@ def cofinality_oracle(g, depth):
         seen = set()
         for x in ep_samples(g, start, depth, depth):
             lam = ep_segment_by_compose(x, zero, top)
-            if lam in seen:
+            key = path_key(lam)
+            if key in seen:
                 continue
-            seen.add(lam)
+            seen.add(key)
             hits = {segment(lam, n, n).range_vertex for n in boxes}
             for v in need:
                 if not (hits & reach[v]):
@@ -701,14 +708,14 @@ def ep_equal(x, y, cycle_cache=None):
 
 def _cycles_equal(cx, cy, cache=None):
     """Whether cx^inf = cy^inf; both must be cycles at the same vertex."""
-    start = (cx, cy)
+    start = path_key(cx, cy)
     if cache is not None and start in cache:
         return cache[start]
     seen = set()
-    state = start
+    state = (cx, cy)
     verdict = True
-    while state not in seen:
-        seen.add(state)
+    while path_key(*state) not in seen:
+        seen.add(path_key(*state))
         a, b = state
         block = add(a.degree, b.degree)
         # a^inf is a.a^inf, so each side unrolls from its own cycle.
@@ -814,8 +821,8 @@ def cycles_equal_by_compose(cx, cy):
     """Whether cx^inf = cy^inf, stepping on pure-cycle wrappers."""
     seen = set()
     state = (cx, cy)
-    while state not in seen:
-        seen.add(state)
+    while path_key(*state) not in seen:
+        seen.add(path_key(*state))
         a, b = state
         xa = EventuallyPeriodicPath(a.graph.path(a.range_vertex, ()), a)
         xb = EventuallyPeriodicPath(b.graph.path(b.range_vertex, ()), b)
@@ -875,7 +882,7 @@ def ep_samples_unique(g, v, prefix_bound, loop_bound):
     seen = set()
     for x in ep_samples(g, v, prefix_bound, loop_bound):
         m = minimized(x)
-        key = (m.prefix, m.loop)
+        key = path_key(m.prefix, m.loop)
         if key not in seen:
             seen.add(key)
             yield m

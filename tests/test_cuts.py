@@ -34,7 +34,7 @@ from kgraph import (
     sample_family,
     subtract,
 )
-from kgraph.factorization import KGraph
+from kgraph.factorization import KGraph, Path
 
 SAMPLES_PER_GRAPH = 12
 
@@ -164,3 +164,24 @@ class TestOneRewritePerCut:
         assert steps and len(steps) % 2 == 0
         assert steps == [(block, (0, 1)), (block, (1, 0))] * (len(steps) // 2)
         assert witness == [(res.lam.degree,), (m, (1, 1), (0, 1)), (n, (1, 1), (1, 0))]
+
+    def test_no_path_per_state(self, f, monkeypatch):
+        built, walked = [], []
+        real_init, real_paths_from = Path.__init__, KGraph.paths_from
+
+        def counted_init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        def counted_paths_from(self, v, n):
+            for path in real_paths_from(self, v, n):
+                walked.append(path)
+                yield path
+
+        monkeypatch.setattr(Path, "__init__", counted_init)
+        monkeypatch.setattr(KGraph, "paths_from", counted_paths_from)
+        res = local_periodicity_at(f, "v", (5, 0), (0, 5))
+        assert not res.periodic and res.lam.degree != (5, 5)  # refuted after propagation steps
+        # The seeds and kappas walked, then lam and its two segments; seed
+        # cuts, kappa steps and states are edge-id tuples.
+        assert len(built) == len(walked) + 3

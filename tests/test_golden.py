@@ -13,6 +13,10 @@ obstruction, or empty>` on generated products with hundreds of rows,
 each document read from standard input, and the stdout of `kgraph
 validate` on three of them after one edit of the square table.
 
+`DEEP_DIGESTS` holds the stdout of `kgraph aperiodic --bound B` on the
+two aperiodic fixtures at bounds 5 and 8, past the other tables' bound 3,
+so that many witnesses come from several steps of pair propagation.
+
 `STRIPPED` digests the same 56 documents with each aperiodicity
 witness's `lambda`, `segment_m` and `segment_n` replaced by a
 placeholder.  A change of search order that picks other witnesses
@@ -200,6 +204,13 @@ BUILD_DIGESTS = {
 }
 
 
+DEEP_DIGESTS = {
+    "kgraph aperiodic F --bound 5": "9c741ba59d7b931ff7d8c35a7d40a6b7a61adcb73157c0603cd427efb96c7cb0",
+    "kgraph aperiodic F --bound 8": "5522a4535acb36a230653c4f4b12903fe94003d14139a2dff8cb11cb8145e222",
+    "kgraph aperiodic D2 --bound 5": "a778885382b84bee749e2d81fba02cc57eee2b6714829b760c4ee5af88f3875c",
+    "kgraph aperiodic D2 --bound 8": "761b597dc5e8ddafa58779409fca5b2deb7210d54fbd599c18cb5ba42940d760",
+}
+
 WITNESS_KEYS = ("lambda", "segment_m", "segment_n")
 
 
@@ -263,6 +274,14 @@ def test_library_output_unchanged_but_witnesses(func, name, bound):
 @pytest.mark.parametrize("command,name", CLI_CASES)
 def test_cli_output_unchanged_but_witnesses(command, name):
     assert stripped_digest(cli_text(command, name)) == STRIPPED[f"kgraph {command} {name}"]
+
+
+@pytest.mark.parametrize("name,bound", [(n, b) for n in ("F", "D2") for b in (5, 8)])
+def test_deeper_scan_output_unchanged(name, bound):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["aperiodic", str(FIXDIR / f"{name}.json"), "--bound", str(bound)])
+    assert _sha(out.getvalue()) == DEEP_DIGESTS[f"kgraph aperiodic {name} --bound {bound}"]
 
 
 def stdin_text(argv, text):
