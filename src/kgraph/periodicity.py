@@ -281,6 +281,42 @@ def signed_vectors(k, bound):
             yield p
 
 
+_P = 2**61 - 1  # a Mersenne prime: path counts are compared modulo it
+_MIX = 0x1E3779B97F4A7C19  # the golden-ratio constant mod _P; h(v_i) = _MIX^(i + 1) mod _P
+
+
+def _path_counts(g):
+    """A lazy table d -> c_d = A^d h mod _P, one entry per vertex in `g.vertices` order.
+
+    A_i(v, w) = |v Lambda^(e_i) w| and h is a fixed pseudo-random vertex
+    weight, so c_d[v] hashes row v of A^d: equal rows give equal entries
+    whatever h is, and entries that differ prove the rows differ.  A
+    missing degree d is filled from its predecessor d - e_i, i the last
+    nonzero coordinate of d, by one pass over the color-i edges.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    sources = [[[] for _ in index] for _ in range(g.k)]  # [i][r]: sources of the color-(i+1) edges into r
+    for e in g.skeleton.edges.values():
+        sources[e.color - 1][index[e.range]].append(index[e.source])
+    h = [pow(_MIX, i + 1, _P) for i in range(len(index))]
+    table = {(0,) * g.k: h}
+
+    def counts(d):
+        missing = []
+        while d not in table:
+            i = len(d) - 1
+            while not d[i]:
+                i -= 1
+            missing.append((d, i))
+            d = (*d[:i], d[i] - 1, *d[i + 1 :])
+        row = table[d]
+        for d, i in reversed(missing):
+            row = table[d] = [sum(row[s] for s in into) % _P for into in sources[i]]
+        return row
+
+    return counts
+
+
 def scan_aperiodicity(g, bound=None):
     """Test every vertex against every difference vector up to the bound.
 
@@ -298,19 +334,47 @@ def scan_aperiodicity(g, bound=None):
     is exactly what the constructor would cut from lambda for the
     swapped pair, since q = d(lambda) - (m v n) does not depend on the
     order of m and n.
+
+    Periodicity at v forces |v Lambda^m w| = |v Lambda^n w| for every w
+    (docs/terminal-components.md), so a triple whose hashed path counts
+    differ is aperiodic.  The walk postpones such a triple, keeping its
+    entry's place, and decides every other one at once; the first
+    periodic hit is therefore the same.  Only a walk that ends without
+    one decides the postponed triples, in scan order, for their
+    witnesses.  A periodic one among them would contradict the lemma;
+    it is reported as the hit all the same, which is exact, since every
+    triple before it decided aperiodic.
     """
     bound = resolve_bound(g, bound)
+    counts = _path_counts(g)
     entries = []
-    for v in g.vertices:
-        mirrored = {}  # -p -> witness of the aperiodic decision at p
+    postponed = []  # [slot, mirror's slot, vertex, m, n] of each triple the counts refute
+    for i, v in enumerate(g.vertices):
+        mirrored = {}  # -p -> witness of the aperiodic decision at p, or p's postponed record
         for p in signed_vectors(g.k, bound):
             earlier = mirrored.pop(p, None)
-            if earlier is not None:
-                res = earlier.mirrored()
+            if earlier is None:
+                m, n = positive_part(p)
+                if counts(m)[i] != counts(n)[i]:
+                    postponed.append([len(entries), None, v, m, n])
+                    mirrored[tuple(-c for c in p)] = postponed[-1]
+                    res = None
+                else:
+                    res = local_periodicity_at(g, v, m, n)
+                    if res.periodic:
+                        return PeriodicReport(bound, p, res)
+                    mirrored[tuple(-c for c in p)] = res
+            elif earlier.__class__ is list:
+                earlier[1] = len(entries)
+                res = None
             else:
-                res = local_periodicity_at(g, v, *positive_part(p))
-                if res.periodic:
-                    return PeriodicReport(bound, p, res)
-                mirrored[tuple(-c for c in p)] = res
+                res = earlier.mirrored()
             entries.append((v, p, res))
+    for slot, mirror, v, m, n in postponed:
+        res = local_periodicity_at(g, v, m, n)
+        p = entries[slot][1]
+        if res.periodic:
+            return PeriodicReport(bound, p, res)
+        entries[slot] = (v, p, res)
+        entries[mirror] = (v, entries[mirror][1], res.mirrored())
     return AperiodicReport(bound, entries)

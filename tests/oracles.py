@@ -46,8 +46,9 @@ reproduce.
 The rest are test helpers that the library does not need.
 `path_key` keys sets and caches of Paths, which are not hashable.
 `vertex_matrices` gives the commuting vertex matrices of Kumjian and
-Pask (NYJM 2000) as exact int lists, and `core_dimensions` counts
-|Lambda^n v| through their products.  `ep_samples_unique` deduplicates
+Pask (NYJM 2000) as exact int lists; `core_dimensions` counts
+|Lambda^n v| through their products, and `path_count_row` the
+|vLambda^n w| that periodicity at v equalizes.  `ep_samples_unique` deduplicates
 sampled infinite paths, and `aperiodic_prefix` chains one separating
 witness per pair, the way the paper's proof builds an aperiodic path.
 """
@@ -875,6 +876,16 @@ def core_dimensions(g, n):
         p = matrix_power(m, power)
         acc = p if acc is None else matmul(acc, p)
     return {v: sum(row[i] for row in acc) for i, v in enumerate(g.vertices)}
+
+
+def path_count_row(g, v, n):
+    """|vLambda^n w| for every w in `g.vertices` order: row v of the product of matrix powers."""
+    g.require_rank(n)
+    row = [int(w == v) for w in g.vertices]
+    for m, power in zip(vertex_matrices(g.skeleton), n):
+        for _ in range(power):
+            row = [sum(x * y for x, y in zip(row, col)) for col in zip(*m)]
+    return row
 
 
 def ep_samples_unique(g, v, prefix_bound, loop_bound):

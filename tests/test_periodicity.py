@@ -17,10 +17,10 @@ from kgraph import (
 )
 from kgraph.degrees import positive_part
 from kgraph.documents import canonical_json
-from kgraph.periodicity import default_bound, signed_vectors
+from kgraph.periodicity import _path_counts, default_bound, signed_vectors
 from kgraph.skeleton import Edge
 
-from generators import corpus, k2_products, k3_products
+from generators import corpus, disjoint_union, k2_products, k3_products
 from oracles import (
     aperiodic_prefix,
     brute_force_witness,
@@ -28,6 +28,7 @@ from oracles import (
     condition_b_oracle,
     k1_scan_finds_periodicity,
     pairs_up_to,
+    path_count_row,
     refute_first_witness,
     scan_every_triple,
     segment_by_compose,
@@ -277,17 +278,47 @@ class TestScan:
             assert w.lam == mirror.lam
             assert (w.segment_m, w.segment_n) == (mirror.segment_n, mirror.segment_m)
 
-    def test_mirrors_cut_nothing(self, f, rewrites):
-        # The scan's cuts are exactly those of its decisions, in order: a
-        # mirror's witness takes the earlier witness's segments uncut.
+    def test_mirrors_cut_nothing(self, f, rewrites, decisions):
+        # The scan's cuts are exactly those of its decisions, in the order
+        # the scan made them: a mirror's witness takes the earlier
+        # witness's segments uncut.
         rep = scan_aperiodicity(f, 2)
         scan_cuts = list(rewrites)
         rewrites.clear()
         decided = [(v, w.m, w.n) for v, p, w in rep.entries if next(c for c in p if c) < 0]
         assert len(decided) == 12
-        for v, m, n in decided:
-            local_periodicity_at(f, v, m, n)
+        assert sorted(args[1:] for args in decisions) == sorted(decided)
+        for args in list(decisions):
+            local_periodicity_at(*args)
         assert scan_cuts == rewrites
+
+    def test_periodic_scan_decides_only_triples_the_counts_allow(self, decisions):
+        # Periodicity equalizes path counts (docs/terminal-components.md),
+        # so a scan that ends periodic decides, up to its hit, only the
+        # earlier triple of each mirrored pair whose rows of counts agree.
+        def plan(g, rep):
+            allowed, refuted = [], 0
+            for v in g.vertices:
+                for p in signed_vectors(g.k, 2):
+                    m, n = positive_part(p)
+                    if next(c for c in p if c) < 0:
+                        if path_count_row(g, v, m) == path_count_row(g, v, n):
+                            allowed.append((v, m, n))
+                        else:
+                            refuted += 1
+                    if (v, p) == (rep.vertex, rep.p):
+                        return allowed, refuted
+
+        for g in corpus(200):
+            decisions.clear()
+            rep = scan_aperiodicity(g, 2)
+            if rep.periodic:
+                allowed, refuted = plan(g, rep)
+                if refuted:
+                    break
+        else:
+            pytest.fail("no corpus scan ends periodic after a refuted triple")
+        assert [args[1:] for args in decisions] == allowed
 
     def test_scan_matches_deciding_every_triple(self, t2, f, d, d2):
         def same(g, bound):
@@ -301,6 +332,15 @@ class TestScan:
         for g in corpus(40) + k2_products(3) + k3_products(2):
             for bound in (1, 2):
                 assert same(g, bound)
+
+    def test_scan_matches_deciding_every_triple_on_generated_graphs(self):
+        # The count test reorders decisions; the first hit and the entry
+        # order stay those of the scan deciding every triple in turn.
+        cases = [(g, 2) for g in corpus(200) + k2_products(6)] + [(g, 1) for g in k3_products(4)]
+        for g, bound in cases:
+            assert canonical_json(scan_aperiodicity(g, bound).to_json()) == canonical_json(
+                scan_every_triple(g, bound).to_json()
+            )
 
     def test_deep_scan_memory_is_bounded(self):
         # vLambda^(8,8) of F holds 2^16 paths; the scan must not hold them.
@@ -369,6 +409,48 @@ def flip_red_graph():
     )
     squares = SquareTable([(("b", "r0"), ("r1", "b")), (("b", "r1"), ("r0", "b"))])
     return KGraph(skel, squares)
+
+
+class TestPathCounts:
+    """The scan's count table: differing counts prove a triple aperiodic."""
+
+    @staticmethod
+    def refuted(g, bound):
+        counts = _path_counts(g)
+        return [
+            (v, m, n)
+            for i, v in enumerate(g.vertices)
+            for m, n in map(positive_part, signed_vectors(g.k, bound))
+            if counts(m)[i] != counts(n)[i]
+        ]
+
+    def test_refuted_triples_decide_aperiodic(self, t2, f, d, d2):
+        # The triples up to bound 8 hold those of every smaller bound.
+        fixtures = [t2, f, d, d2]
+        cases = (
+            [(g, 8) for g in fixtures]
+            + [(g, 2) for g in corpus(200) + k2_products(6)]
+            + [(g, 1) for g in k3_products(4)]
+            + [(disjoint_union(fixtures), 2)]
+        )
+        for g, bound in cases:
+            for v, m, n in self.refuted(g, bound):
+                assert not local_periodicity_at(g, v, m, n).periodic
+
+    def test_table_refutes_where_exact_counts_differ(self, t2, f, d, d2):
+        for g in (t2, f, d, d2):
+            exact = [
+                (v, m, n)
+                for v in g.vertices
+                for m, n in map(positive_part, signed_vectors(g.k, 5))
+                if path_count_row(g, v, m) != path_count_row(g, v, n)
+            ]
+            assert self.refuted(g, 5) == exact
+
+    def test_counts_refute_most_triples_of_f(self, f):
+        # F's one vertex has two edges of each color, so |vLambda^m| =
+        # 2^(m_1 + m_2): only the 10 vectors p = (a, -a) keep equal counts.
+        assert len(self.refuted(f, 5)) == 120 - 10
 
 
 class TestBlockSupportRegression:
