@@ -40,7 +40,8 @@ an exact int and every id a str, which makes the templates exact.
 `to_json()` from one template per witness row, with the same escaper and
 list layout.  Its ids come from a validated graph, so they are str;
 `resolve_bound` makes the bound an exact int, `signed_vectors` makes each
-p a tuple of them, and the witness constructor checks m and n the same
+earlier p a tuple of them and the scan negates it into a tuple for the
+later one, and the witness constructor checks m and n the same
 way (`require_rank`), which makes that template exact too.
 """
 

@@ -58,7 +58,7 @@ assumes that periods found at one scale generate anything at another.
 """
 
 from collections import deque
-from itertools import product as _iproduct
+from itertools import product as _iproduct, takewhile
 
 from .degrees import MAX_ENTRY, join, leq, ones, positive_part, subtract
 from .errors import ContractViolationError
@@ -326,55 +326,47 @@ def scan_aperiodicity(g, bound=None):
     (vertex, p) lexicographic order, or an AperiodicReport carrying one
     witness per (vertex, p).
 
-    The triples for p and -p are mirrors, decided alike with the same
-    witness lambda (docs/minimal-pairs.md), and the scan never reaches
-    the later one of a periodic pair.  So only the earlier one is
-    decided, and the later one's entry is the earlier witness's
-    `mirrored()`: the same lambda with the two segments swapped, which
-    is exactly what the constructor would cut from lambda for the
-    swapped pair, since q = d(lambda) - (m v n) does not depend on the
-    order of m and n.
+    The range of `signed_vectors` is symmetric, so its first half is the
+    p < 0 (first nonzero entry negative) and its second half is their
+    negations in reverse order.  The triples for p and -p are mirrors,
+    decided alike with the same witness lambda, and -p's witness is p's
+    `mirrored()` (docs/minimal-pairs.md), so only the p < 0 are decided.
 
     Periodicity at v forces |v Lambda^m w| = |v Lambda^n w| for every w
     (docs/terminal-components.md), so a triple whose hashed path counts
-    differ is aperiodic.  The walk postpones such a triple, keeping its
-    entry's place, and decides every other one at once; the first
-    periodic hit is therefore the same.  Only a walk that ends without
-    one decides the postponed triples, in scan order, for their
-    witnesses.  A periodic one among them would contradict the lemma;
-    it is reported as the hit all the same, which is exact, since every
-    triple before it decided aperiodic.
+    differ is aperiodic.  The first walk decides every other triple at
+    once, so its first hit is that of deciding every triple in turn, and
+    leaves these undecided.  Only if it ends without a hit does the
+    second walk decide them, in scan order, and write each vertex's row
+    and then the row mirrored.
+    A periodic one among them would contradict the lemma; it is reported
+    as the hit all the same, which is exact, since every triple before
+    it decided aperiodic.
     """
     bound = resolve_bound(g, bound)
     counts = _path_counts(g)
-    entries = []
-    postponed = []  # [slot, mirror's slot, vertex, m, n] of each triple the counts refute
+    zero = (0,) * g.k
+    rows = []  # per vertex: (p, m, n, witness or None) for each p < 0
     for i, v in enumerate(g.vertices):
-        mirrored = {}  # -p -> witness of the aperiodic decision at p, or p's postponed record
-        for p in signed_vectors(g.k, bound):
-            earlier = mirrored.pop(p, None)
-            if earlier is None:
-                m, n = positive_part(p)
-                if counts(m)[i] != counts(n)[i]:
-                    postponed.append([len(entries), None, v, m, n])
-                    mirrored[tuple(-c for c in p)] = postponed[-1]
-                    res = None
-                else:
-                    res = local_periodicity_at(g, v, m, n)
-                    if res.periodic:
-                        return PeriodicReport(bound, p, res)
-                    mirrored[tuple(-c for c in p)] = res
-            elif earlier.__class__ is list:
-                earlier[1] = len(entries)
-                res = None
-            else:
-                res = earlier.mirrored()
-            entries.append((v, p, res))
-    for slot, mirror, v, m, n in postponed:
-        res = local_periodicity_at(g, v, m, n)
-        p = entries[slot][1]
-        if res.periodic:
-            return PeriodicReport(bound, p, res)
-        entries[slot] = (v, p, res)
-        entries[mirror] = (v, entries[mirror][1], res.mirrored())
+        row = []
+        for p in takewhile(zero.__gt__, signed_vectors(g.k, bound)):
+            m, n = positive_part(p)
+            res = None
+            if counts(m)[i] == counts(n)[i]:
+                res = local_periodicity_at(g, v, m, n)
+                if res.periodic:
+                    return PeriodicReport(bound, p, res)
+            row.append((p, m, n, res))
+        rows.append(row)
+    entries = []
+    for v, row in zip(g.vertices, rows):
+        decided = []
+        for p, m, n, res in row:
+            if res is None:
+                res = local_periodicity_at(g, v, m, n)
+                if res.periodic:
+                    return PeriodicReport(bound, p, res)
+            decided.append((v, p, res))
+        entries += decided
+        entries += [(v, tuple(-c for c in p), res.mirrored()) for v, p, res in reversed(decided)]
     return AperiodicReport(bound, entries)

@@ -222,6 +222,18 @@ class TestScan:
         assert vecs[0] == (-1, -1)
         assert (0, 0) not in vecs
         assert len(vecs) == 8
+        # The scan relies on the order's symmetry: the vectors before 0 are
+        # those whose first nonzero entry is negative, and the rest are
+        # their negations in reverse order.
+        for k in (1, 2, 3):
+            for bound in (1, 2, 3):
+                vecs = list(signed_vectors(k, bound))
+                half = len(vecs) // 2
+                earlier = [p for p in vecs if p < (0,) * k]
+                assert earlier == vecs[:half]
+                assert all(next(c for c in p if c) < 0 for p in earlier)
+                assert vecs[half:] == [tuple(-c for c in p) for p in reversed(earlier)]
+                assert len(vecs) == (2 * bound + 1) ** k - 1
 
     def test_t2_first_hit(self, t2):
         rep = scan_aperiodicity(t2, 1)
@@ -341,6 +353,25 @@ class TestScan:
             assert canonical_json(scan_aperiodicity(g, bound).to_json()) == canonical_json(
                 scan_every_triple(g, bound).to_json()
             )
+
+    def test_periodic_scan_pulls_only_the_vectors_it_tests(self, t2, monkeypatch):
+        # The scan walks the difference vectors lazily: T2's first vector
+        # at bound 2000 is a periodic hit, so it pulls one of 16,008,000.
+        import kgraph.periodicity as periodicity
+
+        pulled = []
+        real = periodicity.signed_vectors
+
+        def counted(k, bound):
+            for p in real(k, bound):
+                pulled.append(p)
+                yield p
+
+        monkeypatch.setattr(periodicity, "signed_vectors", counted)
+        rep = scan_aperiodicity(t2, 2000)
+        assert rep.periodic
+        assert rep.p == (-2000, -2000)
+        assert pulled == [(-2000, -2000)]
 
     def test_deep_scan_memory_is_bounded(self):
         # vLambda^(8,8) of F holds 2^16 paths; the scan must not hold them.
