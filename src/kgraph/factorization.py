@@ -11,7 +11,12 @@ color-2, and so on).  One routine, `KGraph._cut`, does every cut and
 composition: adjacent swaps, each applying the matching square, move an
 edge sequence to the color word for degrees d1, d2, ..., the normal form
 of d1, then of d2, and so on, and it returns that word as a tuple of edge
-ids.  `KGraph._slice` turns a word into one path per degree, for the
+ids.  One loop walks the word's slots and passes every slot whose edge
+already has the slot's color; only the others bubble an edge down, each
+swap one lookup in a per-edge table of both square directions.  The
+table is built at the graph's first cut, because the build side
+(validation, closures, quotients) never cuts and would only pay its
+memory.  `KGraph._slice` turns a word into one path per degree, for the
 callers that return paths (one degree, the path's own, gives the normal
 form for `compose`); the periodicity decision works on the words alone.
 So `factor(lam, m)` cuts into (m, d(lam) - m), and `factor(lam, m, q)`
@@ -241,6 +246,7 @@ class KGraph:
         self.squares = squares
         self.k = skeleton.k
         self._colors = {eid: e.color for eid, e in skeleton.edges.items()}
+        self._swaps = None
 
     @property
     def vertices(self):
@@ -268,24 +274,37 @@ class KGraph:
         """Swap a composable edge sequence into the color word of `degrees`, as a tuple.
 
         The word is each degree's colors ascending, the degrees in turn;
-        slot by slot, the first edge of the slot's color is swapped down.
+        each color's run of slots ends at a running `stop`.  A slot whose
+        edge has its color is passed; otherwise the first later edge of
+        that color is swapped down to it.  `swaps[a][e]` is the image of
+        the pair (a, e) under either square bijection, built at the first
+        cut so that a graph that never cuts builds none.
         """
+        swaps = self._swaps
+        if swaps is None:
+            swaps = self._swaps = {}
+            for table in (self.squares.forward, self.squares.backward):
+                for (a, e), image in table.items():
+                    swaps.setdefault(a, {})[e] = image
         arr = list(seq)
         colors = self._colors
-        forward, backward = self.squares.forward, self.squares.backward
         i = 0
         for d in degrees:
-            for color, count in enumerate(d, 1):
-                for _ in range(count):
-                    j = i
-                    while colors[arr[j]] != color:
-                        j += 1
-                    e = arr[j]
-                    while j > i:
-                        a = arr[j - 1]
-                        e, arr[j] = (forward if colors[a] < color else backward)[a, e]
-                        j -= 1
-                    arr[i] = e
+            color = 0
+            for count in d:
+                color += 1
+                stop = i + count
+                while i < stop:
+                    if colors[arr[i]] != color:
+                        j = i + 1
+                        while colors[arr[j]] != color:
+                            j += 1
+                        e = arr[j]
+                        while j > i:
+                            a = arr[j - 1]
+                            e, arr[j] = swaps[a][e]
+                            j -= 1
+                        arr[i] = e
                     i += 1
         return tuple(arr)
 

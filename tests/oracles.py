@@ -36,7 +36,9 @@ the square check as first written: it lists every composable pair of
 every color pair and looks each one up, where the library counts them.
 `validate_cubes_all_orders` is the cube check run from every one of a
 triple's six color orders, with backward square lookups for descending
-pairs.
+pairs.  `cut_by_bubbling` is `KGraph._cut` as first written, the
+reference for the swap-table kernel: it tests every slot and keys each
+square lookup with a tuple.
 `parse_graph_document_reference` is the document parser with its key
 and row checks written out once per section, as they were before the
 library shared them.  `canonical_json_reference` is the standard
@@ -45,6 +47,7 @@ reproduce.
 
 The rest are test helpers that the library does not need.
 `path_key` keys sets and caches of Paths, which are not hashable.
+`descending_form` scrambles a path's edges into descending color blocks.
 `vertex_matrices` gives the commuting vertex matrices of Kumjian and
 Pask (NYJM 2000) as exact int lists; `core_dimensions` counts
 |Lambda^n v| through their products, and `path_count_row` the
@@ -372,6 +375,43 @@ def normalize_by_schedule(g, edge_ids, schedule):
             break
         i = schedule(spots)
         arr[i], arr[i + 1] = g.squares.backward[arr[i], arr[i + 1]]
+    return tuple(arr)
+
+
+def descending_form(g, lam):
+    """Edge list of lam rearranged into descending color blocks."""
+    parts = []
+    rest = lam
+    for color in range(g.k, 0, -1):
+        block_degree = tuple(rest.degree[c] if c == color - 1 else 0 for c in range(g.k))
+        block, rest = factor(rest, block_degree)
+        parts.extend(block.edges)
+    return tuple(parts)
+
+
+def cut_by_bubbling(g, seq, degrees):
+    """`KGraph._cut` as first written: a `range` per color, a color test on every slot, tuple keys.
+
+    The word is each degree's colors ascending, the degrees in turn;
+    slot by slot, the first edge of the slot's color is swapped down.
+    """
+    arr = list(seq)
+    colors = g._colors
+    forward, backward = g.squares.forward, g.squares.backward
+    i = 0
+    for d in degrees:
+        for color, count in enumerate(d, 1):
+            for _ in range(count):
+                j = i
+                while colors[arr[j]] != color:
+                    j += 1
+                e = arr[j]
+                while j > i:
+                    a = arr[j - 1]
+                    e, arr[j] = (forward if colors[a] < color else backward)[a, e]
+                    j -= 1
+                arr[i] = e
+                i += 1
     return tuple(arr)
 
 

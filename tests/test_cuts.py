@@ -8,6 +8,11 @@ build the same values the old way (two two-piece `factor` calls, one
 factorization both must give the same canonical paths.  The count tests
 pin the mechanism: they fail when a caller goes back to cutting one
 piece at a time.
+
+`KGraph._cut` itself is checked against `cut_by_bubbling`, the kernel
+as first written, on every split of every short path and on the long
+witness paths of a bound-20 scan; the swap table it reads is built at
+a graph's first cut and not before.
 """
 
 from functools import cache
@@ -16,6 +21,9 @@ from itertools import islice, product
 import pytest
 from generators import corpus, k3_products
 from oracles import (
+    cut_by_bubbling,
+    degrees_up_to,
+    descending_form,
     ep_equal,
     ep_equal_by_compose,
     minimized,
@@ -29,11 +37,16 @@ from kgraph import (
     compose,
     factor,
     fixture_parts,
+    is_cofinal,
+    join,
     leq,
     local_periodicity_at,
+    quotient,
     sample_family,
+    scan_aperiodicity,
     subtract,
 )
+from kgraph.documents import graph_document_text
 from kgraph.factorization import KGraph, Path
 
 SAMPLES_PER_GRAPH = 12
@@ -60,6 +73,57 @@ def samples(g):
     family = list(sample_family(g, 2))
     step = max(1, len(family) // SAMPLES_PER_GRAPH)
     return family[::step][:SAMPLES_PER_GRAPH]
+
+
+@cache
+def splits(n, pieces):
+    """Every tuple of `pieces` degrees summing to n, zero pieces included."""
+    if pieces == 1:
+        return ((n,),)
+    return tuple((m, *rest) for m in degrees_up_to(n) for rest in splits(subtract(n, m), pieces - 1))
+
+
+def test_cut_matches_bubbling_on_every_split():
+    checked = 0
+    for g in graphs():
+        for n in box(g):
+            for v in g.vertices:
+                for lam in g.paths_from(v, n):
+                    for seq in (lam.edges, descending_form(g, lam)):
+                        for degrees in splits(n, 2) + splits(n, 3):
+                            assert g._cut(seq, degrees) == cut_by_bubbling(g, seq, degrees)
+                            checked += 1
+    assert checked > 30_000
+
+
+@pytest.mark.parametrize("name", ["F", "D2"])
+def test_cut_matches_bubbling_on_long_witnesses(name):
+    g = KGraph(*fixture_parts(name))
+    witnesses = {(w.lam.edges, frozenset((w.m, w.n))): w for _, _, w in scan_aperiodicity(g, 20).entries}
+    longest = 0
+    for w in witnesses.values():
+        lam, j = w.lam, join(w.m, w.n)
+        q = subtract(lam.degree, j)
+        cuts = [(lam.degree,), (w.m, subtract(lam.degree, w.m)), (w.n, subtract(lam.degree, w.n))]
+        cuts += [(w.m, q, subtract(j, w.m)), (w.n, q, subtract(j, w.n))]
+        for seq in (lam.edges, descending_form(g, lam)):
+            for degrees in cuts:
+                assert g._cut(seq, degrees) == cut_by_bubbling(g, seq, degrees)
+        longest = max(longest, len(lam.edges))
+    assert longest == 80
+
+
+def test_swap_table_is_built_at_the_first_cut():
+    g = k3_products(4)[3]  # a fresh graph, not one that graphs() has cut
+    obstruction = is_cofinal(g)
+    assert not obstruction.cofinal
+    rest = quotient(g, obstruction.certificate)
+    graph_document_text(g)
+    graph_document_text(rest)
+    assert g._swaps is None and rest._swaps is None
+    factor(next(g.paths_from(g.vertices[0], (1, 1, 1))), (0, 0, 1))
+    pairs = [((a, e), image) for a, row in g._swaps.items() for e, image in row.items()]
+    assert sorted(pairs) == sorted([*g.squares.forward.items(), *g.squares.backward.items()])
 
 
 def test_segment_matches_two_factors():

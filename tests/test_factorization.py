@@ -21,6 +21,7 @@ from kgraph.factorization import validate_cubes, validate_squares
 from generators import corpus, exchanged_tables, k2_products, k3_products, wide_graph
 from oracles import (
     degrees_up_to,
+    descending_form,
     iter_paths,
     matmul,
     matrix_power,
@@ -357,24 +358,13 @@ def test_counting_identity_matrices_vs_enumeration():
                 assert len(tuple(g.paths_from(v, n))) == expected
 
 
-def _descending_form(g, lam):
-    """Edge list of lam rearranged into descending color blocks."""
-    parts = []
-    rest = lam
-    for color in range(g.k, 0, -1):
-        block_degree = tuple(rest.degree[c] if c == color - 1 else 0 for c in range(g.k))
-        block, rest = factor(rest, block_degree)
-        parts.extend(block.edges)
-    return tuple(parts)
-
-
 def test_normalization_idempotent_and_schedule_independent():
     for g in _graph_corpus() + k3_products(6):
         for v in g.vertices:
             for lam in iter_paths(g, v, (2,) * g.k):
                 again = g.path(lam.range_vertex, lam.edges)
                 assert again == lam
-                scrambled = _descending_form(g, lam)
+                scrambled = descending_form(g, lam)
                 fwd = normalize_by_schedule(g, scrambled, min)
                 rev = normalize_by_schedule(g, scrambled, max)
                 assert fwd == rev == lam.edges

@@ -16,6 +16,8 @@ validate` on three of them after one edit of the square table.
 `DEEP_DIGESTS` holds the stdout of `kgraph aperiodic --bound B` on the
 two aperiodic fixtures at bounds 5 and 8, past the other tables' bound 3,
 so that many witnesses come from several steps of pair propagation.
+`DEEPER_DIGESTS` holds the same at bound 20, where a witness lambda has
+up to 80 edges, so that long cuts are pinned byte for byte.
 
 `STRIPPED` digests the same 56 documents with each aperiodicity
 witness's `lambda`, `segment_m` and `segment_n` replaced by a
@@ -211,6 +213,11 @@ DEEP_DIGESTS = {
     "kgraph aperiodic D2 --bound 8": "761b597dc5e8ddafa58779409fca5b2deb7210d54fbd599c18cb5ba42940d760",
 }
 
+DEEPER_DIGESTS = {
+    "kgraph aperiodic F --bound 20": "afe9c68e78afb1ba0837f21f62b1d06657b050850e8538eb502ba44844dac72d",
+    "kgraph aperiodic D2 --bound 20": "ca754ed6025ab70c0e43bfb7db6c7dd442f2700db779d5618b76a92cbc2c4c65",
+}
+
 WITNESS_KEYS = ("lambda", "segment_m", "segment_n")
 
 
@@ -276,12 +283,21 @@ def test_cli_output_unchanged_but_witnesses(command, name):
     assert stripped_digest(cli_text(command, name)) == STRIPPED[f"kgraph {command} {name}"]
 
 
-@pytest.mark.parametrize("name,bound", [(n, b) for n in ("F", "D2") for b in (5, 8)])
-def test_deeper_scan_output_unchanged(name, bound):
+def aperiodic_text(name, bound):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main(["aperiodic", str(FIXDIR / f"{name}.json"), "--bound", str(bound)])
-    assert _sha(out.getvalue()) == DEEP_DIGESTS[f"kgraph aperiodic {name} --bound {bound}"]
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name,bound", [(n, b) for n in ("F", "D2") for b in (5, 8)])
+def test_deeper_scan_output_unchanged(name, bound):
+    assert _sha(aperiodic_text(name, bound)) == DEEP_DIGESTS[f"kgraph aperiodic {name} --bound {bound}"]
+
+
+@pytest.mark.parametrize("name", ["F", "D2"])
+def test_long_witness_output_unchanged(name):
+    assert _sha(aperiodic_text(name, 20)) == DEEPER_DIGESTS[f"kgraph aperiodic {name} --bound 20"]
 
 
 def stdin_text(argv, text):
