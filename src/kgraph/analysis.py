@@ -19,18 +19,21 @@ s_(mu.alpha) s*_(mu.alpha) - s_(nu.alpha) s*_(mu.alpha) kills a basis
 vector x exactly when x does not start with mu.alpha, or x = mu.alpha.y
 and nu.alpha.y = x; the degree inequality d(mu.alpha) != d(nu.alpha) is
 the finite certificate that the element is nevertheless a nonzero
-obstruction.  `verify_annihilation` decides each sample exactly with one
-finite comparison, because x and nu.alpha.y end in the same loop.  It is
-a spot check all the same: the samples are finitely many.
+obstruction.  `verify_annihilation` decides each sample exactly, because
+x and nu.alpha.y end in the same loop: they are equal when they agree up
+to a degree `top`.  It cuts the two as edge-id words into one degree
+sequence, and by unique factorization a path of degree `top` has one
+word for it, so comparing the words' first |top| ids is exact.  It is a
+spot check all the same: the samples are finitely many.
 """
 
 import time
 
-from .degrees import add, join
+from .degrees import add, join, subtract
 from .errors import ContractViolationError
-from .factorization import Path, compose
+from .factorization import Path
 from .ideals import Cofinal, NotCofinal, enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
-from .infinite import EventuallyPeriodicPath, _unrolled_cut, ep_samples
+from .infinite import EventuallyPeriodicPath, ep_samples
 from .periodicity import resolve_bound, scan_aperiodicity
 
 
@@ -58,22 +61,42 @@ class RepElement:
         return cls(tup.mu_alpha, tup.nu_alpha)
 
 
+def _covering(base, target, step):
+    """The least t >= 0 with base + t.step >= target, and base + t.step; step is >= 1 everywhere."""
+    t = max(0, *(-((b - n) // c) for b, n, c in zip(base, target, step)))
+    return t, tuple(b + t * c for b, c in zip(base, step))
+
+
 def verify_annihilation(g, elem, samples):
     """True when the defect annihilates every sampled basis vector.
 
     A sample x = rho.gamma^inf that starts with mu.alpha is
-    mu.alpha.rest.gamma^inf, for `rest` the remainder of rho.gamma^t, and
-    the defect sends it to x - y with y = nu.alpha.rest.gamma^inf.  Past
+    mu.alpha.rest.gamma^inf, for `rest` the remainder of rho.gamma^t with
+    t the least count that covers d(mu.alpha), and the defect sends it
+    to x - y with y = nu.alpha.rest.gamma^inf.  Past
     D = d(mu.alpha.rest) v d(nu.alpha.rest), x and y are both shifts of
     gamma^inf, which sigma^d(gamma) fixes, so each is its first d(gamma)
-    block repeated: x = y exactly when they agree up to D + d(gamma).
+    block repeated: x = y exactly when they agree up to top = D + d(gamma).
+
+    So each sample is decided on two edge-id words, cut once each into
+    the one degree sequence (d(mu.alpha), top - d(mu.alpha)): x's word
+    rho.gamma^tx, whose first block is the head test, and y's word
+    nu.alpha, then x's word past that block, then gamma^ty, with tx and
+    ty the least copies that reach `top`.  By unique factorization a
+    path of degree `top` has one word for a fixed degree sequence, so
+    x = y exactly when the words agree on their first |top| ids; what
+    lies past `top` is left uncut.  The copies and degrees depend only
+    on (d(rho), d(gamma)), and are worked out once per pair in a call.
     An element or a sample on another graph, or a sample that is not an
     `EventuallyPeriodicPath`, is refused.
     """
     mu_alpha, nu_alpha = elem.mu_alpha, elem.nu_alpha
     if mu_alpha.graph is not g:
         raise ContractViolationError("the element belongs to a different graph")
-    reach = join(mu_alpha.degree, nu_alpha.degree)
+    dmu, dnu = mu_alpha.degree, nu_alpha.degree
+    reach = join(dmu, dnu)
+    head, mu_edges, nu_edges = sum(dmu), mu_alpha.edges, nu_alpha.edges
+    plans = {}  # (d(rho), d(gamma)) -> (tx, ty, cut degrees, |top|)
     for x in samples:
         if not isinstance(x, EventuallyPeriodicPath):
             raise ContractViolationError(f"sample {x!r} is not an EventuallyPeriodicPath")
@@ -82,11 +105,21 @@ def verify_annihilation(g, elem, samples):
             raise ContractViolationError("a sample belongs to a different graph")
         if rho.range_vertex != mu_alpha.range_vertex:
             continue
-        head, rest = _unrolled_cut(rho, gam, mu_alpha.degree)
-        if head != mu_alpha:
+        key = (rho.degree, gam.degree)
+        plan = plans.get(key)
+        if plan is None:
+            drho, dgam = key
+            _, unrolled = _covering(drho, dmu, dgam)
+            top = add(add(reach, subtract(unrolled, dmu)), dgam)
+            tx, x_degree = _covering(drho, top, dgam)
+            ty, _ = _covering(add(dnu, subtract(x_degree, dmu)), top, dgam)
+            plan = plans[key] = (tx, ty, (dmu, subtract(top, dmu)), sum(top))
+        tx, ty, degrees, size = plan
+        wx = g._cut(rho.edges + gam.edges * tx, degrees)
+        if wx[:head] != mu_edges:
             continue
-        top = add(add(reach, rest.degree), gam.degree)
-        if _unrolled_cut(rho, gam, top)[0] != _unrolled_cut(compose(nu_alpha, rest), gam, top)[0]:
+        wy = g._cut(nu_edges + wx[head:] + gam.edges * ty, degrees)
+        if wx[:size] != wy[:size]:
             return False
     return True
 

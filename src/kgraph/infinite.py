@@ -2,10 +2,8 @@
 
 An infinite path is represented by a finite prefix rho and a loop gamma
 with r(gamma) = s(gamma) = s(rho); the path is rho.gamma.gamma...  The
-loop degree must be >= 1 in every coordinate so that unrolling it covers
-any requested degree: a cut of x into degrees summing to n unrolls the
-least t copies with n <= d(rho) + t d(gamma), t computed in closed form,
-and cuts rho.gamma^t once.
+loop degree must be >= 1 in every coordinate, so that finitely many
+copies of the loop cover any requested degree.
 
 Two representations can denote the same path, and the library does not
 decide that in general.  The one comparison it needs, in
@@ -41,15 +39,6 @@ class EventuallyPeriodicPath:
 
     def __repr__(self):
         return f"EP<{self.prefix!r}.({self.loop!r})^inf>"
-
-
-def _unrolled_cut(rho, gam, *degrees):
-    """Cut rho.gam^t once into `degrees` plus the rest, for the least t that covers them."""
-    top = [sum(c) for c in zip(*degrees)]
-    t = max(0, *(-((r - n) // c) for r, n, c in zip(rho.degree, top, gam.degree)))
-    rest = tuple(r + t * c - n for r, n, c in zip(rho.degree, top, gam.degree))
-    degrees += (rest,)
-    return rho.graph._slice(rho.range_vertex, rho.graph._cut(rho.edges + gam.edges * t, degrees), degrees)
 
 
 def ep_samples(g, v, prefix_bound, loop_bound):

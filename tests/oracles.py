@@ -25,9 +25,14 @@ one per strongly connected component.
 by block over their cycles, and the generator action sits on it:
 `rep_apply` prepends a path, `rep_apply_adjoint` peels one off and
 `minimized` drops whole loop copies from the prefix, with `None` as the
-zero vector off their domain.  `annihilates` is the defect element's
-action on one basis vector by that definition, the reference for
-`verify_annihilation`'s single finite comparison.
+zero vector off their domain.  `ep_equal` and `rep_apply_adjoint` read
+their pieces from `_unrolled_cut`: a cut of x into degrees summing to n
+unrolls the least t copies with n <= d(rho) + t d(gamma), t computed in
+closed form, and cuts rho.gamma^t once.  `annihilates` is the defect
+element's action on one basis vector by that definition, the reference
+for `verify_annihilation`.  That audit compares x with
+y = nu.alpha.sigma^d(mu.alpha)(x) as two words cut into one degree
+sequence, which is exact by unique factorization.
 The `*_by_compose` functions are the path layers' definitions one cut
 at a time: a segment from two `factor` calls, an eventually periodic
 path unrolled one `compose` per loop copy, and cycle equality stepped
@@ -76,7 +81,6 @@ from kgraph import (
     positive_part,
     subtract,
 )
-from kgraph.infinite import _unrolled_cut
 from kgraph.periodicity import AperiodicReport, PeriodicReport, resolve_bound, signed_vectors
 from kgraph.skeleton import Edge, Skeleton, ValidationReport
 
@@ -710,6 +714,15 @@ def cofinality_oracle(g, depth):
                 if not (hits & reach[v]):
                     return False
     return True
+
+
+def _unrolled_cut(rho, gam, *degrees):
+    """Cut rho.gam^t once into `degrees` plus the rest, for the least t that covers them."""
+    top = [sum(c) for c in zip(*degrees)]
+    t = max(0, *(-((r - n) // c) for r, n, c in zip(rho.degree, top, gam.degree)))
+    rest = tuple(r + t * c - n for r, n, c in zip(rho.degree, top, gam.degree))
+    degrees += (rest,)
+    return rho.graph._slice(rho.range_vertex, rho.graph._cut(rho.edges + gam.edges * t, degrees), degrees)
 
 
 def minimized(x):

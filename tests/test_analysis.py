@@ -1,5 +1,6 @@
 """Representation spot checks, simplicity verdicts, gauge invariance."""
 
+import sys
 from itertools import islice, product
 
 import pytest
@@ -344,3 +345,79 @@ def test_verify_annihilation_matches_the_oracle():
                 lists[want] += 1
     assert lists[True] > 500 and lists[False] > 100
     assert samples[True] > 10_000 and samples[False] > 1_000
+
+
+def test_per_degree_plan_matches_the_oracle():
+    # The audit works out loop counts and cut degrees once per
+    # (d(rho), d(gamma)) in a call.  Each sample is audited last in a call
+    # whose earlier samples annihilate: one with its d(rho) and another
+    # d(gamma), one the other way round.  A plan keyed on part of the pair
+    # is then read for the wrong sample.
+    graphs = [KGraph(*fixture_parts(name)) for name in ("T2", "F", "D", "D2")]
+    graphs += k2_products(2) + k3_products(1)
+    shared = {"rho": 0, "gamma": 0}
+    verdicts = {True: 0, False: 0}
+    for g in graphs:
+        for h, elem in _elements(g):
+            xs = _evenly(list(sample_family(h, 2)), MAX_SAMPLES)
+            cache = {}
+            wants = [annihilates(h, elem, x, cache) for x in xs]
+            assert verify_annihilation(h, elem, xs) == all(wants)
+            primers = {}  # one annihilated sample per degree pair, at r(mu.alpha)
+            for x, want in zip(xs, wants):
+                if want and x.prefix.range_vertex == elem.mu_alpha.range_vertex:
+                    primers.setdefault((x.prefix.degree, x.loop.degree), x)
+            for x, want in zip(xs, wants):
+                r, c = x.prefix.degree, x.loop.degree
+                same_rho = [p for (pr, pc), p in primers.items() if pr == r and pc != c][:1]
+                same_gamma = [p for (pr, pc), p in primers.items() if pr != r and pc == c][:1]
+                shared["rho"] += len(same_rho)
+                shared["gamma"] += len(same_gamma)
+                got = verify_annihilation(h, elem, same_rho + same_gamma + [x])
+                assert got == want, (elem.mu_alpha, elem.nu_alpha, x)
+                verdicts[want] += 1
+    assert shared["rho"] > 5_000 and shared["gamma"] > 5_000
+    assert verdicts[True] > 5_000 and verdicts[False] > 1_000
+
+
+def test_audit_cuts_each_sample_at_most_twice(monkeypatch):
+    # A sample at another vertex is not cut, one that does not start with
+    # mu.alpha is cut once, and any other twice at most; no Path is sliced
+    # or composed.  Every sample of these periodic tuples at r(mu.alpha)
+    # starts with mu.alpha, so the fabricated elements bring the others.
+    graphs = [KGraph(*fixture_parts(name)) for name in ("T2", "F", "D", "D2")]
+    graphs += corpus(40) + k2_products(3) + k3_products(2)
+    audits = []
+    for g in graphs:
+        for h, elem in _elements(g):
+            mu_alpha = elem.mu_alpha
+            for x in sample_family(h, 1):
+                if x.prefix.range_vertex != mu_alpha.range_vertex:
+                    most = 0
+                else:
+                    most = 1 if rep_apply_adjoint(h, mu_alpha, x) is None else 2
+                audits.append((h, elem, x, most))
+    calls = {"_cut": 0, "_slice": 0, "compose": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("_cut", "_slice"):
+        monkeypatch.setattr(KGraph, name, counted(name, getattr(KGraph, name)))
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "kgraph"]:
+        if hasattr(module, "compose"):
+            monkeypatch.setattr(module, "compose", counted("compose", module.compose))
+    seen = {0: 0, 1: 0, 2: 0}
+    for h, elem, x, most in audits:
+        calls["_cut"] = 0
+        verify_annihilation(h, elem, [x])
+        assert calls["_cut"] <= most, (elem.mu_alpha, elem.nu_alpha, x)
+        if most < 2:
+            assert calls["_cut"] == most
+        seen[most] += 1
+    assert calls["_slice"] == calls["compose"] == 0
+    assert min(seen.values()) > 500
