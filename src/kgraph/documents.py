@@ -42,7 +42,14 @@ list layout.  Its ids come from a validated graph, so they are str;
 `resolve_bound` makes the bound an exact int, `signed_vectors` makes each
 earlier p a tuple of them and the scan negates it into a tuple for the
 later one, and the witness constructor checks m and n the same
-way (`require_rank`), which makes that template exact too.
+way (`require_rank`), which makes that template exact too.  It writes
+each text once per call, in two dicts local to the call.  A path's text
+is keyed by `id(path)`: a mirrored row holds its twin's lambda and
+segments, and `report.entries` keeps every path alive until the call
+returns, so no id is reused for another path.  The key is not the edge
+ids, since vertex segments at two vertices have equal empty edges.  An
+int list's text (p, m or n) is keyed by the tuple and the pad of its
+depth, since p sits one level above m and n.
 """
 
 import json
@@ -238,12 +245,26 @@ def _path_text(path):
 
 def scan_report_text(report):
     """`canonical_json(report.to_json())` for an `AperiodicReport`, one template per witness row."""
+    paths, ints = {}, {}  # id(path) -> text; (int tuple, pad) -> text
+
+    def path_text(path):
+        text = paths.get(id(path))
+        if text is None:
+            text = paths[id(path)] = _path_text(path)
+        return text
+
+    def ints_text(t, pad):
+        text = ints.get((t, pad))
+        if text is None:
+            text = ints[t, pad] = _list_text([str(c) for c in t], pad)
+        return text
+
     rows = [
-        f'{{\n      "p": {_list_text([str(c) for c in p], _ROW)},\n      "vertex": {_quote(v)},\n'
-        f'      "witness": {{\n        "lambda": {_path_text(w.lam)},\n'
-        f'        "m": {_list_text([str(c) for c in w.m], _WITNESS)},\n'
-        f'        "n": {_list_text([str(c) for c in w.n], _WITNESS)},\n'
-        f'        "segment_m": {_path_text(w.segment_m)},\n        "segment_n": {_path_text(w.segment_n)},\n'
+        f'{{\n      "p": {ints_text(p, _ROW)},\n      "vertex": {_quote(v)},\n'
+        f'      "witness": {{\n        "lambda": {path_text(w.lam)},\n'
+        f'        "m": {ints_text(w.m, _WITNESS)},\n'
+        f'        "n": {ints_text(w.n, _WITNESS)},\n'
+        f'        "segment_m": {path_text(w.segment_m)},\n        "segment_n": {path_text(w.segment_n)},\n'
         f'        "vertex": {_quote(w.vertex)}\n      }}\n    }}'
         for v, p, w in report.entries
     ]

@@ -278,7 +278,11 @@ class KGraph:
         edge has its color is passed; otherwise the first later edge of
         that color is swapped down to it.  `swaps[a][e]` is the image of
         the pair (a, e) under either square bijection, built at the first
-        cut so that a graph that never cuts builds none.
+        cut so that a graph that never cuts builds none.  The degrees may
+        sum to less than the sequence: slots are filled from the left, so
+        the word up to their sum is the same as for any longer cut, and
+        the ids past it are left in some order, unread.  The annihilation
+        audit and the witness constructor cut only as far as they compare.
         """
         swaps = self._swaps
         if swaps is None:

@@ -69,11 +69,13 @@ class AperiodicityWitness:
     """A finite path separating sigma^m from sigma^n at its range vertex.
 
     Construction cuts both segments out of lam, lam(m, m + q) and
-    lam(n, n + q) with q = d(lam) - (m v n), one cut of lam each with
-    only its middle piece made a Path, and refuses a path that does not
-    actually separate, so a witness object is always trustworthy.  `mirrored` gives the (vertex, n, m) witness
-    of the same lam without cutting: m v n and so q are symmetric in m
-    and n, so the constructor would cut the same two segments, swapped.
+    lam(n, n + q) with q = d(lam) - (m v n): one cut of lam each, into
+    (m, q) and (n, q), which stops where the segment ends and leaves the
+    rest of lam uncut, with only the segment made a Path.  It refuses a
+    path that does not actually separate, so a witness object is always
+    trustworthy.  `mirrored` gives the (vertex, n, m) witness of the same
+    lam without cutting: m v n and so q are symmetric in m and n, so the
+    constructor would cut the same two segments, swapped.
     """
 
     periodic = False
@@ -94,8 +96,8 @@ class AperiodicityWitness:
         self.m = m
         self.n = n
         self.lam = lam
-        self.segment_m, = g._slice(vertex, g._cut(lam.edges, (m, q, subtract(j, m))), (q,), sum(m))
-        self.segment_n, = g._slice(vertex, g._cut(lam.edges, (n, q, subtract(j, n))), (q,), sum(n))
+        self.segment_m, = g._slice(vertex, g._cut(lam.edges, (m, q)), (q,), sum(m))
+        self.segment_n, = g._slice(vertex, g._cut(lam.edges, (n, q)), (q,), sum(n))
         if self.segment_m == self.segment_n:
             raise ContractViolationError("witness path does not separate the two shifts")
 
@@ -322,9 +324,10 @@ def scan_aperiodicity(g, bound=None):
 
     Each signed p is reduced to its minimal pair (m, n) = positive_part(p);
     testing minimal pairs at every vertex is equivalent to testing all
-    pairs (docs/minimal-pairs.md).  Returns the first periodic hit in
-    (vertex, p) lexicographic order, or an AperiodicReport carrying one
-    witness per (vertex, p).
+    pairs (docs/minimal-pairs.md).  The pair and its two count rows are
+    worked out at the first vertex that reaches p and kept for the scan.
+    Returns the first periodic hit in (vertex, p) lexicographic order, or
+    an AperiodicReport carrying one witness per (vertex, p).
 
     The range of `signed_vectors` is symmetric, so its first half is the
     p < 0 (first nonzero entry negative) and its second half is their
@@ -346,13 +349,18 @@ def scan_aperiodicity(g, bound=None):
     bound = resolve_bound(g, bound)
     counts = _path_counts(g)
     zero = (0,) * g.k
+    pairs = {}  # p -> (m, n, counts(m), counts(n))
     rows = []  # per vertex: (p, m, n, witness or None) for each p < 0
     for i, v in enumerate(g.vertices):
         row = []
         for p in takewhile(zero.__gt__, signed_vectors(g.k, bound)):
-            m, n = positive_part(p)
+            pair = pairs.get(p)
+            if pair is None:
+                m, n = positive_part(p)
+                pair = pairs[p] = (m, n, counts(m), counts(n))
+            m, n, count_m, count_n = pair
             res = None
-            if counts(m)[i] == counts(n)[i]:
+            if count_m[i] == count_n[i]:
                 res = local_periodicity_at(g, v, m, n)
                 if res.periodic:
                     return PeriodicReport(bound, p, res)

@@ -109,6 +109,11 @@ def test_cut_matches_bubbling_on_long_witnesses(name):
         for seq in (lam.edges, descending_form(g, lam)):
             for degrees in cuts:
                 assert g._cut(seq, degrees) == cut_by_bubbling(g, seq, degrees)
+            # The constructor's cuts stop at the segment's end: their first
+            # |m| + |q| ids are the three-piece cut's.
+            for start, end in ((w.m, subtract(j, w.m)), (w.n, subtract(j, w.n))):
+                at = sum(start) + sum(q)
+                assert g._cut(seq, (start, q))[:at] == g._cut(seq, (start, q, end))[:at]
         longest = max(longest, len(lam.edges))
     assert longest == 80
 
@@ -222,12 +227,12 @@ class TestOneRewritePerCut:
         assert not res.periodic
         # Seed: lam cut at m and at n.  Each extension kappa: L.kappa and
         # R.kappa, one cut each.  Witness: the assembled path, then its
-        # two segments.
+        # two segments, each cut stopping where its segment ends.
         seed, steps, witness = rewrites[:2], rewrites[2:-3], rewrites[-3:]
         assert seed == [(m, (0, 1)), (n, (1, 0))]
         assert steps and len(steps) % 2 == 0
         assert steps == [(block, (0, 1)), (block, (1, 0))] * (len(steps) // 2)
-        assert witness == [(res.lam.degree,), (m, (1, 1), (0, 1)), (n, (1, 1), (1, 0))]
+        assert witness == [(res.lam.degree,), (m, (1, 1)), (n, (1, 1))]
 
     def test_no_path_per_state(self, f, monkeypatch):
         built, walked = [], []

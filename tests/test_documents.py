@@ -26,7 +26,7 @@ from kgraph import (
     quotient,
 )
 from kgraph.documents import graph_document_text, scan_report_text
-from kgraph.periodicity import scan_aperiodicity
+from kgraph.periodicity import AperiodicReport, AperiodicityWitness, scan_aperiodicity
 
 from generators import corpus, disjoint_union, k2_products, k3_products, wide_graph
 from oracles import canonical_json_reference, parse_graph_document_reference
@@ -476,6 +476,17 @@ class TestScanReportText:
     def test_rank_one_with_two_loops(self):
         g = KGraph(Skeleton(1, ["v"], [Edge("e", 1, "v", "v"), Edge("f", 1, "v", "v")]), SquareTable([]))
         assert self.check([scan_aperiodicity(g, 3)]) == {False}
+
+    def test_rows_that_share_no_paths(self, f, d2):
+        # A fresh witness per row: no mirrored row holds its twin's Paths,
+        # so the writer's path memo never hits.
+        scans = [scan_aperiodicity(g, 5) for g in (f, d2)]
+        fresh = [
+            AperiodicReport(scan.bound, [(v, p, AperiodicityWitness(w.vertex, w.m, w.n, w.lam))
+                                         for v, p, w in scan.entries])
+            for scan in scans
+        ]
+        assert self.check(fresh) == {True, False}
 
     def test_ids_that_need_escaping(self):
         scan = scan_aperiodicity(_renamed_f(), 3)

@@ -373,6 +373,22 @@ class TestScan:
         assert rep.p == (-2000, -2000)
         assert pulled == [(-2000, -2000)]
 
+    def test_each_pair_is_worked_out_once_per_scan(self, d2, monkeypatch):
+        # D2 has two vertices and 24 vectors p < 0 at bound 3: one pair each.
+        import kgraph.periodicity as periodicity
+
+        split = []
+        real = periodicity.positive_part
+
+        def counted(p):
+            split.append(p)
+            return real(p)
+
+        monkeypatch.setattr(periodicity, "positive_part", counted)
+        rep = scan_aperiodicity(d2, 3)
+        assert not rep.periodic and len(d2.vertices) == 2
+        assert sorted(split) == [p for p in signed_vectors(2, 3) if p < (0, 0)]
+
     def test_deep_scan_memory_is_bounded(self):
         # vLambda^(8,8) of F holds 2^16 paths; the scan must not hold them.
         f = KGraph(*fixture_parts("F"))
