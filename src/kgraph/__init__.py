@@ -6,14 +6,7 @@ the path calculus sit the exact local periodicity decision, the vertex-set
 ideal lattice, and bounded-scan analyses with re-validating certificates.
 """
 
-from .analysis import (
-    RepElement,
-    all_ideals_gauge_invariant,
-    analyze,
-    is_simple,
-    sample_family,
-    verify_annihilation,
-)
+from .analysis import all_ideals_gauge_invariant, analyze, is_simple
 from .degrees import add, join, leq, ones, positive_part, subtract
 from .documents import (
     canonical_json,
@@ -38,7 +31,6 @@ from .ideals import (
     quotient,
     sat_her_closure,
 )
-from .infinite import EventuallyPeriodicPath, ep_samples
 from .periodicity import (
     AperiodicityWitness,
     PeriodicityTuple,
@@ -54,12 +46,10 @@ __all__ = [
     "ContractViolationError",
     "DocumentError",
     "Edge",
-    "EventuallyPeriodicPath",
     "KGraph",
     "LimitExceededError",
     "Path",
     "PeriodicityTuple",
-    "RepElement",
     "Skeleton",
     "SquareTable",
     "ValidationError",
@@ -70,7 +60,6 @@ __all__ = [
     "compose",
     "dump_graph_document",
     "enumerate_sat_her",
-    "ep_samples",
     "factor",
     "fixture_parts",
     "graph_from_json",
@@ -86,9 +75,7 @@ __all__ = [
     "parse_graph_document",
     "positive_part",
     "quotient",
-    "sample_family",
     "sat_her_closure",
     "scan_aperiodicity",
     "subtract",
-    "verify_annihilation",
 ]

@@ -13,28 +13,77 @@ hereditary set, so `all_ideals_gauge_invariant` and `analyze` run on any
 graph whose ideal lattice has at most `ideals.ENUM_LIMIT` sets, however
 many vertices it has.
 
-The representation-theoretic spot check works on the basis of eventually
-periodic infinite paths.  For a periodicity tuple, the defect element
+The representation-theoretic spot check works on the basis of
+eventually periodic infinite paths rho.gamma^inf: a finite prefix rho
+and a loop gamma at s(rho) whose degree is >= 1 in every coordinate, so
+that finitely many copies of the loop cover any requested degree.  For
+a periodicity tuple, the defect element
 s_(mu.alpha) s*_(mu.alpha) - s_(nu.alpha) s*_(mu.alpha) kills a basis
 vector x exactly when x does not start with mu.alpha, or x = mu.alpha.y
 and nu.alpha.y = x; the degree inequality d(mu.alpha) != d(nu.alpha) is
 the finite certificate that the element is nevertheless a nonzero
-obstruction.  `verify_annihilation` decides each sample exactly, because
-x and nu.alpha.y end in the same loop: they are equal when they agree up
-to a degree `top`.  It cuts the two as edge-id words into one degree
-sequence, and by unique factorization a path of degree `top` has one
-word for it, so comparing the words' first |top| ids is exact.  It is a
-spot check all the same: the samples are finitely many.
+obstruction.  Two representations can denote the same path, and the
+library does not decide that in general: it compares only two paths
+that end in the same loop, as `verify_annihilation` sets out, and the
+general equality lives in the test suite's oracles.  The check is exact
+per sample, but it is a spot check all the same: the samples are
+finitely many.
 """
 
 import time
+from itertools import product as _iproduct
 
 from .degrees import add, join, subtract
 from .errors import ContractViolationError
 from .factorization import Path
 from .ideals import Cofinal, NotCofinal, enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
-from .infinite import EventuallyPeriodicPath, ep_samples
 from .periodicity import resolve_bound, scan_aperiodicity
+
+
+class EventuallyPeriodicPath:
+    """The representation rho.gamma^infinity."""
+
+    __slots__ = ("prefix", "loop")
+
+    def __init__(self, prefix, loop):
+        if not (isinstance(prefix, Path) and isinstance(loop, Path)):
+            raise ContractViolationError("prefix and loop must be Paths")
+        if prefix.graph is not loop.graph:
+            raise ContractViolationError("prefix and loop belong to different graphs")
+        if loop.range_vertex != loop.source_vertex:
+            raise ContractViolationError("loop must start and end at the same vertex")
+        if loop.range_vertex != prefix.source_vertex:
+            raise ContractViolationError("loop must sit at the prefix's source")
+        if any(c < 1 for c in loop.degree):
+            raise ContractViolationError(f"loop degree {loop.degree!r} must be >= 1 in every coordinate")
+        self.prefix = prefix
+        self.loop = loop
+
+    def __repr__(self):
+        return f"EP<{self.prefix!r}.({self.loop!r})^inf>"
+
+
+def ep_samples(g, v, prefix_bound, loop_bound):
+    """Deterministic generator of eventually periodic paths from v.
+
+    Prefix degrees range over entries <= prefix_bound, loop degrees over
+    entries in 1..loop_bound; loops are filtered to actual cycles.  A
+    bound that is not an int, or that leaves its range empty, is refused.
+    """
+    g.require_vertex(v)
+    for name, bound, least in (("prefix", prefix_bound, 0), ("loop", loop_bound, 1)):
+        if type(bound) is not int or bound < least:
+            raise ContractViolationError(f"{name} bound {bound!r} is not an int >= {least}")
+    k = g.k
+    cycles = {}  # prefix source vertex -> its cycles, in canonical order
+    for pdeg in _iproduct(range(prefix_bound + 1), repeat=k):
+        for rho in g.paths_from(v, pdeg):
+            w = rho.source_vertex
+            if w not in cycles:
+                ldegs = _iproduct(range(1, loop_bound + 1), repeat=k)
+                cycles[w] = [c for d in ldegs for c in g.paths_from(w, d) if c.source_vertex == w]
+            for gam in cycles[w]:
+                yield EventuallyPeriodicPath(rho, gam)
 
 
 class RepElement:

@@ -26,4 +26,8 @@ class ContractViolationError(KGraphError, ValueError):
 
 
 class LimitExceededError(KGraphError):
-    """A computation refused to start because the input exceeds a configured limit."""
+    """A computation stopped past a fixed limit.
+
+    Its one raiser, `ideals.enumerate_sat_her`, stops once it has found
+    `ideals.ENUM_LIMIT` sets, a module constant, and meets one more.
+    """

@@ -91,7 +91,7 @@ class AperiodicityWitness:
             raise ContractViolationError("witness path does not start at the claimed vertex")
         if not leq(j, lam.degree):
             raise ContractViolationError("witness path shorter than m v n")
-        q = subtract(lam.degree, j)
+        q = tuple(a - b for a, b in zip(lam.degree, j))
         self.vertex = vertex
         self.m = m
         self.n = n

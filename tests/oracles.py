@@ -68,12 +68,10 @@ from itertools import product
 from kgraph import (
     ContractViolationError,
     DocumentError,
-    EventuallyPeriodicPath,
     Path,
     SquareTable,
     add,
     compose,
-    ep_samples,
     factor,
     join,
     leq,
@@ -81,6 +79,7 @@ from kgraph import (
     positive_part,
     subtract,
 )
+from kgraph.analysis import EventuallyPeriodicPath, ep_samples
 from kgraph.periodicity import AperiodicReport, PeriodicReport, resolve_bound, signed_vectors
 from kgraph.skeleton import Edge, Skeleton, ValidationReport
 

@@ -30,6 +30,7 @@ from oracles import (
 from kgraph.analysis import (
     RepElement,
     all_ideals_gauge_invariant,
+    ep_samples,
     is_simple,
     sample_family,
     verify_annihilation,
@@ -38,7 +39,6 @@ from kgraph.degrees import add, join, subtract
 from kgraph.factorization import KGraph, compose, factor
 from kgraph.fixtures import fixture_parts
 from kgraph.ideals import is_cofinal, is_hereditary, is_saturated, quotient
-from kgraph.infinite import ep_samples
 from kgraph.periodicity import (
     AperiodicityWitness,
     PeriodicityTuple,

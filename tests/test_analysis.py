@@ -10,19 +10,15 @@ from oracles import annihilates, ep_equal, rep_apply, rep_apply_adjoint
 from kgraph import (
     ContractViolationError,
     KGraph,
-    RepElement,
     all_ideals_gauge_invariant,
     analyze,
-    ep_samples,
     fixture_parts,
     is_cofinal,
     is_simple,
     local_periodicity_at,
-    sample_family,
     scan_aperiodicity,
-    verify_annihilation,
 )
-from kgraph.infinite import EventuallyPeriodicPath
+from kgraph.analysis import EventuallyPeriodicPath, RepElement, ep_samples, sample_family, verify_annihilation
 
 
 def ep(g, vertex, prefix_edges, loop_edges):

@@ -33,7 +33,6 @@ from oracles import (
 )
 
 from kgraph import (
-    EventuallyPeriodicPath,
     compose,
     factor,
     fixture_parts,
@@ -42,10 +41,10 @@ from kgraph import (
     leq,
     local_periodicity_at,
     quotient,
-    sample_family,
     scan_aperiodicity,
     subtract,
 )
+from kgraph.analysis import EventuallyPeriodicPath, sample_family
 from kgraph.documents import graph_document_text
 from kgraph.factorization import KGraph, Path
 

@@ -4,9 +4,7 @@ from hypothesis import strategies as st
 
 from kgraph import (
     Edge,
-    EventuallyPeriodicPath,
     KGraph,
-    RepElement,
     Skeleton,
     SquareTable,
     compose,
@@ -15,6 +13,7 @@ from kgraph import (
     leq,
     subtract,
 )
+from kgraph.analysis import EventuallyPeriodicPath, RepElement
 from kgraph.errors import ContractViolationError, ValidationError
 from kgraph.factorization import validate_cubes, validate_squares
 

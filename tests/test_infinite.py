@@ -7,11 +7,8 @@ Minimization, composition and equality are the general oracles in
 
 import pytest
 
-from kgraph import (
-    ContractViolationError,
-    EventuallyPeriodicPath,
-    ep_samples,
-)
+from kgraph import ContractViolationError
+from kgraph.analysis import EventuallyPeriodicPath, ep_samples
 
 from oracles import ep_compose, ep_equal, ep_samples_unique, minimized, path_key
 

@@ -153,7 +153,7 @@ class TestWitness:
 
     def test_short_path_refused(self, f):
         lam = f.path("v", ["b0"])
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="shorter than m v n"):
             AperiodicityWitness("v", (1, 1), (0, 0), lam)
 
     def test_wrong_vertex_refused(self, d2):
@@ -353,6 +353,17 @@ class TestScan:
             assert canonical_json(scan_aperiodicity(g, bound).to_json()) == canonical_json(
                 scan_every_triple(g, bound).to_json()
             )
+
+    def test_second_walk_reports_a_periodic_hit(self, t2, f, d, d2, monkeypatch):
+        # Count rows that differ for every pair leave every triple to the
+        # second walk, so T2's and D's periodic hits come from it.
+        import kgraph.periodicity as periodicity
+
+        monkeypatch.setattr(periodicity, "_path_counts", lambda g: lambda deg: [deg] * len(g.vertices))
+        for g, bound in ((t2, 2), (d, 2), (f, 3), (d2, 3)):
+            rep = scan_aperiodicity(g, bound)
+            assert rep.periodic == (g in (t2, d))
+            assert canonical_json(rep.to_json()) == canonical_json(scan_every_triple(g, bound).to_json())
 
     def test_periodic_scan_pulls_only_the_vectors_it_tests(self, t2, monkeypatch):
         # The scan walks the difference vectors lazily: T2's first vector
