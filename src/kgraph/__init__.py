@@ -10,7 +10,6 @@ from .analysis import all_ideals_gauge_invariant, analyze, is_simple
 from .degrees import add, join, leq, ones, positive_part, subtract
 from .documents import (
     canonical_json,
-    dump_graph_document,
     graph_from_json,
     load_graph_document,
     parse_graph_document,
@@ -58,7 +57,6 @@ __all__ = [
     "analyze",
     "canonical_json",
     "compose",
-    "dump_graph_document",
     "enumerate_sat_her",
     "factor",
     "fixture_parts",

@@ -285,8 +285,7 @@ def all_ideals_gauge_invariant(g, bound=None):
 class AnalysisReport:
     """Everything about one graph in a single document."""
 
-    def __init__(self, source, simplicity, gauge, seconds):
-        self.source = source
+    def __init__(self, simplicity, gauge, seconds):
         self.simplicity = simplicity
         self.gauge = gauge
         self.seconds = seconds
@@ -298,7 +297,7 @@ class AnalysisReport:
     def to_json(self):
         verdict = self.simplicity
         return {
-            "graph": self.source,
+            "graph": None,  # nothing names the graph; the key keeps the report's shape
             "bound": verdict.bound,
             "cofinality": verdict.cofinality.to_json(),
             "aperiodicity": verdict.scan.to_json(),
@@ -308,7 +307,7 @@ class AnalysisReport:
         }
 
 
-def analyze(g, bound=None, source=None):
+def analyze(g, bound=None):
     """Run every decision at one bound and bundle the certificates."""
     start = time.monotonic()
     bound = resolve_bound(g, bound)
@@ -319,4 +318,4 @@ def analyze(g, bound=None, source=None):
     # terminal closure that is not all of V, is_cofinal's certificate.
     cofinality = NotCofinal(g, gauge.rows[1][0]) if len(gauge.rows) > 1 else Cofinal()
     verdict = SimplicityVerdict(bound, cofinality, gauge.rows[0][1])
-    return AnalysisReport(source, verdict, gauge, time.monotonic() - start)
+    return AnalysisReport(verdict, gauge, time.monotonic() - start)

@@ -33,9 +33,10 @@ sort_keys=True) + "\\n"` (ASCII only), pinned by the test oracle
 CPython's C encoder off; it writes strings (through the C escaper), ints,
 lists and str-keyed dicts itself and hands any other value to that call.
 `graph_document_text` writes those bytes for a validated graph's
-`dump_graph_document` from one template per edge row and per square row,
-quoting ids with the same escaper.  Validation makes `k` and every color
-an exact int and every id a str, which makes the templates exact.
+document from one template per edge row and per square row, quoting ids
+with the same escaper; a test oracle's dict writer, which also writes
+invalid tables, pins it.  Validation makes `k` and every color an exact
+int and every id a str, which makes the templates exact.
 `scan_report_text` writes the bytes of an aperiodic scan report's
 `to_json()` from one template per witness row, with the same escaper and
 list layout.  Its ids come from a validated graph, so they are str;
@@ -193,26 +194,13 @@ def graph_from_json(text):
     return KGraph(*load_graph_document(text))
 
 
-def dump_graph_document(skel, squares):
-    """(Skeleton, SquareTable) -> the interchange dict, deterministically ordered."""
-    return {
-        "k": skel.k,
-        "vertices": list(skel.vertices),
-        "edges": [
-            {"id": e.id, "color": e.color, "range": e.range, "source": e.source}
-            for e in skel.edges.values()
-        ],
-        "squares": [{"pair": list(p), "image": list(i)} for p, i in sorted(squares.entries)],
-    }
-
-
 def _rows_text(rows):
     """A list in a top-level field of the document, from its items' written rows."""
     return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
 
 def graph_document_text(g):
-    """`canonical_json(dump_graph_document(g.skeleton, g.squares))`, one template per row."""
+    """g's graph document as `canonical_json` writes it, one template per row."""
     skel = g.skeleton
     edges = [
         f'    {{\n      "color": {e.color},\n      "id": {_quote(eid)},\n'

@@ -51,8 +51,9 @@ class SquareTable:
 
     `forward` maps an ascending-color pair (f, g) to its image (g', f');
     `backward` is the inverse.  `entries` keeps the (pair, image) tuples as
-    given, so an invalid table can still be serialized and reported on.  An
-    entry whose pair or image is not a hashable tuple of two ids is refused.
+    given, so an invalid table can still be reported on (the test oracles
+    serialize one).  An entry whose pair or image is not a hashable tuple of
+    two ids is refused.
     """
 
     def __init__(self, entries):

@@ -12,8 +12,9 @@ block degree s that covers every coordinate (see below), extend by each
 kappa in s(L)Lambda^s and compare the degree-s prefixes of L.kappa and
 R.kappa.  A mismatch refutes; otherwise the residual tails form the
 successor state, with the same degrees as (L, R).  A state is held as
-the edge-id tuples of L and R, keyed with their common range, and the
-heads compare as slices of the two cut words.  A tail's range is the
+the edge-id tuples of L and R alone: m != n, so one tail has edges, its
+first edge fixes its range, and a consistent state's tails share it.
+The heads compare as slices of the two cut words.  A tail's range is the
 source of the last edge of the head before it in that cut word, which
 need not be the edge at the same place in lam's canonical order (or v
 when the head is a vertex).  So a decision builds Paths only for the
@@ -133,6 +134,8 @@ class PeriodicityTuple:
     def __init__(self, vertex, m, n, mu, alpha):
         if not (isinstance(mu, Path) and isinstance(alpha, Path)):
             raise ContractViolationError("mu and alpha must be Paths")
+        mu.graph.require_rank(m)
+        mu.graph.require_rank(n)
         if mu.range_vertex != vertex:
             raise ContractViolationError("mu does not start at the claimed vertex")
         if mu.degree != m:
@@ -189,21 +192,21 @@ def local_periodicity_at(g, v, m, n):
         at = edges[left[hm - 1]].source if hm else v
         if at != (edges[right[hn - 1]].source if hn else v):
             return AperiodicityWitness(v, m, n, lam)
-        seed = (at, left[hm:], right[hn:])
+        seed = (left[hm:], right[hn:])
         if seed in paths:
             continue  # its closure is explored and consistent
         paths[seed] = lam.edges
         queue = deque([(seed, lam.source_vertex)])
         while queue:
             state, source = queue.popleft()
-            _, left, right = state  # both tails end at `source`: s(lam), or s(kappa) after a step
+            left, right = state  # both tails end at `source`: s(lam), or s(kappa) after a step
             for kappa in g.paths_from(source, block):
                 # L.kappa cut at the block; the tail keeps d(L) = a (d(R) = b).
                 lk = g._cut(left + kappa.edges, (block, a))
                 rk = g._cut(right + kappa.edges, (block, b))
                 if lk[:hb] != rk[:hb]:
                     return AperiodicityWitness(v, m, n, g.path(v, paths[state] + kappa.edges))
-                succ = (edges[lk[hb - 1]].source, lk[hb:], rk[hb:])
+                succ = (lk[hb:], rk[hb:])
                 if succ not in paths:
                     paths[succ] = paths[state] + kappa.edges
                     queue.append((succ, kappa.source_vertex))

@@ -48,7 +48,9 @@ square lookup with a tuple.
 and row checks written out once per section, as they were before the
 library shared them.  `canonical_json_reference` is the standard
 library's indented, key-sorted JSON, whose bytes `canonical_json` must
-reproduce.
+reproduce.  `dump_graph_document` is a graph document as a dict, whose
+`canonical_json` bytes `graph_document_text` must reproduce; it also
+writes the invalid tables that tests feed to the reader and the CLI.
 
 The rest are test helpers that the library does not need.
 `path_key` keys sets and caches of Paths, which are not hashable.
@@ -536,6 +538,19 @@ def _check_id_pair(row, key, problems, where):
 def canonical_json_reference(obj):
     """Indented, key-sorted JSON from the standard library's encoder."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def dump_graph_document(skel, squares):
+    """(Skeleton, SquareTable) -> the interchange dict, deterministically ordered."""
+    return {
+        "k": skel.k,
+        "vertices": list(skel.vertices),
+        "edges": [
+            {"id": e.id, "color": e.color, "range": e.range, "source": e.source}
+            for e in skel.edges.values()
+        ],
+        "squares": [{"pair": list(p), "image": list(i)} for p, i in sorted(squares.entries)],
+    }
 
 
 def parse_graph_document_reference(data):

@@ -231,7 +231,7 @@ class TestGaugeInvariance:
 
 class TestAnalyze:
     def test_report_shape(self, f):
-        rep = analyze(f, bound=2, source="F")
+        rep = analyze(f, bound=2)
         data = rep.to_json()
         assert set(data) == {
             "graph",
@@ -242,7 +242,7 @@ class TestAnalyze:
             "gauge_invariance",
             "timing",
         }
-        assert data["graph"] == "F"
+        assert data["graph"] is None
         assert data["bound"] == 2
         assert data["simplicity"]["verdict"] == "simple"
         assert data["timing"]["seconds"] >= 0

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 import kgraph.errors
 import kgraph.ideals
 from kgraph.cli import main, render_text
-from kgraph.documents import canonical_json, dump_graph_document
+from kgraph.documents import canonical_json
 from kgraph.skeleton import ValidationReport
 
 from generators import exchanged_tables, k3_products, wide_graph
+from oracles import dump_graph_document
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -718,22 +719,30 @@ def test_unusable_standard_stream_exits_3_in_a_process(tmp_path, argv, closed, e
 
 
 class TestTextRendering:
-    # An aperiodic scan's JSON comes from its row writer, a periodic one's from canonical_json.
+    # An aperiodic scan's JSON comes from its row writer, a periodic one's from canonical_json,
+    # and a graph document's from graph_document_text; --text renders each one's object.
     @pytest.mark.parametrize(
-        "command, name, bound, holds, line",
+        "argv, holds, line",
         [
-            ("simple", "F", "2", True, "summary: Simple (up to bound 2)"),
-            ("aperiodic", "F", "2", True, "verdict: aperiodic"),
-            ("aperiodic", "T2", "1", False, "verdict: periodic"),
+            pytest.param(["simple", "F", "--bound", "2"], True, "summary: Simple (up to bound 2)", id="simple"),
+            pytest.param(["aperiodic", "F", "--bound", "2"], True, "verdict: aperiodic", id="aperiodic"),
+            pytest.param(["aperiodic", "T2", "--bound", "1"], False, "verdict: periodic", id="periodic"),
+            *[pytest.param([command, name], None, None, id=f"{command}-{name}")
+              for command in ("validate", "cofinal", "ideals", "fixture") for name in ("T2", "F", "D", "D2")],
+            *[pytest.param(["quotient", name, "--set", "u"], None, None, id=f"quotient-{name}") for name in ("D", "D2")],
         ],
-        ids=["simple", "aperiodic", "periodic"],
     )
-    def test_mirrors_the_json_object(self, capsys, command, name, bound, holds, line):
-        _, data, _ = run_json(capsys, command, fixture_path(name), "--bound", bound)
-        code, out, _ = run(capsys, command, fixture_path(name), "--bound", bound, "--text")
-        assert code == (0 if holds else 1)
+    def test_mirrors_the_json_object(self, capsys, argv, holds, line):
+        command, name, *rest = argv
+        argv = [command, name if command == "fixture" else fixture_path(name), *rest]
+        json_code, data, _ = run_json(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--text")
+        assert code == json_code
+        if holds is not None:
+            assert code == (0 if holds else 1)
         assert out.splitlines() == render_text(data)
-        assert line in out.splitlines()
+        if line is not None:
+            assert line in out.splitlines()
 
     def test_lists_render_as_items(self):
         lines = render_text({"xs": [1, {"a": 2}]})

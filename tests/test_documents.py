@@ -17,7 +17,6 @@ from kgraph import (
     SquareTable,
     ValidationError,
     canonical_json,
-    dump_graph_document,
     enumerate_sat_her,
     fixture_parts,
     graph_from_json,
@@ -29,7 +28,7 @@ from kgraph.documents import graph_document_text, scan_report_text
 from kgraph.periodicity import AperiodicReport, AperiodicityWitness, scan_aperiodicity
 
 from generators import corpus, disjoint_union, k2_products, k3_products, wide_graph
-from oracles import canonical_json_reference, parse_graph_document_reference
+from oracles import canonical_json_reference, dump_graph_document, parse_graph_document_reference
 
 
 def t2_doc():

@@ -37,11 +37,11 @@ from pathlib import Path
 
 import pytest
 
-from kgraph import KGraph, analyze, canonical_json, dump_graph_document, fixture_parts, is_simple, scan_aperiodicity
+from kgraph import KGraph, analyze, canonical_json, fixture_parts, is_simple, scan_aperiodicity
 from kgraph.cli import main
 
 from generators import cycle_product, disjoint_union, k2_products, k3_products, wide_graph
-from oracles import least_singleton_obstruction
+from oracles import dump_graph_document, least_singleton_obstruction
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -19,13 +19,13 @@ from kgraph import (
     quotient,
     sat_her_closure,
 )
-from kgraph.documents import dump_graph_document
 from kgraph.ideals import NotCofinal
 from generators import corpus, cycle_product, disjoint_union, k2_products, k3_products, wide_graph
 from oracles import (
     brute_force_sat_her_sets,
     cofinality_oracle,
     core_dimensions,
+    dump_graph_document,
     enumerate_sat_her_per_vertex,
     fixed_point_closure,
     least_singleton_obstruction,

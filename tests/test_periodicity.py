@@ -203,6 +203,12 @@ class TestTuple:
         with pytest.raises(ContractViolationError, match="must be Paths"):
             PeriodicityTuple("v", (1, 0), (0, 1), paths["mu"], paths["alpha"])
 
+    @pytest.mark.parametrize("n", [("a", 1), None], ids=["str-entry", "none"])
+    def test_validation_rejects_a_malformed_degree(self, t2, n):
+        # A malformed degree breaks the precondition; it must not reach join as a TypeError.
+        with pytest.raises(ContractViolationError, match="degree|rank"):
+            PeriodicityTuple("v", (1, 0), n, t2.path("v", ["b"]), t2.path("v", ["r"]))
+
     def test_validation_rejects_equal_degrees(self, t2):
         mu = t2.path("v", ())
         alpha = t2.path("v", ())

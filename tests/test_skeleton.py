@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgraph import Edge, KGraph, Skeleton, SquareTable, canonical_json, dump_graph_document
+from kgraph import Edge, KGraph, Skeleton, SquareTable, canonical_json
 from kgraph.errors import ContractViolationError, ValidationError
 
 from generators import corpus, k2_products, k3_products
-from oracles import matmul, vertex_matrices
+from oracles import dump_graph_document, matmul, vertex_matrices
 
 
 def _loops(k, v="v"):
