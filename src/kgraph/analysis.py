@@ -36,7 +36,7 @@ from itertools import product as _iproduct
 from .degrees import add, join, subtract
 from .errors import ContractViolationError
 from .factorization import Path
-from .ideals import Cofinal, NotCofinal, enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
+from .ideals import Cofinal, NotCofinal, enumerate_sat_her, is_cofinal, quotient
 from .periodicity import resolve_bound, scan_aperiodicity
 
 
@@ -212,7 +212,7 @@ class SimplicityVerdict:
         }
         if not self.cofinality.cofinal:
             out["reason"] = "not_cofinal"
-            out["not_cofinal"] = vertex_set_to_json(self.cofinality.certificate)
+            out["not_cofinal"] = sorted(self.cofinality.certificate)
         elif self.scan.periodic:
             out["reason"] = "locally_periodic"
             out["periodic"] = self.scan.to_json()
@@ -248,7 +248,7 @@ class GaugeInvarianceReport:
         table = []
         for h, scan in self.rows:
             row = {
-                "H": vertex_set_to_json(h),
+                "H": sorted(h),
                 "verdict": "periodic" if scan.periodic else "aperiodic",
             }
             if scan.periodic:
@@ -262,7 +262,7 @@ class GaugeInvarianceReport:
         }
         if self.offender is not None:
             h, hit = self.offender
-            out["offender"] = {"H": vertex_set_to_json(h), "tuple": hit.tuple.to_json()}
+            out["offender"] = {"H": sorted(h), "tuple": hit.tuple.to_json()}
         return out
 
 

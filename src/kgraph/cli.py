@@ -3,13 +3,10 @@
 Exit codes are uniform across commands: 0 the property holds (or the
 command simply succeeded), 1 it fails and the report carries the
 certificate, 3 the input could not be used or the report could not be
-written.  No command exits 2.  Each `cmd_*` returns its report and
-whether the property holds, and raises on unusable input; `main` alone
-turns that into an exit code.  A report is a JSON object, except the
-graph document of `quotient` and `fixture` and the aperiodic scan report
-of `aperiodic` without --text: those are already their JSON text, from
-`graph_document_text` and `scan_report_text`, and `main` writes them as
-they are; --text renders the object a graph document holds.  Exit 3,
+written.  No command exits 2.  Each `cmd_*` returns its report's JSON
+text and whether the property holds, and raises on unusable input; `main`
+alone turns that into an exit code.  `main` writes the text as it is;
+--text renders the object that text holds.  Exit 3,
 with one `error:` line per problem on standard error (unless it is
 closed), covers:
 
@@ -52,7 +49,7 @@ from .documents import canonical_json, graph_document_text, load_graph_document,
 from .errors import ContractViolationError, DocumentError, KGraphError, ValidationError
 from .factorization import KGraph, validation_reports
 from .fixtures import FIXTURE_NAMES, fixture_parts
-from .ideals import enumerate_sat_her, is_cofinal, quotient, vertex_set_to_json
+from .ideals import enumerate_sat_her, is_cofinal, quotient
 from .periodicity import scan_aperiodicity
 
 _OUT_OF_MEMORY = ("out of memory: the input is too big for this implementation",)
@@ -88,8 +85,6 @@ def render_text(obj, indent=0):
                 lines.extend(render_text(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_scalar(obj)}")
     return lines
 
 
@@ -116,30 +111,29 @@ def _read_document(path):
 def cmd_validate(args):
     reports = list(validation_reports(*_read_document(args.file)))
     ok = all(r.ok for r in reports)
-    return {"verdict": "valid" if ok else "invalid", "reports": [r.to_json() for r in reports]}, ok
+    report = {"verdict": "valid" if ok else "invalid", "reports": [r.to_json() for r in reports]}
+    return canonical_json(report), ok
 
 
 def cmd_aperiodic(args):
     scan = scan_aperiodicity(KGraph(*_read_document(args.file)), args.bound)
-    # --text renders the dict: rendering `json.loads` of the written text took about
-    # 40% longer (F at bound 20, 2 shared cores: 268 ms against 191 ms, medians of 9).
-    report = scan.to_json() if scan.periodic or args.text else scan_report_text(scan)
-    return report, not scan.periodic
+    text = canonical_json(scan.to_json()) if scan.periodic else scan_report_text(scan)
+    return text, not scan.periodic
 
 
 def cmd_cofinal(args):
     verdict = is_cofinal(KGraph(*_read_document(args.file)))
-    return verdict.to_json(), verdict.cofinal
+    return canonical_json(verdict.to_json()), verdict.cofinal
 
 
 def cmd_simple(args):
     verdict = is_simple(KGraph(*_read_document(args.file)), args.bound)
-    return verdict.to_json(), verdict.simple
+    return canonical_json(verdict.to_json()), verdict.simple
 
 
 def cmd_ideals(args):
     sets = enumerate_sat_her(KGraph(*_read_document(args.file)))
-    return {"count": len(sets), "sets": [vertex_set_to_json(h) for h in sets]}, True
+    return canonical_json({"count": len(sets), "sets": [sorted(h) for h in sets]}), True
 
 
 def cmd_quotient(args):
@@ -153,7 +147,7 @@ def cmd_quotient(args):
     try:
         sub = quotient(g, names)
     except ContractViolationError as exc:
-        return {"verdict": "error", "message": str(exc)}, False
+        return canonical_json({"verdict": "error", "message": str(exc)}), False
     return graph_document_text(sub), True
 
 
@@ -222,11 +216,9 @@ def main(argv=None):
     """Run one command and return its exit code: 0 holds, 1 fails, 3 unusable input."""
     args = build_parser().parse_args(argv)
     try:
-        report, holds = globals()[f"cmd_{args.command}"](args)
-        if args.text:  # a graph document comes written: render the object it holds
-            out = "\n".join(render_text(json.loads(report) if type(report) is str else report)) + "\n"
-        else:
-            out = report if type(report) is str else canonical_json(report)
+        out, holds = globals()[f"cmd_{args.command}"](args)
+        if args.text:
+            out = "\n".join(render_text(json.loads(out))) + "\n"
     except DocumentError as exc:
         problems = exc.problems
     except ValidationError as exc:

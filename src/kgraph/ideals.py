@@ -45,10 +45,6 @@ from .skeleton import Skeleton
 ENUM_LIMIT = 2**16
 
 
-def vertex_set_to_json(h):
-    return sorted(h)
-
-
 def _as_set(g, vertices):
     if isinstance(vertices, str):
         raise ContractViolationError(f"vertex set {vertices!r} is a string, not a collection of vertex ids")
@@ -155,7 +151,7 @@ class NotCofinal:
         self.certificate = certificate
 
     def to_json(self):
-        return {"verdict": "not_cofinal", "certificate": vertex_set_to_json(self.certificate)}
+        return {"verdict": "not_cofinal", "certificate": sorted(self.certificate)}
 
     def __repr__(self):
         return f"NotCofinal({sorted(self.certificate)!r})"

@@ -719,14 +719,17 @@ def test_unusable_standard_stream_exits_3_in_a_process(tmp_path, argv, closed, e
 
 
 class TestTextRendering:
-    # An aperiodic scan's JSON comes from its row writer, a periodic one's from canonical_json,
-    # and a graph document's from graph_document_text; --text renders each one's object.
+    # An aperiodic scan's JSON comes from its row writer, a graph document's from
+    # graph_document_text, and any other report's from canonical_json; --text renders
+    # the object that printed text holds.
     @pytest.mark.parametrize(
         "argv, holds, line",
         [
             pytest.param(["simple", "F", "--bound", "2"], True, "summary: Simple (up to bound 2)", id="simple"),
             pytest.param(["aperiodic", "F", "--bound", "2"], True, "verdict: aperiodic", id="aperiodic"),
             pytest.param(["aperiodic", "T2", "--bound", "1"], False, "verdict: periodic", id="periodic"),
+            *[pytest.param(["aperiodic", name, "--bound", "5"], True, "verdict: aperiodic", id=f"aperiodic-{name}-5")
+              for name in ("F", "D2")],
             *[pytest.param([command, name], None, None, id=f"{command}-{name}")
               for command in ("validate", "cofinal", "ideals", "fixture") for name in ("T2", "F", "D", "D2")],
             *[pytest.param(["quotient", name, "--set", "u"], None, None, id=f"quotient-{name}") for name in ("D", "D2")],
@@ -749,8 +752,6 @@ class TestTextRendering:
         assert lines == ["xs:", "  - 1", "  -", "    a: 2"]
 
     def test_scalar_roundtrip(self):
-        assert render_text(True) == ["true"]
-        assert render_text("plain") == ["plain"]
         assert render_text(["plain id", "\u00e9t\u00e9"]) == ["- plain id", "- \u00e9t\u00e9"]
         assert render_text({"id": "a\rb\x1b"}) == ['id: "a\\rb\\u001b"']
 

@@ -549,6 +549,8 @@ class TestOracleAgreement:
             (f, "v", (1, 0), (0, 0)),
             (f, "v", (0, 2), (0, 1)),
             (d2, "w", (0, 1), (0, 2)),
+            # Aperiodic, but a pair state keyed on its left tail alone skips every refutation.
+            (k2_products(4)[1], "x1.y1", (0, 1), (0, 0)),
         ]
         for g, v, m, n in cases:
             res = local_periodicity_at(g, v, m, n)
@@ -557,6 +559,7 @@ class TestOracleAgreement:
                 assert not res.periodic
             if res.periodic:
                 assert lam is None
+        assert not local_periodicity_at(*cases[-1]).periodic
 
     def test_top_box_search_matches_full_box(self, t2, f, d, d2):
         sample = corpus(11)
